@@ -5,7 +5,6 @@ for the associated unit-circle quartics, reproduction of the known-pair
 table, and exhaustive pair surveys. See the README for the CLI.
 """
 
-from ._kernels import BACKEND
 from .errors import NihopermError
 from .field import FieldCtx, make_field, smallest_irreducible
 from .loweq import (
@@ -39,7 +38,6 @@ from .tower import TowerCtx, cayley_param, in_unit_circle, make_tower, unit_circ
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "FamilyInstance",
     "FieldCtx",
     "LWVerdict",

@@ -1,171 +1,110 @@
-"""Bulk GF(2^n) kernels: carry-less multiply, powering, exp-table construction.
+"""Bulk GF(2^n) kernels on numpy arrays of packed field elements.
 
-Two interchangeable backends operate on 1-D int64 arrays of packed field
-elements (bit i of a value = coefficient of x^i):
+Bit i of a value is the coefficient of x^i. Every kernel takes the field
+as two ints: ``n`` (extension degree, at most 32) and ``red`` (the
+modulus with its leading x^n term stripped, i.e. the value XORed in on
+reduction).
 
-* ``numba`` - @njit element loops, the default whenever numba imports.
-* ``numpy`` - bit-serial vectorized passes, used as a fallback.
-
-Selection is done once at import time from the environment variable
-``NIHOPERM_BACKEND`` ("numba" or "numpy"). Both backends are exposed as
-``numba_kernels`` / ``numpy_kernels`` so tests and benchmarks can compare
-them directly; the module-level ``mul_vec`` / ``pow_vec`` / ``exp_table``
-are the selected ones.
-
-All kernels take the field as two ints: ``n`` (extension degree) and
-``red`` (the modulus with its leading x^n term stripped, i.e. the value
-XORed in on reduction). Exponents passed to ``pow_vec`` must be >= 0;
-``x**0`` is 1 for every x including 0.
+* :func:`mul_const` multiplies a vector by one field constant. The map
+  v -> c*v is GF(2)-linear, so it is the XOR of ceil(n/8) lookups in
+  256-entry byte tables built from the constant's n shifts c*x^i. Its
+  results are uint32.
+* :func:`geometric` lists r^0..r^(L-1) by doubling on :func:`mul_const`;
+  :func:`exp_table` is the full-period list for a generator.
+* :func:`mul_vec` and :func:`pow_vec` multiply and power element-wise,
+  bit-serially, on int64 arrays. Exponents passed to ``pow_vec`` must be
+  >= 0; ``x**0`` is 1 for every x including 0.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-class numpy_kernels:
-    """Pure-numpy fallback backend (bit-serial, vectorized over the array)."""
+def const_tables(c: int, n: int, red: int) -> np.ndarray:
+    """Byte tables of v -> c*v: row j maps byte j of v to its share of c*v.
 
-    name = "numpy"
-
-    @staticmethod
-    def mul_vec(a: np.ndarray, b: np.ndarray, n: int, red: int) -> np.ndarray:
-        a = a.astype(np.int64, copy=True)
-        b = b.astype(np.int64, copy=True)
-        res = np.zeros_like(a)
-        mask = (1 << n) - 1
-        top = 1 << (n - 1)
-        for _ in range(n):
-            res ^= np.where((b & 1) != 0, a, 0)
-            b >>= 1
-            carry = (a & top) != 0
-            a = (a << 1) & mask
-            a ^= np.where(carry, red, 0)
-        return res
-
-    @staticmethod
-    def pow_vec(x: np.ndarray, e: int, n: int, red: int) -> np.ndarray:
-        res = np.ones_like(x, dtype=np.int64)
-        base = x.astype(np.int64, copy=True)
-        e = int(e)
-        while e > 0:
-            if e & 1:
-                res = numpy_kernels.mul_vec(res, base, n, red)
-            e >>= 1
-            if e:
-                base = numpy_kernels.mul_vec(base, base, n, red)
-        return res
-
-    @staticmethod
-    def exp_table(n: int, red: int, g: int) -> np.ndarray:
-        # Doubling construction: once g^0..g^(k-1) are known, the next k
-        # entries are g^k * (g^0..g^(k-1)), one vectorized multiply per round.
-        order = (1 << n) - 1
-        out = np.empty(order, dtype=np.int64)
-        out[0] = 1
-        filled = 1
-        while filled < order:
-            k = min(filled, order - filled)
-            step = numpy_kernels.mul_vec(
-                out[filled - 1 : filled], np.array([g], dtype=np.int64), n, red
-            )[0]
-            out[filled : filled + k] = numpy_kernels.mul_vec(
-                out[:k], np.full(k, step, dtype=np.int64), n, red
-            )
-            filled += k
-        return out
+    The result has shape (ceil(n/8), 256) and dtype uint32.
+    """
+    nbytes = (n + 7) // 8
+    top = 1 << (n - 1)
+    mask = (1 << n) - 1
+    shifts = np.zeros(8 * nbytes, dtype=np.uint32)  # shifts[i] = c*x^i
+    for i in range(n):
+        shifts[i] = c
+        c = ((c << 1) & mask) ^ (red if c & top else 0)
+    tables = np.zeros((nbytes, 256), dtype=np.uint32)
+    for k in range(8):
+        # entries with bit k set are the entries below 2^k plus c*x^(8j+k)
+        tables[:, 1 << k : 2 << k] = tables[:, : 1 << k] ^ shifts[k::8, None]
+    return tables
 
 
-def _build_numba_kernels():
-    try:
-        import numba
-    except ImportError:
-        return None
-
-    @numba.njit(cache=True, inline="always")
-    def _mul1(a, b, n, red, mask):
-        res = np.int64(0)
-        x = a
-        y = b
-        for _ in range(n):
-            if y & 1:
-                res ^= x
-            y >>= 1
-            carry = (x >> (n - 1)) & 1
-            x = (x << 1) & mask
-            if carry:
-                x ^= red
-        return res
-
-    @numba.njit(cache=True)
-    def mul_vec(a, b, n, red):
-        mask = np.int64((1 << n) - 1)
-        out = np.empty(a.size, dtype=np.int64)
-        for i in range(a.size):
-            out[i] = _mul1(np.int64(a[i]), np.int64(b[i]), n, np.int64(red), mask)
-        return out
-
-    @numba.njit(cache=True)
-    def pow_vec(x, e, n, red):
-        mask = np.int64((1 << n) - 1)
-        out = np.empty(x.size, dtype=np.int64)
-        for i in range(x.size):
-            res = np.int64(1)
-            base = np.int64(x[i])
-            ee = e
-            while ee > 0:
-                if ee & 1:
-                    res = _mul1(res, base, n, np.int64(red), mask)
-                ee >>= 1
-                if ee:
-                    base = _mul1(base, base, n, np.int64(red), mask)
-            out[i] = res
-        return out
-
-    @numba.njit(cache=True)
-    def exp_table(n, red, g):
-        mask = np.int64((1 << n) - 1)
-        order = (1 << n) - 1
-        out = np.empty(order, dtype=np.int64)
-        out[0] = 1
-        for i in range(1, order):
-            out[i] = _mul1(out[i - 1], np.int64(g), n, np.int64(red), mask)
-        return out
-
-    class numba_impl:
-        name = "numba"
-
-    numba_impl.mul_vec = staticmethod(mul_vec)
-    numba_impl.pow_vec = staticmethod(pow_vec)
-    numba_impl.exp_table = staticmethod(exp_table)
-    return numba_impl
+def byte_planes(v: np.ndarray, n: int) -> np.ndarray:
+    """The bytes of each element, as ceil(n/8) contiguous uint8 rows."""
+    v = np.asarray(v, dtype=np.uint32)
+    return np.stack([(v >> (8 * j)).astype(np.uint8) for j in range((n + 7) // 8)])
 
 
-numba_kernels = _build_numba_kernels()
-
-_requested = os.environ.get("NIHOPERM_BACKEND", "").strip().lower()
-if _requested == "numpy":
-    _active = numpy_kernels
-elif _requested == "numba":
-    if numba_kernels is None:
-        raise ImportError("NIHOPERM_BACKEND=numba but numba is not importable")
-    _active = numba_kernels
-elif _requested == "":
-    _active = numba_kernels if numba_kernels is not None else numpy_kernels
-else:
-    raise ValueError(f"NIHOPERM_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-
-BACKEND: str = _active.name
-mul_vec = _active.mul_vec
-pow_vec = _active.pow_vec
-exp_table = _active.exp_table
+def mul_planes(planes: np.ndarray, c: int, n: int, red: int) -> np.ndarray:
+    """c*v for every v given as its :func:`byte_planes` rows."""
+    tables = const_tables(c, n, red)
+    out = tables[0].take(planes[0])
+    for table, plane in zip(tables[1:], planes[1:]):
+        out ^= table.take(plane)
+    return out
 
 
-def warmup() -> None:
-    """Trigger JIT compilation of the active backend on tiny inputs."""
-    a = np.array([3, 5], dtype=np.int64)
-    mul_vec(a, a, 4, 0b0011)
-    pow_vec(a, 7, 4, 0b0011)
-    exp_table(4, 0b0011, 2)
+def mul_const(v: np.ndarray, c: int, n: int, red: int) -> np.ndarray:
+    """c*v element-wise for a field constant c (uint32 result)."""
+    return mul_planes(byte_planes(v, n), c, n, red)
+
+
+def geometric(r: int, length: int, n: int, red: int) -> np.ndarray:
+    """r^0, r^1, ..., r^(length-1) as uint32, length >= 1.
+
+    Doubling construction: once r^0..r^(k-1) are known, the next k entries
+    are r^k * (r^0..r^(k-1)), one constant multiply per round.
+    """
+    out = np.empty(length, dtype=np.uint32)
+    out[0] = 1
+    filled = 1
+    while filled < length:
+        k = min(filled, length - filled)
+        step = int(mul_const(out[filled - 1 : filled], r, n, red)[0])
+        out[filled : filled + k] = mul_const(out[:k], step, n, red)
+        filled += k
+    return out
+
+
+def exp_table(n: int, red: int, g: int) -> np.ndarray:
+    """g^0..g^(2^n-2) as int64: the antilog table of a generator g."""
+    return geometric(g, (1 << n) - 1, n, red).astype(np.int64)
+
+
+def mul_vec(a: np.ndarray, b: np.ndarray, n: int, red: int) -> np.ndarray:
+    a = a.astype(np.int64, copy=True)
+    b = b.astype(np.int64, copy=True)
+    res = np.zeros_like(a)
+    mask = (1 << n) - 1
+    top = 1 << (n - 1)
+    for _ in range(n):
+        res ^= np.where((b & 1) != 0, a, 0)
+        b >>= 1
+        carry = (a & top) != 0
+        a = (a << 1) & mask
+        a ^= np.where(carry, red, 0)
+    return res
+
+
+def pow_vec(x: np.ndarray, e: int, n: int, red: int) -> np.ndarray:
+    res = np.ones_like(x, dtype=np.int64)
+    base = x.astype(np.int64, copy=True)
+    e = int(e)
+    while e > 0:
+        if e & 1:
+            res = mul_vec(res, base, n, red)
+        e >>= 1
+        if e:
+            base = mul_vec(base, base, n, red)
+    return res

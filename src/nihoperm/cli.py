@@ -82,7 +82,7 @@ def cmd_verify(args) -> int:
     reports = [uc]
     if tower.field.n <= permcheck.EXHAUSTIVE_MAX_N:
         ex = permcheck.is_permutation_exhaustive(
-            tower.field, niho.pair_to_trinomial(tower, pair), threads=args.threads
+            tower.field, niho.pair_to_trinomial(tower, pair)
         )
         reports.append(dataclasses.replace(ex, pair=pair))
     is_pp = all(r.is_permutation for r in reports)
@@ -114,6 +114,11 @@ def cmd_verify(args) -> int:
 
 def cmd_family(args) -> int:
     tower = _tower_from(args)
+    if tower.field.n > permcheck.EXHAUSTIVE_MAX_N:
+        raise NihopermError(
+            f"family verification needs n <= {permcheck.EXHAUSTIVE_MAX_N} "
+            "for the exhaustive engine"
+        )
     params = {}
     for item in args.param or []:
         if "=" not in item:
@@ -122,9 +127,7 @@ def cmd_family(args) -> int:
         params[key.strip()] = int(value, 0)
     inst = niho.FamilyInstance(args.family, params)
     spec = niho.family_trinomial(tower, inst)
-    if tower.field.n > permcheck.EXHAUSTIVE_MAX_N:
-        raise NihopermError("family verification needs n <= 28 for the exhaustive engine")
-    report = permcheck.is_permutation_exhaustive(tower.field, spec, threads=args.threads)
+    report = permcheck.is_permutation_exhaustive(tower.field, spec)
     if args.format == "json":
         payload = {
             "family": inst.family_id,
@@ -346,12 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pair_field=False):
+    def common(p, threads=False):
         p.add_argument("--m", type=int, help="tower parameter m (field degree n=2m)")
         p.add_argument("--n", type=int, help="field degree n (must be even)")
         p.add_argument("--modulus", type=str, help="modulus override, hex (e.g. 0x13)")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--threads", type=int, default=1)
+        if threads:
+            p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", type=str, help="write output to this path")
 
     p = sub.add_parser("verify", help="verify a Niho pair with both engines")
@@ -369,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_family)
 
     p = sub.add_parser("table1", help="reproduce the known-pair table")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--all", action="store_true", help="sweep m = 2..8 (default)")
     p.set_defaults(fn=cmd_table1)
 
@@ -380,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lemmas)
 
     p = sub.add_parser("search", help="full (s,t) sweep with classification")
-    common(p)
+    common(p, threads=True)
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("open1", help="sweep the line s+t=1")

@@ -2,9 +2,10 @@
 
 * exhaustive: evaluate the polynomial at all 2^n field elements and track
   images in an occupancy bitset (chunked, so memory stays bounded up to the
-  n = 28 desk-scale cap). The reported counterexample is canonical: the
-  first scan-order repeat together with its earlier preimage, recomputed in
-  a post-pass so it is independent of chunking and thread count.
+  n = 28 desk-scale cap). The verdict pass walks the field in discrete-log
+  order, where every term is a geometric sequence; a failing verdict is
+  followed by a scan in bitmask order for the canonical counterexample: the
+  first repeat together with its earlier preimage, independent of chunking.
 
 * unit_circle: for a Niho pair (s, t) the trinomial permutes GF(2^n) iff
   phi(x) = x * (1 + x^s + x^t)^(2^m-1) permutes the norm-1 subgroup U, so
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
@@ -37,10 +37,18 @@ from .field import FieldCtx
 from .niho import NihoPair, TrinomialSpec, pair_to_trinomial
 from .tower import TowerCtx
 
-#: exhaustive verification bound: the occupancy bitset is 32 MiB at n = 28.
+#: exhaustive verification bound: the occupancy bitset is 32 MiB at n = 28,
+#: and a full pass there takes about 30 s (timings in the README).
 EXHAUSTIVE_MAX_N = 28
 
+#: elements per chunk of every exhaustive pass: 2^min(n, _CHUNK_BITS)
 _CHUNK_BITS = 20
+
+#: the first window of the bitmask-order witness scan has 2^10 elements
+_WITNESS_FIRST_BITS = 10
+
+#: chunk size, in bits, of the bitmask scan that ``evaluations`` counts
+_SCAN_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -50,7 +58,10 @@ class PermReport:
     counterexample is a colliding pair (x, y), x < y in scan order with
     f(x) = f(y); zero_at is a unit-circle element at which 1 + x^s + x^t
     vanishes (unit-circle engine only). On success the evaluation count is
-    the full domain size (2^n or 2^m+1).
+    the full domain size (2^n or 2^m+1). On failure the unit-circle engine
+    counts the points it evaluated; the exhaustive engine reports the
+    canonical bitmask-scan count described in
+    :func:`is_permutation_exhaustive`.
     """
 
     is_permutation: bool
@@ -109,78 +120,143 @@ def _images_range(ctx: FieldCtx, terms, start: int, stop: int) -> np.ndarray:
                 continue
             vals = _kernels.pow_vec(xs, e, ctx.n, ctx.red)
             if coef != 1:
-                vals = _kernels.mul_vec(
-                    vals, np.full(vals.size, coef, dtype=np.int64), ctx.n, ctx.red
-                )
+                vals = _kernels.mul_const(vals, coef, ctx.n, ctx.red)
             acc ^= vals
     return acc
 
 
-def _images_chunk(ctx, terms, start, stop, threads) -> np.ndarray:
-    if threads <= 1 or stop - start < (1 << 16):
-        return _images_range(ctx, terms, start, stop)
-    bounds = np.linspace(start, stop, threads + 1, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(lambda ab: _images_range(ctx, terms, int(ab[0]), int(ab[1])),
-                     zip(bounds[:-1], bounds[1:]))
-        )
-    return np.concatenate(parts)
+def _repeats(bits: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mask of the entries of v equal to an earlier entry of v or already in
+    the occupancy bitset; when there are none, v is added to the bitset."""
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    dup = np.empty(v.size, dtype=bool)
+    dup[0] = False
+    dup[1:] = sv[1:] == sv[:-1]
+    repeat = np.zeros(v.size, dtype=bool)
+    repeat[order[dup]] = True  # non-first occurrences within v
+    idx = v >> 6
+    pos = (v & 63).astype(np.uint64)
+    repeat |= ((bits[idx] >> pos) & 1).astype(bool)  # seen before v
+    if not repeat.any():
+        np.bitwise_or.at(bits, idx, np.uint64(1) << pos)
+    return repeat
 
 
-def is_permutation_exhaustive(
-    ctx: FieldCtx, poly: TrinomialSpec, threads: int = 1
-) -> PermReport:
+def _occupy(bits: np.ndarray, v: np.ndarray) -> bool:
+    """Add the values v to the occupancy bitset; False if any of them
+    repeats an earlier one (the bitset is then left partly updated)."""
+    sv = np.sort(v)
+    if (sv[1:] == sv[:-1]).any():
+        return False
+    word = sv >> 6
+    first = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
+    word = word[first]
+    hit = np.bitwise_or.reduceat(
+        np.left_shift(np.uint64(1), (sv & 63).astype(np.uint64)), first
+    )
+    if (bits[word] & hit).any():
+        return False
+    bits[word] |= hit
+    return True
+
+
+def _log_order_verdict(ctx: FieldCtx, terms) -> bool:
+    """True iff the sparse polynomial permutes the field.
+
+    Enumerates 0 and then x = g^k for k = 0, 1, ... in chunks of L
+    exponents. On x = g^k a term c*x^e is c * r^k with r = g^e, so on the
+    chunk starting at k0 it is the constant c*r^k0 times the fixed block
+    r^0..r^(L-1): one byte-table constant multiply per term and chunk.
+    0^e = 0 for e > 0, so only e = 0 terms reach x = 0.
+    """
+    n, red, order = ctx.n, ctx.red, ctx.group_order
+    length = min(1 << min(n, _CHUNK_BITS), order)
+    image_of_zero = 0
+    const = 0  # terms with r = 1 are constant on the nonzero elements
+    coefs, steps, planes = [], [], []  # per other term: c*r^k0, r^L, r^0..r^(L-1)
+    for coef, e in terms:
+        if e == 0:
+            image_of_zero ^= coef
+        r = gf._pow_int(ctx.generator, e % order, n, red)
+        if r == 1:
+            const ^= coef
+            continue
+        coefs.append(coef)
+        steps.append(gf._pow_int(r, length, n, red))
+        planes.append(_kernels.byte_planes(_kernels.geometric(r, length, n, red), n))
+    bits = np.zeros(max((1 << n) >> 6, 1), dtype=np.uint64)
+    _occupy(bits, np.array([image_of_zero], dtype=np.uint32))
+    for k0 in range(0, order, length):
+        size = min(length, order - k0)
+        images = np.full(size, const, dtype=np.uint32)
+        for j, block in enumerate(planes):
+            images ^= _kernels.mul_planes(block[:, :size], coefs[j], n, red)
+            coefs[j] = gf._mul_int(coefs[j], steps[j], n, red, ctx.mask)
+        if not _occupy(bits, images):
+            return False
+    return True
+
+
+def _first_repeat(ctx: FieldCtx, terms) -> int:
+    """The least y with f(y) = f(x) for some x < y, scanning in bitmask order.
+
+    Windows start at 2^10 elements and double, up to the chunk size, so the
+    cost grows with y rather than with the field.
+    """
+    cap = 1 << min(ctx.n, _CHUNK_BITS)
+    width = min(1 << _WITNESS_FIRST_BITS, cap)
+    bits = np.zeros(max((1 << ctx.n) >> 6, 1), dtype=np.uint64)
+    start, size = 0, 1 << ctx.n
+    while start < size:
+        stop = min(start + width, size)
+        repeat = _repeats(bits, _images_range(ctx, terms, start, stop))
+        if repeat.any():
+            return start + int(np.flatnonzero(repeat)[0])
+        start, width = stop, min(2 * width, cap)
+    raise AssertionError("the log-order pass found a repeat that the bitmask scan did not")
+
+
+def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
     """Full-domain permutation check with occupancy bitset.
 
-    Raises FieldTooLarge above n = 28. Early-exits on the first chunk
-    containing a collision, then recomputes the canonical minimal
-    counterexample deterministically.
+    The verdict comes from a pass over the field in discrete-log order
+    (:func:`_log_order_verdict`), which needs no exp/log tables and no
+    element-wise powering. Only when that pass finds a repeat does an
+    ordered scan in bitmask order find the canonical counterexample: the
+    first repeat y and the least x < y with f(x) = f(y).
+
+    ``evaluations`` is the canonical bitmask-scan count: 2^n on success,
+    and on failure the elements a scan in chunks of 2^min(n, 20) evaluates
+    up to the chunk holding y, ((y >> c) + 1) * 2^c with c = min(n, 20).
+    It is a fixed function of the polynomial, not a count of the work done.
+    Raises FieldTooLarge above n = EXHAUSTIVE_MAX_N.
     """
     if ctx.n > EXHAUSTIVE_MAX_N:
         raise FieldTooLarge(f"exhaustive check capped at n={EXHAUSTIVE_MAX_N}, got n={ctx.n}")
     t0 = time.perf_counter()
     terms = poly.terms
-    size = 1 << ctx.n
-    chunk = 1 << min(ctx.n, _CHUNK_BITS)
-    bits = np.zeros(max(size >> 6, 1), dtype=np.uint64)
-    collision_y = None
-    evaluated = 0
-    for cstart in range(0, size, chunk):
-        v = _images_chunk(ctx, terms, cstart, cstart + chunk, threads)
-        evaluated += v.size
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        dup = np.empty(v.size, dtype=bool)
-        dup[0] = False
-        dup[1:] = sv[1:] == sv[:-1]
-        repeat = np.zeros(v.size, dtype=bool)
-        repeat[order[dup]] = True  # non-first occurrences within the chunk
-        idx = v >> 6
-        pos = (v & 63).astype(np.uint64)
-        repeat |= ((bits[idx] >> pos) & 1).astype(bool)  # seen in earlier chunks
-        if repeat.any():
-            collision_y = cstart + int(np.flatnonzero(repeat)[0])
-            break
-        np.bitwise_or.at(bits, idx, np.uint64(1) << pos)
-    if collision_y is None:
+    if _log_order_verdict(ctx, terms):
         return PermReport(
             is_permutation=True, method="exhaustive", counterexample=None,
-            zero_at=None, evaluations=size, elapsed=time.perf_counter() - t0,
+            zero_at=None, evaluations=1 << ctx.n, elapsed=time.perf_counter() - t0,
         )
+    collision_y = _first_repeat(ctx, terms)
     target = poly.evaluate(collision_y)
+    chunk = 1 << min(ctx.n, _CHUNK_BITS)
     partner = None
     for cstart in range(0, collision_y + 1, chunk):
-        v = _images_chunk(ctx, terms, cstart, min(cstart + chunk, collision_y), threads)
+        v = _images_range(ctx, terms, cstart, min(cstart + chunk, collision_y))
         hits = np.flatnonzero(v == target)
         if hits.size:
             partner = cstart + int(hits[0])
             break
     assert partner is not None and partner < collision_y
+    c = min(ctx.n, _SCAN_BITS)
     return PermReport(
         is_permutation=False, method="exhaustive",
         counterexample=(partner, collision_y), zero_at=None,
-        evaluations=evaluated, elapsed=time.perf_counter() - t0,
+        evaluations=((collision_y >> c) + 1) << c, elapsed=time.perf_counter() - t0,
     )
 
 
@@ -251,10 +327,8 @@ def unit_circle_check(tower: TowerCtx, pair: NihoPair) -> PermReport:
     )
 
 
-def cross_validate(tower: TowerCtx, pair: NihoPair, threads: int = 1) -> bool:
+def cross_validate(tower: TowerCtx, pair: NihoPair) -> bool:
     """True iff the exhaustive and unit-circle engines agree on the pair."""
-    ex = is_permutation_exhaustive(
-        tower.field, pair_to_trinomial(tower, pair), threads=threads
-    )
+    ex = is_permutation_exhaustive(tower.field, pair_to_trinomial(tower, pair))
     uc = unit_circle_check(tower, pair)
     return ex.is_permutation == uc.is_permutation

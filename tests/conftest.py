@@ -1,15 +1,7 @@
 import pytest
 
-from nihoperm import _kernels
 from nihoperm import field as gf
 from nihoperm import tower as tw
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT-compile the active backend once so timed tests measure the
-    # algorithms, not compilation
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

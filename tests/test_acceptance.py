@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
-lines. Time budgets are asserted after the correctness checks; the
-session-level fixture JIT-compiles kernels and a module fixture prebuilds
-the field tables, so the budgets measure the verification work itself.
+lines. Time budgets are asserted after the correctness checks; a module
+fixture prebuilds the field tables, so the budgets measure the
+verification work itself.
 """
 
 import time
@@ -34,7 +34,7 @@ def criterion(cid, desc, budget=None):
 
 
 @pytest.fixture(scope="module")
-def towers(warm_kernels):
+def towers():
     built = {m: tw.make_tower(m) for m in range(1, 11)}
     for tower in built.values():
         tower.field.exp_log
@@ -45,11 +45,9 @@ def towers(warm_kernels):
     return built
 
 
-def both_engines_pass(tower, pair, threads=1):
+def both_engines_pass(tower, pair):
     uc = pc.unit_circle_check(tower, pair)
-    ex = pc.is_permutation_exhaustive(
-        tower.field, niho.pair_to_trinomial(tower, pair), threads=threads
-    )
+    ex = pc.is_permutation_exhaustive(tower.field, niho.pair_to_trinomial(tower, pair))
     return uc.is_permutation and ex.is_permutation
 
 
@@ -215,7 +213,7 @@ def test_criterion_8_engine_equivalence(towers):
         assert count == 15 + 45 + 153 + 561
 
 
-def test_criterion_9_quadratic_criterion_oracle(warm_kernels):
+def test_criterion_9_quadratic_criterion_oracle():
     with criterion("C9", "trace criterion matches brute-force root existence "
                          "for all (a != 0, b), n in {2,4,6,8,10,12}", 60.0):
         for n in (2, 4, 6, 8, 10, 12):

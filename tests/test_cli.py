@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from nihoperm import cli
+from nihoperm import cli, permcheck
 
 
 def run(capsys, *argv):
@@ -99,6 +99,13 @@ def test_family_condition_violation_exits_2(capsys):
 def test_family_unknown_id(capsys):
     code, _, _ = run(capsys, "family", "--family", "F12", "--m", "4")
     assert code == 2
+
+
+def test_family_above_exhaustive_cap_exits_2(capsys):
+    m = permcheck.EXHAUSTIVE_MAX_N // 2 + 1
+    code, _, err = run(capsys, "family", "--family", "F8", "--m", str(m))
+    assert code == 2
+    assert f"n <= {permcheck.EXHAUSTIVE_MAX_N}" in err
 
 
 # ---------------------------------------------------------------------------

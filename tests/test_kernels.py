@@ -1,8 +1,4 @@
-"""Backend parity: the numba kernels and the numpy fallback must agree."""
-
-import os
-import subprocess
-import sys
+"""Bulk kernels against the scalar field arithmetic."""
 
 import numpy as np
 import pytest
@@ -10,42 +6,10 @@ import pytest
 from nihoperm import _kernels
 from nihoperm import field as gf
 
-needs_numba = pytest.mark.skipif(
-    _kernels.numba_kernels is None, reason="numba not available"
-)
-
 
 def _random_elems(n, size, seed):
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 1 << n, size).astype(np.int64)
-
-
-@needs_numba
-@pytest.mark.parametrize("n,red", [(4, 0b0011), (8, 0x1B), (13, 0x1B)])
-def test_mul_vec_backends_agree(n, red):
-    a = _random_elems(n, 4096, 1)
-    b = _random_elems(n, 4096, 2)
-    got_nb = _kernels.numba_kernels.mul_vec(a, b, n, red)
-    got_np = _kernels.numpy_kernels.mul_vec(a, b, n, red)
-    assert (got_nb == got_np).all()
-
-
-@needs_numba
-@pytest.mark.parametrize("e", [0, 1, 2, 7, 171, 254, 255])
-def test_pow_vec_backends_agree(e):
-    x = _random_elems(8, 2048, 3)
-    got_nb = _kernels.numba_kernels.pow_vec(x, e, 8, 0x1B)
-    got_np = _kernels.numpy_kernels.pow_vec(x, e, 8, 0x1B)
-    assert (got_nb == got_np).all()
-
-
-@needs_numba
-@pytest.mark.parametrize("n", [2, 4, 8, 11])
-def test_exp_table_backends_agree(n):
-    ctx = gf.make_field(n)
-    t_nb = _kernels.numba_kernels.exp_table(n, ctx.red, ctx.generator)
-    t_np = _kernels.numpy_kernels.exp_table(n, ctx.red, ctx.generator)
-    assert (t_nb == t_np).all()
+    return rng.integers(0, 1 << n, size, dtype=np.uint64).astype(np.int64)
 
 
 def test_mul_vec_matches_scalar_multiply(f256):
@@ -56,34 +20,39 @@ def test_mul_vec_matches_scalar_multiply(f256):
         assert out[i] == gf.mul(f256, int(a[i]), int(b[i]))
 
 
+@pytest.mark.parametrize("n", [2, 8, 13, 22, 32])
+def test_mul_const_matches_scalar_multiply(n):
+    ctx = gf.make_field(n)
+    v = _random_elems(n, 300, n)
+    v[:2] = (0, ctx.mask)
+    rng = np.random.default_rng(100 + n)
+    for c in (0, 1, ctx.mask, int(rng.integers(2, 1 << n))):
+        out = _kernels.mul_const(v, c, n, ctx.red)
+        assert out.dtype == np.uint32
+        assert out.tolist() == [gf.mul(ctx, int(x), c) for x in v]
+
+
 def test_pow_vec_zero_conventions():
     x = np.array([0, 1, 3], dtype=np.int64)
     assert list(_kernels.pow_vec(x, 0, 4, 0b0011)) == [1, 1, 1]
     assert list(_kernels.pow_vec(x, 5, 4, 0b0011))[0] == 0
 
 
-def test_exp_table_is_multiplicative_walk(f16):
-    table = _kernels.exp_table(4, f16.red, f16.generator)
-    assert table[0] == 1
-    assert len(set(table.tolist())) == 15  # hits every nonzero element once
-    for i in range(1, 15):
-        assert table[i] == gf.mul(f16, int(table[i - 1]), f16.generator)
+def test_exp_table_is_multiplicative_walk():
+    for n in (2, 4, 8, 11, 16):
+        ctx = gf.make_field(n)
+        table = _kernels.exp_table(n, ctx.red, ctx.generator)
+        assert table.dtype == np.int64
+        walk = [1]
+        for _ in range(ctx.group_order - 1):
+            walk.append(gf._mul_int(walk[-1], ctx.generator, n, ctx.red, ctx.mask))
+        assert table.tolist() == walk, n
+        assert len(set(walk)) == ctx.group_order  # hits every nonzero element once
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, NIHOPERM_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "import nihoperm; print(nihoperm.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_garbage():
-    env = dict(os.environ, NIHOPERM_BACKEND="fortran")
-    out = subprocess.run(
-        [sys.executable, "-c", "import nihoperm"],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.returncode != 0
-    assert "NIHOPERM_BACKEND" in out.stderr
+@pytest.mark.parametrize("length", [1, 2, 5, 64, 1000])
+def test_geometric_is_power_sequence(length):
+    ctx = gf.make_field(22)
+    r = 0x2F00D
+    got = _kernels.geometric(r, length, ctx.n, ctx.red)
+    assert got.tolist() == [gf.power(ctx, r, i) for i in range(length)]

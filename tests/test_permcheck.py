@@ -1,9 +1,13 @@
 """Engine behavior: exhaustive scan, subgroup checks, cross-validation."""
 
+import functools
 import json
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nihoperm import field as gf
 from nihoperm import niho
@@ -57,16 +61,14 @@ def test_counterexample_is_canonical_first_repeat(f16):
 
 
 @pytest.mark.parametrize("chunk_bits", [2, 3, 20])
-@pytest.mark.parametrize("threads", [1, 4])
-def test_exhaustive_deterministic_across_chunking_and_threads(
-    f16, monkeypatch, chunk_bits, threads
-):
+def test_exhaustive_deterministic_across_chunking(f16, monkeypatch, chunk_bits):
     monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
     spec = TrinomialSpec.make(f16, [(1, 3)])
-    rep = pc.is_permutation_exhaustive(f16, spec, threads=threads)
+    rep = pc.is_permutation_exhaustive(f16, spec)
     assert rep.counterexample == (1, 6)
+    assert rep.evaluations == 16
     good = niho.pair_to_trinomial(tw.tower_over(f16), NihoPair(2, 2, 4))
-    assert pc.is_permutation_exhaustive(f16, good, threads=threads).is_permutation
+    assert pc.is_permutation_exhaustive(f16, good).is_permutation
 
 
 def test_exhaustive_without_tables(f16, monkeypatch):
@@ -83,6 +85,102 @@ def test_exhaustive_coefficient_terms(f256):
     # a non-trivial coefficient polynomial: a*x^2 is a bijection for a != 0
     spec = TrinomialSpec.make(f256, [(7, 2)])
     assert pc.is_permutation_exhaustive(f256, spec).is_permutation
+
+
+def reference_scan(ctx, spec):
+    """Plain bitmask-order scan: (counterexample, evaluations) as the
+    exhaustive engine must report them."""
+    seen = {}
+    for y in gf.elements(ctx):
+        v = spec.evaluate(y)
+        if v in seen:
+            c = min(ctx.n, 20)
+            return (seen[v], y), ((y >> c) + 1) << c
+        seen[v] = y
+    return None, 1 << ctx.n
+
+
+@st.composite
+def sparse_polys(draw):
+    """Random sparse polynomials, n = 2..14, with permutations mixed in:
+    c*x^d with gcd(d, 2^n-1) = 1 and linearized polynomials permute often."""
+    n = draw(st.integers(2, 14))
+    ctx = _field(n)
+    order = ctx.group_order
+    coef = st.integers(1, ctx.mask)
+    kind = draw(st.sampled_from(["random", "monomial", "linearized"]))
+    if kind == "random":
+        terms = draw(st.lists(st.tuples(coef, st.integers(1, 3 * order)),
+                              min_size=1, max_size=4))
+    elif kind == "monomial":
+        d = draw(st.integers(1, order).filter(lambda d: gcd(d, order) == 1))
+        terms = [(draw(coef), d)]
+    else:
+        terms = [(draw(coef), 1 << i)
+                 for i in draw(st.sets(st.integers(0, n - 1), min_size=1))]
+    if draw(st.booleans()):
+        terms.append((draw(coef), 0))  # constant term, reaches x = 0
+    if draw(st.booleans()):
+        terms.append((draw(coef), order))  # e = 2^n-1: 1 on nonzero x, 0 at 0
+    return TrinomialSpec.make(ctx, terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _field(n):
+    return gf.make_field(n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_polys())
+def test_exhaustive_matches_brute_force(spec):
+    rep = pc.is_permutation_exhaustive(spec.ctx, spec)
+    assert rep.is_permutation == brute_is_permutation(spec.ctx, spec)
+    cex, evaluations = reference_scan(spec.ctx, spec)
+    assert rep.counterexample == cex
+    assert rep.evaluations == evaluations
+
+
+@pytest.mark.parametrize("chunk_bits", [2, 5])
+def test_exhaustive_chunked_matches_reference_scan(monkeypatch, chunk_bits):
+    # several log-order chunks and witness windows, with first repeats past
+    # the first window
+    monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(pc, "_WITNESS_FIRST_BITS", 1)
+    ctx = gf.make_field(7)
+    rng = random.Random(chunk_bits)
+    for _ in range(30):
+        spec = TrinomialSpec.make(ctx, [(rng.randrange(1, 128), rng.randrange(128))
+                                        for _ in range(rng.randrange(1, 4))])
+        rep = pc.is_permutation_exhaustive(ctx, spec)
+        assert rep.is_permutation == brute_is_permutation(ctx, spec)
+        assert (rep.counterexample, rep.evaluations) == reference_scan(ctx, spec)
+
+
+def test_exhaustive_full_pass_above_table_max():
+    # (2,-1) holds for every m: a full n = 22 pass, above TABLE_MAX
+    tower = tw.make_tower(11)
+    assert tower.field.n > gf.TABLE_MAX
+    spec = niho.pair_to_trinomial(tower, NihoPair(11, 2, -1))
+    rep = pc.is_permutation_exhaustive(tower.field, spec)
+    assert rep.is_permutation
+    assert rep.evaluations == 1 << 22
+
+
+def test_verdict_pass_builds_no_tables():
+    ctx = gf.make_field(16)
+    rep = pc.is_permutation_exhaustive(ctx, TrinomialSpec.make(ctx, [(3, 2), (5, 0)]))
+    assert rep.is_permutation
+    assert "exp_log" not in ctx.__dict__  # the lazy exp/log tables were never built
+
+
+def test_exhaustive_counterexample_above_table_max():
+    tower = tw.make_tower(11)
+    spec = niho.pair_to_trinomial(tower, NihoPair(11, 3, 5))
+    rep = pc.is_permutation_exhaustive(tower.field, spec)
+    assert not rep.is_permutation
+    assert rep.counterexample == (0x28, 0x6B0)
+    assert rep.evaluations == 1048576
+    assert spec.evaluate(0x28) == spec.evaluate(0x6B0)
 
 
 def test_field_too_large():
