@@ -3,6 +3,7 @@
 import functools
 import json
 import random
+from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 import pytest
@@ -61,14 +62,26 @@ def test_counterexample_is_canonical_first_repeat(f16):
 
 
 @pytest.mark.parametrize("chunk_bits", [2, 3, 20])
-def test_exhaustive_deterministic_across_chunking(f16, monkeypatch, chunk_bits):
+@pytest.mark.parametrize("threads", [1, 4])
+def test_exhaustive_deterministic_across_chunking_and_threads(
+    f16, monkeypatch, chunk_bits, threads
+):
+    # the engine runs in its caller's thread; `threads` callers share one
+    # field context and must all get the same report
     monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
     spec = TrinomialSpec.make(f16, [(1, 3)])
-    rep = pc.is_permutation_exhaustive(f16, spec)
-    assert rep.counterexample == (1, 6)
-    assert rep.evaluations == 16
     good = niho.pair_to_trinomial(tw.tower_over(f16), NihoPair(2, 2, 4))
-    assert pc.is_permutation_exhaustive(f16, good).is_permutation
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        bad_reps = list(pool.map(
+            lambda _: pc.is_permutation_exhaustive(f16, spec), range(threads)
+        ))
+        good_reps = list(pool.map(
+            lambda _: pc.is_permutation_exhaustive(f16, good), range(threads)
+        ))
+    for rep in bad_reps:
+        assert rep.counterexample == (1, 6)
+        assert rep.evaluations == 16
+    assert all(rep.is_permutation for rep in good_reps)
 
 
 def test_exhaustive_without_tables(f16, monkeypatch):
