@@ -12,8 +12,7 @@ Commands:
 
 Exit codes: 0 verified-true / dataset written, 1 verified-false,
 2 usage or precondition error. Dataset outputs (table1, search, open1,
-open2) carry no timing fields, so reruns are byte-identical regardless of
---threads.
+open2) carry no timing fields, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import dataclasses
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 from . import field as gf
@@ -147,48 +145,30 @@ def cmd_family(args) -> int:
     return 0 if report.is_permutation else 1
 
 
-def _table1_dataset(m_values, threads: int) -> list[dict]:
-    checks = []  # (row index in output, "row" | ("equiv", j), pair)
+def _verdict(tower: tw.TowerCtx, pair: NihoPair | None) -> bool | None:
+    if pair is None:
+        return None
+    return permcheck.unit_circle_check(tower, pair).is_permutation
+
+
+def _table1_dataset(towers: list[tw.TowerCtx]) -> list[dict]:
     out_rows = []
-    for m in m_values:
-        tower = tw.make_tower(m)
-        for row in niho.known_pairs_table1(m):
-            entry = {
-                "m": m,
+    for tower in towers:
+        for row in niho.known_pairs_table1(tower.m):
+            out_rows.append({
+                "m": tower.m,
                 "source": row.source,
                 "condition": row.condition,
                 "condition_ok": row.condition_ok,
                 "s": row.pair.s if row.pair else None,
                 "t": row.pair.t if row.pair else None,
-                "is_pp": None,
+                "is_pp": _verdict(tower, row.pair),
                 "equivalents": [
                     {"label": label, "s": p.s if p else None,
-                     "t": p.t if p else None, "is_pp": None}
+                     "t": p.t if p else None, "is_pp": _verdict(tower, p)}
                     for label, p in row.equivalents
                 ],
-            }
-            idx = len(out_rows)
-            out_rows.append(entry)
-            if row.pair is not None:
-                checks.append((idx, "row", tower, row.pair))
-            for j, (_, p) in enumerate(row.equivalents):
-                if p is not None:
-                    checks.append((idx, j, tower, p))
-
-    def run(check):
-        _, _, tower, pair = check
-        return permcheck.unit_circle_check(tower, pair).is_permutation
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(run, checks))
-    else:
-        verdicts = [run(c) for c in checks]
-    for (idx, slot, _, _), verdict in zip(checks, verdicts):
-        if slot == "row":
-            out_rows[idx]["is_pp"] = verdict
-        else:
-            out_rows[idx]["equivalents"][slot]["is_pp"] = verdict
+            })
     return out_rows
 
 
@@ -212,14 +192,15 @@ def _fmt_cell(v) -> str:
 
 
 def cmd_table1(args) -> int:
-    if args.all or args.m is None:
-        m_values = list(range(2, 9))
+    if args.all or (args.m is None and args.n is None):
+        if args.modulus:
+            raise NihopermError("--modulus needs one --m or --n, not the m=2..8 sweep")
+        towers = [tw.make_tower(m) for m in range(2, 9)]
     else:
-        m_values = [args.m]
-    for m in m_values:
-        if m > survey.SURVEY_MAX_M:
+        towers = [_tower_from(args)]
+        if towers[0].m > survey.SURVEY_MAX_M:
             raise NihopermError(f"table capped at m={survey.SURVEY_MAX_M}")
-    rows = _table1_dataset(m_values, args.threads)
+    rows = _table1_dataset(towers)
     if args.format == "json":
         _write(json.dumps({"rows": rows}, indent=2) + "\n", args.out)
     elif args.format == "csv":
@@ -317,7 +298,7 @@ def cmd_lemmas(args) -> int:
 
 def cmd_search(args) -> int:
     tower = _tower_from(args)
-    rows = survey.search_pairs(tower, threads=args.threads)
+    rows = survey.search_pairs(tower)
     if args.format == "json":
         _write(survey.rows_to_json(rows) + "\n", args.out)
     else:
@@ -349,13 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=False):
+    def common(p):
         p.add_argument("--m", type=int, help="tower parameter m (field degree n=2m)")
         p.add_argument("--n", type=int, help="field degree n (must be even)")
         p.add_argument("--modulus", type=str, help="modulus override, hex (e.g. 0x13)")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        if threads:
-            p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", type=str, help="write output to this path")
 
     p = sub.add_parser("verify", help="verify a Niho pair with both engines")
@@ -373,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_family)
 
     p = sub.add_parser("table1", help="reproduce the known-pair table")
-    common(p, threads=True)
+    common(p)
     p.add_argument("--all", action="store_true", help="sweep m = 2..8 (default)")
     p.set_defaults(fn=cmd_table1)
 
@@ -384,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lemmas)
 
     p = sub.add_parser("search", help="full (s,t) sweep with classification")
-    common(p, threads=True)
+    common(p)
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("open1", help="sweep the line s+t=1")

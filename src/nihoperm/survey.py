@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,24 +72,24 @@ def known_cover_map(m: int) -> dict[NihoPair, str]:
     return cover
 
 
-def search_pairs(tower: TowerCtx, threads: int = 1) -> list[SearchRow]:
+def _capped_m(tower: TowerCtx) -> int:
+    """The tower's m, once checked against SURVEY_MAX_M."""
+    if tower.m > SURVEY_MAX_M:
+        raise RangeTooLarge(f"pair survey capped at m={SURVEY_MAX_M}, got m={tower.m}")
+    return tower.m
+
+
+def search_pairs(tower: TowerCtx) -> list[SearchRow]:
     """Sweep all unordered pairs at this m and classify them by orbit.
 
     Every orbit member is verified independently; members of one orbit
     always share a verdict (this is the transform property made
     executable, and it is asserted here).
     """
-    m = tower.m
-    if m > SURVEY_MAX_M:
-        raise RangeTooLarge(f"pair survey capped at m={SURVEY_MAX_M}, got m={m}")
+    m = _capped_m(tower)
     top = 1 << m
     pairs = [NihoPair(m, s, t) for s in range(top + 1) for t in range(s, top + 1)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda p: unit_circle_check(tower, p), pairs))
-    else:
-        reports = [unit_circle_check(tower, p) for p in pairs]
-    verdicts = {p: r.is_permutation for p, r in zip(pairs, reports)}
+    verdicts = {p: unit_circle_check(tower, p).is_permutation for p in pairs}
     cover = known_cover_map(m)
     rows: list[SearchRow] = []
     done: set[NihoPair] = set()
@@ -117,30 +116,21 @@ def search_pairs(tower: TowerCtx, threads: int = 1) -> list[SearchRow]:
     return rows
 
 
+def _scan_line(tower: TowerCtx, pair_at) -> list[int]:
+    """All j in [0, 2^m] for which pair_at(j) = (s, t) is a permutation pair."""
+    m = _capped_m(tower)
+    return [j for j in range((1 << m) + 1)
+            if unit_circle_check(tower, NihoPair(m, *pair_at(j))).is_permutation]
+
+
 def scan_open_problem_1(tower: TowerCtx) -> list[int]:
     """All s in [0, 2^m] for which (s, 1-s) is a permutation pair."""
-    m = tower.m
-    if m > SURVEY_MAX_M:
-        raise RangeTooLarge(f"scan capped at m={SURVEY_MAX_M}, got m={m}")
-    hits = []
-    for s in range((1 << m) + 1):
-        pair = NihoPair(m, s, 1 - s)
-        if unit_circle_check(tower, pair).is_permutation:
-            hits.append(s)
-    return hits
+    return _scan_line(tower, lambda s: (s, 1 - s))
 
 
 def scan_open_problem_2(tower: TowerCtx) -> list[int]:
     """All k in [0, 2^m] for which (2k, -k) is a permutation pair."""
-    m = tower.m
-    if m > SURVEY_MAX_M:
-        raise RangeTooLarge(f"scan capped at m={SURVEY_MAX_M}, got m={m}")
-    hits = []
-    for k in range((1 << m) + 1):
-        pair = NihoPair(m, 2 * k, -k)
-        if unit_circle_check(tower, pair).is_permutation:
-            hits.append(k)
-    return hits
+    return _scan_line(tower, lambda k: (2 * k, -k))
 
 
 # ---------------------------------------------------------------------------

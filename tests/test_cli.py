@@ -147,6 +147,29 @@ def test_table1_default_sweep_is_m2_to_8(capsys):
     assert ms == set(range(2, 9))
 
 
+def test_table1_n_selects_one_m(capsys):
+    code, by_n, _ = run(capsys, "table1", "--n", "6", "--format", "json")
+    assert code == 0
+    assert {r["m"] for r in json.loads(by_n)["rows"]} == {3}
+    assert run(capsys, "table1", "--m", "3", "--format", "json")[1] == by_n
+    code, _, err = run(capsys, "table1", "--n", "7")
+    assert code == 2 and "even n" in err
+
+
+def test_table1_modulus_checked(capsys):
+    code, _, err = run(capsys, "table1", "--m", "5", "--modulus", "0x13")
+    assert code == 2 and "degree 4" in err
+    code, _, err = run(capsys, "table1", "--m", "2", "--modulus", "0x15")
+    assert code == 2  # x^4+x^2+1 is reducible
+
+
+@pytest.mark.parametrize("argv", [["--all"], [], ["--all", "--m", "3"]])
+def test_table1_modulus_needs_single_m(capsys, argv):
+    code, out, err = run(capsys, "table1", *argv, "--modulus", "0x13")
+    assert code == 2 and "--modulus" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # lemmas
 # ---------------------------------------------------------------------------
@@ -225,24 +248,27 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_outputs_byte_identical_across_thread_counts(tmp_path, capsys, fmt):
-    blobs = []
-    for threads in (1, 4, 8):
-        p = tmp_path / f"t{threads}.{fmt}"
-        code, _, _ = run(capsys, "table1", "--m", "5", "--format", fmt,
-                         "--threads", str(threads), "--out", str(p))
-        assert code == 0
-        blobs.append(p.read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+def test_outputs_byte_identical_across_runs_and_moduli(tmp_path, capsys, fmt):
+    # repeated runs, then a second irreducible modulus: verdicts, and so the
+    # dataset bytes, do not depend on the field representation
+    for argv, other in ((("table1", "--m", "5"), "0x40f"),
+                        (("search", "--m", "3"), "0x49")):
+        blobs = []
+        for extra in ([], [], ["--modulus", other]):
+            p = tmp_path / f"{argv[0]}{len(blobs)}.{fmt}"
+            code, _, _ = run(capsys, *argv, "--format", fmt, *extra,
+                             "--out", str(p))
+            assert code == 0
+            blobs.append(p.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
 
-    blobs = []
-    for threads in (1, 4, 8):
-        p = tmp_path / f"s{threads}.{fmt}"
-        code, _, _ = run(capsys, "search", "--m", "3", "--format", fmt,
-                         "--threads", str(threads), "--out", str(p))
-        assert code == 0
-        blobs.append(p.read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+
+@pytest.mark.parametrize("cmd", ["search", "table1"])
+def test_threads_option_is_gone(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cmd, "--m", "3", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_help_lists_all_commands(capsys):

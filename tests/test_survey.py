@@ -124,6 +124,12 @@ def test_range_guard():
         survey.search_pairs(tw.make_tower(13))
 
 
+@pytest.mark.parametrize("scan", [survey.scan_open_problem_1, survey.scan_open_problem_2])
+def test_scan_range_guard(scan):
+    with pytest.raises(RangeTooLarge):
+        scan(tw.make_tower(survey.SURVEY_MAX_M + 1))
+
+
 # ---------------------------------------------------------------------------
 # open-problem scans
 # ---------------------------------------------------------------------------
@@ -177,10 +183,11 @@ def test_csv_emitter_shape(tower2):
     assert len(lines) == len(rows) + 1
 
 
-def test_emitters_deterministic_across_threads(tower3):
-    base_csv = survey.rows_to_csv(survey.search_pairs(tower3, threads=1))
-    base_json = survey.rows_to_json(survey.search_pairs(tower3, threads=1))
-    for threads in (2, 4):
-        rows = survey.search_pairs(tower3, threads=threads)
+def test_emitters_deterministic_across_runs_and_moduli(tower3):
+    base_csv = survey.rows_to_csv(survey.search_pairs(tower3))
+    base_json = survey.rows_to_json(survey.search_pairs(tower3))
+    # a rerun, then 0x49 (x^6+x^3+1) in place of the default 0x43
+    for tower in (tower3, tw.make_tower(3, 0x49)):
+        rows = survey.search_pairs(tower)
         assert survey.rows_to_csv(rows) == base_csv
         assert survey.rows_to_json(rows) == base_json
