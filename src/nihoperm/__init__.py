@@ -30,6 +30,7 @@ from .permcheck import (
     cross_validate,
     is_permutation_exhaustive,
     unit_circle_check,
+    verify_pairs,
     zieve_check,
 )
 from .survey import SearchRow, canonical_orbit, search_pairs
@@ -68,5 +69,6 @@ __all__ = [
     "unit_circle_check",
     "unit_circle_iter",
     "verify_lemma_quartics",
+    "verify_pairs",
     "zieve_check",
 ]

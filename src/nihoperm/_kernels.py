@@ -5,10 +5,11 @@ as two ints: ``n`` (extension degree, at most 32) and ``red`` (the
 modulus with its leading x^n term stripped, i.e. the value XORed in on
 reduction).
 
-* :func:`mul_const` multiplies a vector by one field constant. The map
-  v -> c*v is GF(2)-linear, so it is the XOR of ceil(n/8) lookups in
-  256-entry byte tables built from the constant's n shifts c*x^i. Its
-  results are uint32.
+* :func:`linear_tables` and :func:`map_planes` apply any GF(2)-linear map
+  of n-bit values as the XOR of ceil(n/8) lookups in 256-entry byte tables
+  built from the images of the n bits. :func:`mul_const` multiplies a
+  vector by one field constant this way: v -> c*v is linear, and its bit
+  images are the constant's n shifts c*x^i. Results are uint32.
 * :func:`geometric` lists r^0..r^(L-1) by doubling on :func:`mul_const`;
   :func:`exp_table` is the full-period list for a generator.
 * :func:`mul_vec` and :func:`pow_vec` multiply and power element-wise,
@@ -21,23 +22,31 @@ from __future__ import annotations
 import numpy as np
 
 
-def const_tables(c: int, n: int, red: int) -> np.ndarray:
-    """Byte tables of v -> c*v: row j maps byte j of v to its share of c*v.
+def linear_tables(images, n: int) -> np.ndarray:
+    """Byte tables of a GF(2)-linear map on n-bit values, given the image of
+    each bit 1 << i: row j maps byte j of v to its share of the image of v.
 
     The result has shape (ceil(n/8), 256) and dtype uint32.
     """
     nbytes = (n + 7) // 8
-    top = 1 << (n - 1)
-    mask = (1 << n) - 1
-    shifts = np.zeros(8 * nbytes, dtype=np.uint32)  # shifts[i] = c*x^i
-    for i in range(n):
-        shifts[i] = c
-        c = ((c << 1) & mask) ^ (red if c & top else 0)
+    shifts = np.zeros(8 * nbytes, dtype=np.uint32)
+    shifts[:n] = images
     tables = np.zeros((nbytes, 256), dtype=np.uint32)
     for k in range(8):
-        # entries with bit k set are the entries below 2^k plus c*x^(8j+k)
+        # entries with bit k set are the entries below 2^k plus image(8j+k)
         tables[:, 1 << k : 2 << k] = tables[:, : 1 << k] ^ shifts[k::8, None]
     return tables
+
+
+def const_tables(c: int, n: int, red: int) -> np.ndarray:
+    """:func:`linear_tables` of v -> c*v, from the constant's n shifts c*x^i."""
+    top = 1 << (n - 1)
+    mask = (1 << n) - 1
+    shifts = []
+    for _ in range(n):
+        shifts.append(c)
+        c = ((c << 1) & mask) ^ (red if c & top else 0)
+    return linear_tables(shifts, n)
 
 
 def byte_planes(v: np.ndarray, n: int) -> np.ndarray:
@@ -46,13 +55,18 @@ def byte_planes(v: np.ndarray, n: int) -> np.ndarray:
     return np.stack([(v >> (8 * j)).astype(np.uint8) for j in range((n + 7) // 8)])
 
 
-def mul_planes(planes: np.ndarray, c: int, n: int, red: int) -> np.ndarray:
-    """c*v for every v given as its :func:`byte_planes` rows."""
-    tables = const_tables(c, n, red)
+def map_planes(tables: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """The linear map of ``tables`` applied to values given as their
+    :func:`byte_planes` rows (uint32 result, shaped like one row)."""
     out = tables[0].take(planes[0])
     for table, plane in zip(tables[1:], planes[1:]):
         out ^= table.take(plane)
     return out
+
+
+def mul_planes(planes: np.ndarray, c: int, n: int, red: int) -> np.ndarray:
+    """c*v for every v given as its :func:`byte_planes` rows."""
+    return map_planes(const_tables(c, n, red), planes)
 
 
 def mul_const(v: np.ndarray, c: int, n: int, red: int) -> np.ndarray:

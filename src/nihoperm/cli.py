@@ -31,6 +31,10 @@ from . import tower as tw
 from .errors import NihopermError
 from .niho import NihoPair
 
+#: largest single m for table1: at even m every (k,-k) row is a permutation
+#: pair, so the table costs about 3 * 4^m points; m=14 took 30 s (README)
+TABLE1_MAX_M = 14
+
 
 def _write(text: str, out_path: str | None) -> None:
     if out_path:
@@ -41,9 +45,11 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def _tower_from(args) -> tw.TowerCtx:
-    if getattr(args, "m", None) is not None:
+    if args.m is not None and args.n is not None:
+        raise NihopermError("give one of --m / --n, not both")
+    if args.m is not None:
         m = args.m
-    elif getattr(args, "n", None) is not None:
+    elif args.n is not None:
         if args.n % 2 != 0:
             raise NihopermError(f"tower commands need even n, got {args.n}")
         m = args.n // 2
@@ -76,8 +82,7 @@ def _known_row_notes(m: int, pair: NihoPair) -> list[str]:
 def cmd_verify(args) -> int:
     tower = _tower_from(args)
     pair = niho.parse_pair(args.pair, tower.m)
-    uc = permcheck.unit_circle_check(tower, pair)
-    reports = [uc]
+    reports = permcheck.verify_pairs(tower, [pair])
     if tower.field.n <= permcheck.EXHAUSTIVE_MAX_N:
         ex = permcheck.is_permutation_exhaustive(
             tower.field, niho.pair_to_trinomial(tower, pair)
@@ -145,16 +150,15 @@ def cmd_family(args) -> int:
     return 0 if report.is_permutation else 1
 
 
-def _verdict(tower: tw.TowerCtx, pair: NihoPair | None) -> bool | None:
-    if pair is None:
-        return None
-    return permcheck.unit_circle_check(tower, pair).is_permutation
-
-
 def _table1_dataset(towers: list[tw.TowerCtx]) -> list[dict]:
     out_rows = []
     for tower in towers:
-        for row in niho.known_pairs_table1(tower.m):
+        rows = niho.known_pairs_table1(tower.m)
+        pairs = {p for row in rows for p in (row.pair, *(p for _, p in row.equivalents))}
+        pairs.discard(None)
+        verdict = {r.pair: r.is_permutation for r in permcheck.verify_pairs(tower, pairs)}
+        verdict[None] = None
+        for row in rows:
             out_rows.append({
                 "m": tower.m,
                 "source": row.source,
@@ -162,10 +166,10 @@ def _table1_dataset(towers: list[tw.TowerCtx]) -> list[dict]:
                 "condition_ok": row.condition_ok,
                 "s": row.pair.s if row.pair else None,
                 "t": row.pair.t if row.pair else None,
-                "is_pp": _verdict(tower, row.pair),
+                "is_pp": verdict[row.pair],
                 "equivalents": [
                     {"label": label, "s": p.s if p else None,
-                     "t": p.t if p else None, "is_pp": _verdict(tower, p)}
+                     "t": p.t if p else None, "is_pp": verdict[p]}
                     for label, p in row.equivalents
                 ],
             })
@@ -195,11 +199,13 @@ def cmd_table1(args) -> int:
     if args.all or (args.m is None and args.n is None):
         if args.modulus:
             raise NihopermError("--modulus needs one --m or --n, not the m=2..8 sweep")
+        if args.m is not None or args.n is not None:
+            raise NihopermError("--all is the m=2..8 sweep; it takes no --m or --n")
         towers = [tw.make_tower(m) for m in range(2, 9)]
     else:
         towers = [_tower_from(args)]
-        if towers[0].m > survey.SURVEY_MAX_M:
-            raise NihopermError(f"table capped at m={survey.SURVEY_MAX_M}")
+        if towers[0].m > TABLE1_MAX_M:
+            raise NihopermError(f"table capped at m={TABLE1_MAX_M}")
     rows = _table1_dataset(towers)
     if args.format == "json":
         _write(json.dumps({"rows": rows}, indent=2) + "\n", args.out)
@@ -396,7 +402,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(_fix_argv(list(argv)))
+    try:
+        args = parser.parse_args(_fix_argv(list(argv)))
+    except SystemExit as exc:  # --help, or a usage error already printed
+        return exc.code
     try:
         return args.fn(args)
     except (NihopermError, ValueError) as exc:

@@ -9,9 +9,11 @@
 
 * unit_circle: for a Niho pair (s, t) the trinomial permutes GF(2^n) iff
   phi(x) = x * (1 + x^s + x^t)^(2^m-1) permutes the norm-1 subgroup U, so
-  only 2^m+1 points are evaluated. The power h^(2^m-1) is computed as
-  conjugate(h) * inverse(h); h = 0 at any point is an immediate failure
-  (phi would map into 0, which is not in U).
+  only 2^m+1 points are evaluated. :func:`verify_pairs` checks many pairs
+  at once as index arithmetic mod 2^m+1: with x = w^k, h^(2^m-1) = w^C
+  where C depends only on the class of h in P^1(GF(2^m)) and is read from
+  tables of size O(2^m). h = 0 at any point is an immediate failure (phi
+  would map into 0, which is not in U).
 
 The subgroup reduction is also exposed in its general form
 (:func:`zieve_check`): x^r h(x^s) permutes the field iff gcd(r, s) = 1 and
@@ -25,13 +27,12 @@ import json
 import time
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from . import _kernels
 from . import field as gf
-from . import tower as tw
 from .errors import BadFactorization, FieldTooLarge
 from .field import FieldCtx
 from .niho import NihoPair, TrinomialSpec, pair_to_trinomial
@@ -49,6 +50,13 @@ _WITNESS_FIRST_BITS = 10
 
 #: chunk size, in bits, of the bitmask scan that ``evaluations`` counts
 _SCAN_BITS = 20
+
+#: unit-circle scan: points per pair in the first window, (pair, point)
+#: elements per window, and entries of the image table (pairs per block
+#: times 2^m+1, at most 8 MiB of int32)
+_FIRST_WINDOW = 16
+_WINDOW_ELEMS = 1 << 18
+_TABLE_ELEMS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -292,39 +300,154 @@ def zieve_check(ctx: FieldCtx, r: int, s_div: int, h: TrinomialSpec) -> bool:
     return True
 
 
-def unit_circle_check(tower: TowerCtx, pair: NihoPair) -> PermReport:
-    """Pair verification on the norm-1 subgroup only (2^m+1 evaluations).
+def _circle_tables(tower: TowerCtx):
+    """(points, coords, logs, classes): the tables that turn phi on U into
+    index arithmetic mod q+1, with q = 2^m.
 
-    Failures are reported at the first point in the canonical subgroup
-    iteration order, either as a vanishing 1 + x^s + x^t or as a phi
-    collision with the earlier colliding point.
+    * points[k] = w^k for k = 0..q, with w = g^(q-1): U in the order of
+      :func:`tower.unit_circle_iter`. For x = w^k, x^s = points[ks mod q+1].
+    * Every h is a + b*g with a, b in GF(q), since g lies outside the
+      subfield: b = (h + h^q)/(g + g^q) and a = h + b*g. Both are
+      GF(2)-linear in h, and so is the code of a subfield element, its bits
+      at m pivot positions on which the subfield projects injectively.
+      coords[k] = code(a) | code(b) << m for h = points[k]; by linearity
+      h = 1 + x^s + x^t has coords[0] ^ coords[ks] ^ coords[kt], which is 0
+      iff h is.
+    * logs[code(y)] is the log of y to the base g^(q+1), a generator of
+      GF(q)*; logs[0] is the sentinel 2q.
+    * h^(q-1) = w^C depends only on the class a/b in P^1(GF(q)), and
+      classes[logs[code a] - logs[code b] + 2q] = C. The class b = 0 has
+      C = 0; the other q classes are those of 1+v for v = w^j in U minus 1,
+      where (1+v)^(q-1) = v^(-1) gives C = q+1-j.
     """
     ctx = tower.field
+    n, red, mask, m = ctx.n, ctx.red, ctx.mask, tower.m
+    q, g = 1 << m, ctx.generator
+    points = _kernels.geometric(gf._pow_int(g, q - 1, n, red), q + 1, n, red)
+    subfield = _kernels.geometric(gf._pow_int(g, q + 1, n, red), q - 1, n, red)
+    pivots, rows = [], []  # echelon form of the subfield basis 1, b, .., b^(m-1)
+    for v in subfield[:m].tolist():
+        for row, bit in zip(rows, pivots):
+            if v >> bit & 1:
+                v ^= row
+        assert v, "the powers of a subfield generator below m are independent"
+        pivots.append(v.bit_length() - 1)
+        rows.append(v)
+
+    def code(y):
+        return sum((y >> bit & 1) << i for i, bit in enumerate(pivots))
+
+    inv_trace = gf._pow_int(g ^ gf._pow_int(g, q, n, red), ctx.group_order - 1, n, red)
+    images = []  # code(a) | code(b) << m for h = x^i
+    for i in range(n):
+        h = 1 << i
+        b = gf._mul_int(h ^ gf._pow_int(h, q, n, red), inv_trace, n, red, mask)
+        images.append(code(h ^ gf._mul_int(b, g, n, red, mask)) | code(b) << m)
+    coords = _kernels.map_planes(_kernels.linear_tables(images, n),
+                                 _kernels.byte_planes(points, n))
+    logs = np.full(q, 2 * q, dtype=np.int32)
+    logs[code(subfield)] = np.arange(q - 1)
+    assert (logs[1:] < q - 1).all(), "subfield codes are distinct"
+
+    ab = coords[0] ^ coords[1:]  # 1 + w^j for j = 1..q
+    la, lb = logs[ab & (q - 1)], logs[ab >> m]
+    power = q + 1 - np.arange(1, q + 1)  # (1 + w^j)^(q-1) = w^(q+1-j)
+    nonzero = la < q - 1
+    ratio = (la - lb)[nonzero] % (q - 1)
+    assert np.unique(ratio).size == q - 1 and (lb < q - 1).all()
+    classes = np.zeros(4 * q + 1, dtype=np.int32)  # b = 0: indices 0..q-2
+    classes[ratio + 2 * q] = classes[ratio + q + 1] = power[nonzero]
+    classes[3 * q + 2 :] = power[~nonzero]  # a = 0: la is the sentinel
+    return points, coords, logs, classes
+
+
+def _phi_window(tower, tables, s, t, ks):
+    """(phi index, h == 0) on the points ks, one row per pair (s, t)."""
+    _, coords, logs, classes = tables
+    q, size = tower.subfield_order, tower.unit_circle_order
+    ab = coords[0] ^ coords[s[:, None] * ks % size] ^ coords[t[:, None] * ks % size]
+    cls = classes[logs[ab & (q - 1)] - logs[ab >> tower.m] + 2 * q]
+    return (ks + cls) % size, ab == 0
+
+
+def _first_failures(tower, tables, s, t):
+    """Per pair, (first failing k or -1, earlier colliding k or -1).
+
+    Points are evaluated in windows, only for the pairs that have not
+    failed yet; a window's width starts at _FIRST_WINDOW and doubles, but
+    it holds at most _WINDOW_ELEMS (pair, point) elements. first[row, phi]
+    holds the least k seen with that image, so a point repeats an earlier
+    one iff the minimum written at its image is not its own k.
+    """
+    size = tower.unit_circle_order
+    fail = np.full(s.size, -1, dtype=np.int64)
+    partner = np.full(s.size, -1, dtype=np.int64)
+    first = np.full(s.size * size, size, dtype=np.int32)
+    active = np.arange(s.size)
+    k0, width = 0, _FIRST_WINDOW
+    while active.size and k0 < size:
+        width = min(width, max(1, _WINDOW_ELEMS // active.size))
+        ks = np.arange(k0, min(k0 + width, size))
+        phi, zero = _phi_window(tower, tables, s[active], t[active], ks)
+        key = active[:, None] * size + phi
+        np.minimum.at(first, key, np.broadcast_to(ks.astype(np.int32), key.shape))
+        earlier = first[key]
+        bad = zero | (earlier != ks)
+        hit = bad.any(axis=1)
+        rows = np.flatnonzero(hit)
+        col = bad[rows].argmax(axis=1)
+        fail[active[rows]] = ks[col]
+        partner[active[rows]] = np.where(zero[rows, col], -1, earlier[rows, col])
+        active = active[~hit]
+        k0, width = k0 + width, 2 * width
+    return fail, partner
+
+
+def verify_pairs(tower: TowerCtx, pairs: Iterable[NihoPair]) -> list[PermReport]:
+    """Unit-circle reports for many Niho pairs at one m, in input order.
+
+    The trinomial of (s, t) permutes GF(2^(2m)) iff phi(x) = x(1+x^s+x^t)^(q-1)
+    permutes U (Zieve 2009; Park-Lee 2001). With x = w^k, phi is index
+    arithmetic mod q+1 on the tables of :func:`_circle_tables`, evaluated
+    for blocks of at most _TABLE_ELEMS / (q+1) pairs, each in windows of at
+    most _WINDOW_ELEMS (pair, point) elements, so memory stays O(2^m).
+
+    Each report is the one of a scan of U in :func:`tower.unit_circle_iter`
+    order that stops at the first failing point: a vanishing 1 + x^s + x^t
+    (``zero_at``) or a phi collision with the earlier colliding point.
+    ``evaluations`` counts the points up to that one, or is q+1 on
+    success; ``elapsed`` is the wall time of the whole call.
+    """
     t0 = time.perf_counter()
-    seen: dict[int, int] = {}
-    count = 0
-    for x in tw.unit_circle_iter(tower):
-        count += 1
-        h = 1 ^ gf.power(ctx, x, pair.s) ^ gf.power(ctx, x, pair.t)
-        if h == 0:
-            return PermReport(
-                is_permutation=False, method="unit_circle", counterexample=None,
-                zero_at=x, evaluations=count, elapsed=time.perf_counter() - t0,
-                pair=pair,
-            )
-        phi = gf.mul(ctx, x, gf.mul(ctx, tw.conjugate(tower, h), gf.inv(ctx, h)))
-        if phi in seen:
-            return PermReport(
-                is_permutation=False, method="unit_circle",
-                counterexample=(seen[phi], x), zero_at=None, evaluations=count,
-                elapsed=time.perf_counter() - t0, pair=pair,
-            )
-        seen[phi] = x
-    return PermReport(
-        is_permutation=True, method="unit_circle", counterexample=None,
-        zero_at=None, evaluations=count, elapsed=time.perf_counter() - t0,
-        pair=pair,
-    )
+    pairs = list(pairs)
+    tables = _circle_tables(tower)
+    size = tower.unit_circle_order
+    block = max(1, min(_TABLE_ELEMS // size, _WINDOW_ELEMS // _FIRST_WINDOW))
+    fail, partner = [], []
+    for lo in range(0, len(pairs), block):
+        chunk = pairs[lo : lo + block]
+        s = np.array([p.s for p in chunk], dtype=np.int64)
+        t = np.array([p.t for p in chunk], dtype=np.int64)
+        k, j = _first_failures(tower, tables, s, t)
+        fail += k.tolist()
+        partner += j.tolist()
+    elapsed = time.perf_counter() - t0
+    points = tables[0].tolist()
+    return [
+        PermReport(
+            is_permutation=k < 0, method="unit_circle",
+            counterexample=(points[j], points[k]) if j >= 0 else None,
+            zero_at=points[k] if k >= 0 and j < 0 else None,
+            evaluations=k + 1 if k >= 0 else size, elapsed=elapsed, pair=pair,
+        )
+        for pair, k, j in zip(pairs, fail, partner)
+    ]
+
+
+def unit_circle_check(tower: TowerCtx, pair: NihoPair) -> PermReport:
+    """Pair verification on the norm-1 subgroup only: :func:`verify_pairs`
+    of the one pair."""
+    return verify_pairs(tower, [pair])[0]
 
 
 def cross_validate(tower: TowerCtx, pair: NihoPair) -> bool:

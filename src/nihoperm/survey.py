@@ -21,11 +21,14 @@ from typing import Optional
 
 from .errors import RangeTooLarge
 from .niho import NihoPair, equivalent_pairs, known_pairs_table1
-from .permcheck import unit_circle_check
+from .permcheck import verify_pairs
 from .tower import TowerCtx
 
-#: unit-circle engine bound for full sweeps
-SURVEY_MAX_M = 12
+#: bound of the square sweep (search_pairs), which costs 2^m line scans: at
+#: m=10 it took 26 s and 0.8 GB in one process (README), and each step up in
+#: m costs about four times more. The line scans are not capped here: they
+#: run at every m a tower supports (m <= 16; open1 at m=16 took 7.5 s).
+SURVEY_MAX_M = 10
 
 
 @dataclass(frozen=True)
@@ -72,13 +75,6 @@ def known_cover_map(m: int) -> dict[NihoPair, str]:
     return cover
 
 
-def _capped_m(tower: TowerCtx) -> int:
-    """The tower's m, once checked against SURVEY_MAX_M."""
-    if tower.m > SURVEY_MAX_M:
-        raise RangeTooLarge(f"pair survey capped at m={SURVEY_MAX_M}, got m={tower.m}")
-    return tower.m
-
-
 def search_pairs(tower: TowerCtx) -> list[SearchRow]:
     """Sweep all unordered pairs at this m and classify them by orbit.
 
@@ -86,10 +82,12 @@ def search_pairs(tower: TowerCtx) -> list[SearchRow]:
     always share a verdict (this is the transform property made
     executable, and it is asserted here).
     """
-    m = _capped_m(tower)
+    m = tower.m
+    if m > SURVEY_MAX_M:
+        raise RangeTooLarge(f"pair survey capped at m={SURVEY_MAX_M}, got m={m}")
     top = 1 << m
     pairs = [NihoPair(m, s, t) for s in range(top + 1) for t in range(s, top + 1)]
-    verdicts = {p: unit_circle_check(tower, p).is_permutation for p in pairs}
+    verdicts = {r.pair: r.is_permutation for r in verify_pairs(tower, pairs)}
     cover = known_cover_map(m)
     rows: list[SearchRow] = []
     done: set[NihoPair] = set()
@@ -118,9 +116,9 @@ def search_pairs(tower: TowerCtx) -> list[SearchRow]:
 
 def _scan_line(tower: TowerCtx, pair_at) -> list[int]:
     """All j in [0, 2^m] for which pair_at(j) = (s, t) is a permutation pair."""
-    m = _capped_m(tower)
-    return [j for j in range((1 << m) + 1)
-            if unit_circle_check(tower, NihoPair(m, *pair_at(j))).is_permutation]
+    m = tower.m
+    pairs = [NihoPair(m, *pair_at(j)) for j in range((1 << m) + 1)]
+    return [j for j, r in enumerate(verify_pairs(tower, pairs)) if r.is_permutation]
 
 
 def scan_open_problem_1(tower: TowerCtx) -> list[int]:

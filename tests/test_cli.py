@@ -60,6 +60,19 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--pair", "2,-1", "--m", "3", "--n", "6"],
+    ["verify", "--pair", "2,-1", "--m", "3", "--n", "8"],
+    ["search", "--m", "2", "--n", "4"],
+    ["table1", "--m", "3", "--n", "6"],
+    ["open1", "--n", "6", "--m", "3"],
+])
+def test_m_and_n_together_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "not both" in err
+    assert out == ""
+
+
 def test_verify_modulus_override(capsys):
     # permutation status is representation independent
     code, _, _ = run(capsys, "verify", "--m", "2", "--modulus", "0x1f",
@@ -161,6 +174,26 @@ def test_table1_modulus_checked(capsys):
     assert code == 2 and "degree 4" in err
     code, _, err = run(capsys, "table1", "--m", "2", "--modulus", "0x15")
     assert code == 2  # x^4+x^2+1 is reducible
+
+
+@pytest.mark.parametrize("cmd, m, message", [
+    ("search", 11, "capped at m=10"),
+    ("table1", 15, "capped at m=14"),
+    ("open1", 17, "[2, 32]"),
+    ("open2", 17, "[2, 32]"),
+], ids=["search", "table1", "open1", "open2"])
+def test_sweeps_past_their_cap_exit_2(capsys, cmd, m, message):
+    # line scans run at every m the tower supports (m <= 16)
+    code, out, err = run(capsys, cmd, "--m", str(m))
+    assert code == 2 and message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["--all", "--m", "5"], ["--all", "--n", "6"]])
+def test_table1_all_takes_no_single_m(capsys, argv):
+    code, out, err = run(capsys, "table1", *argv)
+    assert code == 2 and "--all" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv", [["--all"], [], ["--all", "--m", "3"]])
@@ -265,15 +298,23 @@ def test_outputs_byte_identical_across_runs_and_moduli(tmp_path, capsys, fmt):
 
 @pytest.mark.parametrize("cmd", ["search", "table1"])
 def test_threads_option_is_gone(capsys, cmd):
-    with pytest.raises(SystemExit) as exc:
-        cli.main([cmd, "--m", "3", "--threads", "2"])
-    assert exc.value.code == 2
+    assert cli.main([cmd, "--m", "3", "--threads", "2"]) == 2
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--m", "3"], 2),  # --pair is required
+    (["verify", "--m", "3", "--pair", "2,-1", "--bogus"], 2),
+    (["nosuchcommand"], 2),
+    ([], 2),
+    (["search", "--help"], 0),
+])
+def test_argparse_exit_codes_are_returned(capsys, argv, code):
+    assert cli.main(argv) == code
+
+
 def test_help_lists_all_commands(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["--help"])
+    assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
     for cmd in ("verify", "family", "table1", "lemmas", "search", "open1", "open2"):
         assert cmd in out

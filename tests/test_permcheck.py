@@ -262,10 +262,13 @@ def test_new_pairs_on_unit_circle():
 
 
 def test_unit_circle_zero_hit_reported(tower3):
-    # found by scanning: h(x) = 1 + x + x^2 vanishes on U at m=3
+    # found by scanning: h(x) = 1 + x + x^2 vanishes on U at m=3, first at
+    # the fourth point of the canonical order
     rep = pc.unit_circle_check(tower3, NihoPair(3, 1, 2))
     assert not rep.is_permutation
-    assert rep.zero_at is not None
+    assert rep.zero_at == 0x3B and rep.counterexample is None
+    assert rep.evaluations == 4
+    assert rep == reference_unit_circle(tower3, NihoPair(3, 1, 2), rep.elapsed)
     ctx = tower3.field
     x = rep.zero_at
     assert 1 ^ gf.power(ctx, x, 1) ^ gf.power(ctx, x, 2) == 0
@@ -275,18 +278,133 @@ def test_unit_circle_zero_hit_reported(tower3):
 
 def test_unit_circle_collision_counterexample():
     tower = tw.make_tower(3)
-    # (1,4) = (1,-1/2) fails at m=3 (condition m % 3 != 0 is violated)
+    # (1,4) = (1,-1/2) fails at m=3 (condition m % 3 != 0 is violated); the
+    # fourth point collides with the second
     rep = pc.unit_circle_check(tower, NihoPair(3, 1, 4))
     assert not rep.is_permutation
-    if rep.counterexample is not None:
-        ctx = tower.field
-        x, y = rep.counterexample
+    assert rep.counterexample == (0x6, 0x3B) and rep.zero_at is None
+    assert rep.evaluations == 4
+    assert rep == reference_unit_circle(tower, NihoPair(3, 1, 4), rep.elapsed)
+    ctx = tower.field
+    x, y = rep.counterexample
 
-        def phi(u):
-            h = 1 ^ gf.power(ctx, u, 1) ^ gf.power(ctx, u, 4)
-            return gf.mul(ctx, u, gf.mul(ctx, tw.conjugate(tower, h), gf.inv(ctx, h)))
+    def phi(u):
+        h = 1 ^ gf.power(ctx, u, 1) ^ gf.power(ctx, u, 4)
+        return gf.mul(ctx, u, gf.mul(ctx, tw.conjugate(tower, h), gf.inv(ctx, h)))
 
-        assert x != y and phi(x) == phi(y)
+    assert x != y and phi(x) == phi(y)
+
+
+def reference_unit_circle(tower, pair, elapsed=0.0):
+    """Plain scalar scan of U in unit_circle_iter order: the report the
+    unit-circle engine must give, with the given elapsed time."""
+    ctx = tower.field
+    seen = {}
+    failure = None
+    for count, x in enumerate(tw.unit_circle_iter(tower), 1):
+        h = 1 ^ gf.power(ctx, x, pair.s) ^ gf.power(ctx, x, pair.t)
+        if h == 0:
+            failure = (None, x, count)
+            break
+        phi = gf.mul(ctx, x, gf.mul(ctx, tw.conjugate(tower, h), gf.inv(ctx, h)))
+        if phi in seen:
+            failure = ((seen[phi], x), None, count)
+            break
+        seen[phi] = x
+    cex, zero_at, evaluations = failure or (None, None, tower.unit_circle_order)
+    return pc.PermReport(
+        is_permutation=failure is None, method="unit_circle", counterexample=cex,
+        zero_at=zero_at, evaluations=evaluations, elapsed=elapsed, pair=pair,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _tower(m):
+    return tw.make_tower(m)
+
+
+@st.composite
+def niho_pairs(draw):
+    m = draw(st.integers(1, 8))
+    top = 1 << m
+    return NihoPair(m, draw(st.integers(0, top)), draw(st.integers(0, top)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(niho_pairs(), min_size=1, max_size=6))
+def test_verify_pairs_matches_reference_reports(pairs):
+    by_m = {}
+    for pair in pairs:
+        by_m.setdefault(pair.m, []).append(pair)
+    for m, group in by_m.items():
+        tower = _tower(m)
+        for rep, pair in zip(pc.verify_pairs(tower, group), group, strict=True):
+            assert rep == reference_unit_circle(tower, pair, rep.elapsed)
+            assert type(rep.is_permutation) is bool
+
+
+@pytest.mark.parametrize("table, window, first", [
+    (1, 1, 1), (40, 7, 3), (700, 64, 2), (1 << 22, 50, 16),
+])
+def test_verify_pairs_independent_of_blocks_and_windows(monkeypatch, table, window, first):
+    # one pair per block, blocks cut mid-sweep, one-point windows, windows
+    # capped below their doubling width
+    monkeypatch.setattr(pc, "_TABLE_ELEMS", table)
+    monkeypatch.setattr(pc, "_WINDOW_ELEMS", window)
+    monkeypatch.setattr(pc, "_FIRST_WINDOW", first)
+    tower = _tower(5)
+    pairs = [NihoPair(5, s, t) for s in range(33) for t in range(s, 33)]
+    reps = pc.verify_pairs(tower, pairs)
+    assert [r.pair for r in reps] == pairs
+    for rep, pair in zip(reps, pairs):
+        assert rep == reference_unit_circle(tower, pair, rep.elapsed)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_verify_pairs_matches_exhaustive_every_pair(m):
+    tower = _tower(m)
+    top = 1 << m
+    pairs = [NihoPair(m, s, t) for s in range(top + 1) for t in range(s, top + 1)]
+    for rep in pc.verify_pairs(tower, pairs):
+        spec = niho.pair_to_trinomial(tower, rep.pair)
+        assert rep.is_permutation == pc.is_permutation_exhaustive(tower.field, spec).is_permutation
+
+
+def test_verify_pairs_empty_and_other_moduli():
+    assert pc.verify_pairs(_tower(4), []) == []
+    # a non-default modulus changes the generator, hence U's order and the
+    # counterexamples, but the reports still follow the reference scan
+    tower = tw.make_tower(4, 0x1F5)
+    for pair in (NihoPair(4, 11, 7), NihoPair(4, 1, 2), NihoPair(4, 1, 4)):
+        rep = pc.unit_circle_check(tower, pair)
+        assert rep == reference_unit_circle(tower, pair, rep.elapsed)
+
+
+def test_verify_pairs_builds_no_tables():
+    tower = tw.make_tower(8)
+    assert pc.unit_circle_check(tower, NihoPair(8, 2, -1)).is_permutation
+    assert "exp_log" not in tower.field.__dict__  # the lazy exp/log tables
+
+
+def _predicted_pairs(m):
+    """Pairs the paper proves are permutation pairs at m."""
+    fractions = [((2, 1), (-1, 1))]
+    if m % 2 == 0:
+        fractions += [niho.PAIR_FAMILIES[f] for f in ("T3", "T4", "T5")]
+    if gcd(5, (1 << m) + 1) == 1:
+        fractions.append(niho.PAIR_FAMILIES["T6"])
+    return [NihoPair(m, *(niho.resolve_fraction(a, b, m) for a, b in fr))
+            for fr in fractions]
+
+
+@pytest.mark.parametrize("m", range(11, 17))
+def test_paper_predicted_pairs_above_table_max(m):
+    tower = tw.make_tower(m)
+    pairs = _predicted_pairs(m)
+    assert len(pairs) == 1 + 3 * (m % 2 == 0) + (m % 4 != 2)
+    for rep in pc.verify_pairs(tower, pairs):
+        assert rep.is_permutation, rep.pair
+        assert rep.evaluations == (1 << m) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -121,13 +121,13 @@ def test_survey_agrees_with_exhaustive_engine_m2(tower2):
 
 def test_range_guard():
     with pytest.raises(RangeTooLarge):
-        survey.search_pairs(tw.make_tower(13))
+        survey.search_pairs(tw.make_tower(survey.SURVEY_MAX_M + 1))
 
 
-@pytest.mark.parametrize("scan", [survey.scan_open_problem_1, survey.scan_open_problem_2])
-def test_scan_range_guard(scan):
-    with pytest.raises(RangeTooLarge):
-        scan(tw.make_tower(survey.SURVEY_MAX_M + 1))
+def test_line_scans_run_past_the_square_sweep_cap():
+    # SURVEY_MAX_M bounds only search_pairs; (2,-1) and (0,0) always permute
+    hits = survey.scan_open_problem_2(tw.make_tower(survey.SURVEY_MAX_M + 1))
+    assert hits[:2] == [0, 1]
 
 
 # ---------------------------------------------------------------------------
