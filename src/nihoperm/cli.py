@@ -35,6 +35,10 @@ from .niho import NihoPair
 #: pair, so the table costs about 3 * 4^m points; m=14 took 30 s (README)
 TABLE1_MAX_M = 14
 
+#: largest field degree n (n = 2m for the tower checks) per lemmas check:
+#: the last size that ran within a minute in a fresh process (README)
+LEMMAS_MAX_N = {"eq4": 24, "eq6": 24, "eq8": 26, "lemma1": 30, "lemma2": 15}
+
 
 def _write(text: str, out_path: str | None) -> None:
     if out_path:
@@ -44,19 +48,23 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _tower_from(args) -> tw.TowerCtx:
+def _degree_from(args) -> int:
+    """The field degree n: --n, or 2m for --m."""
     if args.m is not None and args.n is not None:
         raise NihopermError("give one of --m / --n, not both")
     if args.m is not None:
-        m = args.m
-    elif args.n is not None:
-        if args.n % 2 != 0:
-            raise NihopermError(f"tower commands need even n, got {args.n}")
-        m = args.n // 2
-    else:
+        return 2 * args.m
+    if args.n is None:
         raise NihopermError("one of --m / --n is required")
+    return args.n
+
+
+def _tower_from(args) -> tw.TowerCtx:
+    n = _degree_from(args)
+    if n % 2 != 0:
+        raise NihopermError(f"tower commands need even n, got {n}")
     modulus = int(args.modulus, 16) if args.modulus else None
-    return tw.make_tower(m, modulus)
+    return tw.make_tower(n // 2, modulus)
 
 
 def _known_row_notes(m: int, pair: NihoPair) -> list[str]:
@@ -244,22 +252,29 @@ def cmd_table1(args) -> int:
 
 def cmd_lemmas(args) -> int:
     which = args.which.lower()
-    if which in ("eq4", "eq6", "eq8"):
-        tower = _tower_from(args)
-        report = loweq.verify_lemma_quartics(tower, which)
-        ok = report.all_pass and report.certified
+    if which not in LEMMAS_MAX_N:
+        raise NihopermError(f"unknown check {args.which!r}")
+    if _degree_from(args) > LEMMAS_MAX_N[which]:
+        raise NihopermError(f"lemmas {which} capped at n={LEMMAS_MAX_N[which]}")
+    if which == "lemma2":
+        modulus = int(args.modulus, 16) if args.modulus else None
+        ctx = gf.make_field(_degree_from(args), modulus)
+        bad = loweq.quadratic_criterion_disagreements(ctx)
+        total = (ctx.group_order) * (1 << ctx.n)
         if args.format == "json":
-            _write(report.to_json() + "\n", args.out)
+            _write(json.dumps({
+                "check": "quadratic_trace_criterion", "n": ctx.n,
+                "disagreements": bad, "cases": total,
+            }) + "\n", args.out)
         else:
             _write(
-                f"quartic family {which} (pair {loweq.QUARTIC_FAMILY_PAIRS[which]}) "
-                f"at m={report.m}: checked={report.checked} "
-                f"all_pass={report.all_pass} certified={report.certified}\n",
+                f"quadratic trace criterion over n={ctx.n}: {bad} disagreements "
+                f"in {total} (a,b) cases\n",
                 args.out,
             )
-        return 0 if ok else 1
+        return 0 if bad == 0 else 1
+    tower = _tower_from(args)
     if which == "lemma1":
-        tower = _tower_from(args)
         gamma = tw.canonical_gamma(tower)
         ok = tw.cayley_is_bijection(tower, gamma)
         count = tower.subfield_order
@@ -276,30 +291,18 @@ def cmd_lemmas(args) -> int:
                 args.out,
             )
         return 0 if ok else 1
-    if which == "lemma2":
-        if args.n is not None:
-            n = args.n
-        elif args.m is not None:
-            n = 2 * args.m
-        else:
-            raise NihopermError("lemma2 needs --n (or --m)")
-        modulus = int(args.modulus, 16) if args.modulus else None
-        ctx = gf.make_field(n, modulus)
-        bad = loweq.quadratic_criterion_disagreements(ctx)
-        total = (ctx.group_order) * (1 << ctx.n)
-        if args.format == "json":
-            _write(json.dumps({
-                "check": "quadratic_trace_criterion", "n": n,
-                "disagreements": bad, "cases": total,
-            }) + "\n", args.out)
-        else:
-            _write(
-                f"quadratic trace criterion over n={n}: {bad} disagreements "
-                f"in {total} (a,b) cases\n",
-                args.out,
-            )
-        return 0 if bad == 0 else 1
-    raise NihopermError(f"unknown check {args.which!r}")
+    report = loweq.verify_lemma_quartics(tower, which)
+    ok = report.all_pass and report.certified
+    if args.format == "json":
+        _write(report.to_json() + "\n", args.out)
+    else:
+        _write(
+            f"quartic family {which} (pair {loweq.QUARTIC_FAMILY_PAIRS[which]}) "
+            f"at m={report.m}: checked={report.checked} "
+            f"all_pass={report.all_pass} certified={report.certified}\n",
+            args.out,
+        )
+    return 0 if ok else 1
 
 
 def cmd_search(args) -> int:

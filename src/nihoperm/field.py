@@ -131,9 +131,6 @@ class FieldCtx:
     ----------
     n : extension degree over GF(2), 2 <= n <= 32.
     modulus : packed irreducible polynomial of degree exactly n.
-
-    When n is even the quadratic-tower constants m = n/2, q_minus = 2^m-1
-    and q_plus = 2^m+1 are available; they are None for odd n.
     """
 
     n: int
@@ -151,18 +148,6 @@ class FieldCtx:
     @property
     def group_order(self) -> int:
         return (1 << self.n) - 1
-
-    @property
-    def m(self) -> int | None:
-        return self.n // 2 if self.n % 2 == 0 else None
-
-    @property
-    def q_minus(self) -> int | None:
-        return (1 << self.m) - 1 if self.m is not None else None
-
-    @property
-    def q_plus(self) -> int | None:
-        return (1 << self.m) + 1 if self.m is not None else None
 
     @cached_property
     def generator(self) -> int:

@@ -4,7 +4,8 @@ Covers, over GF(2^n) and its index-2 subfield:
 
 * the trace criterion for x^2 + ax + b (solvable iff Tr(b/a^2) = 0) plus an
   explicit Artin-Schreier solver, so root sets are constructed, not searched;
-* subfield roots of depressed cubics y^3 + a2*y + a1 by direct evaluation;
+* subfield roots of depressed cubics y^3 + a2*y + a1 and of quartics, by
+  one array evaluation over the whole subfield;
 * the resolvent-cubic no-root certificate for quartics
   h(z) = z^4 + a2*z^2 + a1*z + a0 with a0*a1 != 0: with r_i the subfield
   roots of y^3 + a2*y + a1 and w_i = a0*r_i^2/a1^2, h has no subfield root
@@ -24,6 +25,7 @@ from math import gcd
 
 import numpy as np
 
+from . import _kernels
 from . import field as gf
 from . import tower as tw
 from .errors import (
@@ -140,6 +142,24 @@ def _require_subfield(tower: TowerCtx, name: str, v: int) -> None:
         raise NotInSubfield(f"{name}={hex(v)} is not in the index-2 subfield")
 
 
+def _subfield_roots(tower: TowerCtx, terms) -> list[int]:
+    """Subfield roots of sum c*z^e over the (c, e) in terms, sorted by bitmask.
+
+    Evaluates at every z of ``tower.subfield`` at once: z = b^k gives
+    z^e = b^(ek mod q-1), a gather from the same array, and z = 0 leaves
+    only the constant term.
+    """
+    ctx = tower.field
+    powers = tower.subfield[1:]
+    k = np.arange(powers.size)
+    value = np.zeros(tower.subfield_order, dtype=np.uint32)
+    for c, e in terms:
+        if e == 0:
+            value[0] ^= c
+        value[1:] ^= _kernels.mul_const(powers[e * k % powers.size], c, ctx.n, ctx.red)
+    return sorted(tower.subfield[value == 0].tolist())
+
+
 def cubic_roots_subfield(tower: TowerCtx, a2: int, a1: int) -> list[int]:
     """Subfield roots of y^3 + a2*y + a1, sorted by bitmask.
 
@@ -148,13 +168,7 @@ def cubic_roots_subfield(tower: TowerCtx, a2: int, a1: int) -> list[int]:
     """
     _require_subfield(tower, "a2", a2)
     _require_subfield(tower, "a1", a1)
-    ctx = tower.field
-    roots = []
-    for y in tw.subfield_iter(tower):
-        if gf.power(ctx, y, 3) ^ gf.mul(ctx, a2, y) ^ a1 == 0:
-            roots.append(y)
-    roots.sort()
-    return roots
+    return _subfield_roots(tower, [(1, 3), (a2, 1), (a1, 0)])
 
 
 @dataclass(frozen=True)
@@ -183,19 +197,9 @@ class LWReport:
         return self.verdict is not LWVerdict.SILENT
 
 
-def quartic_eval(tower: TowerCtx, q: QuarticLW, z: int) -> int:
-    ctx = tower.field
-    return (
-        gf.power(ctx, z, 4)
-        ^ gf.mul(ctx, q.a2, gf.square(ctx, z))
-        ^ gf.mul(ctx, q.a1, z)
-        ^ q.a0
-    )
-
-
 def quartic_roots_brute(tower: TowerCtx, q: QuarticLW) -> list[int]:
     """All subfield roots of h, by direct evaluation over the subfield."""
-    return sorted(z for z in tw.subfield_iter(tower) if quartic_eval(tower, q, z) == 0)
+    return _subfield_roots(tower, [(1, 4), (q.a2, 2), (q.a1, 1), (q.a0, 0)])
 
 
 def quartic_no_root_lw(tower: TowerCtx, q: QuarticLW) -> LWReport:
@@ -330,9 +334,7 @@ def verify_lemma_quartics(tower: TowerCtx, which: str) -> QuarticFamilyReport:
     failures = []
     certified = True
     checked = 0
-    for x in tw.unit_circle_iter(tower):
-        if x == 1:
-            continue
+    for x in tower.unit_circle[1:].tolist():
         if which == "eq8" and gf.square(ctx, x) ^ x ^ 1 == 0:
             continue
         q = lemma_quartic_coeffs(tower, which, x)

@@ -323,8 +323,7 @@ def _circle_tables(tower: TowerCtx):
     ctx = tower.field
     n, red, mask, m = ctx.n, ctx.red, ctx.mask, tower.m
     q, g = 1 << m, ctx.generator
-    points = _kernels.geometric(gf._pow_int(g, q - 1, n, red), q + 1, n, red)
-    subfield = _kernels.geometric(gf._pow_int(g, q + 1, n, red), q - 1, n, red)
+    points, subfield = tower.unit_circle, tower.subfield[1:]
     pivots, rows = [], []  # echelon form of the subfield basis 1, b, .., b^(m-1)
     for v in subfield[:m].tolist():
         for row, bit in zip(rows, pivots):

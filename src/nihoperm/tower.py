@@ -13,8 +13,12 @@ context and no embedding maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
+import numpy as np
+
+from . import _kernels
 from . import field as gf
 from .errors import GammaInSubfield, ZNotInSubfield
 from .field import FieldCtx
@@ -22,7 +26,12 @@ from .field import FieldCtx
 
 @dataclass(frozen=True)
 class TowerCtx:
-    """GF(2^m) < GF(2^n) with n = 2m; immutable and freely shareable."""
+    """GF(2^m) < GF(2^n) with n = 2m; immutable and freely shareable.
+
+    The enumerations of U and of the subfield are built lazily, without the
+    field's exp/log tables, and fixed by the canonical generator g, so
+    reports and counterexamples are stable.
+    """
 
     field: FieldCtx
     m: int
@@ -34,6 +43,28 @@ class TowerCtx:
     @property
     def subfield_order(self) -> int:
         return 1 << self.m
+
+    def _powers(self, e: int, length: int, head: tuple = ()) -> np.ndarray:
+        """head, then r^0..r^(length-1) with r = g^e, as a read-only uint32
+        array: every caller shares it."""
+        ctx = self.field
+        r = gf._pow_int(ctx.generator, e, ctx.n, ctx.red)
+        out = np.concatenate([np.array(head, dtype=np.uint32),
+                              _kernels.geometric(r, length, ctx.n, ctx.red)])
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def unit_circle(self) -> np.ndarray:
+        """U: w^0..w^q with w = g^(q-1), q = 2^m."""
+        q = self.subfield_order
+        return self._powers(q - 1, q + 1)
+
+    @cached_property
+    def subfield(self) -> np.ndarray:
+        """GF(q): 0, then b^0..b^(q-2) with b = g^(q+1)."""
+        q = self.subfield_order
+        return self._powers(q + 1, q - 1, head=(0,))
 
 
 def make_tower(m: int, modulus: int | None = None) -> TowerCtx:
@@ -69,28 +100,13 @@ def in_unit_circle(tower: TowerCtx, x: int) -> bool:
 
 
 def unit_circle_iter(tower: TowerCtx) -> Iterator[int]:
-    """All 2^m+1 norm-1 elements, as g^(k(2^m-1)) for k = 0..2^m.
-
-    The order is fixed by the canonical generator g, giving stable
-    reports and counterexamples.
-    """
-    ctx = tower.field
-    step = gf.power(ctx, ctx.generator, ctx.q_minus)
-    x = 1
-    for _ in range(tower.unit_circle_order):
-        yield x
-        x = gf.mul(ctx, x, step)
+    """All 2^m+1 norm-1 elements, in the order of ``tower.unit_circle``."""
+    yield from tower.unit_circle.tolist()
 
 
 def subfield_iter(tower: TowerCtx) -> Iterator[int]:
-    """All 2^m elements fixed by conjugation: 0 then powers of g^(2^m+1)."""
-    ctx = tower.field
-    yield 0
-    step = gf.power(ctx, ctx.generator, ctx.q_plus)
-    x = 1
-    for _ in range(tower.subfield_order - 1):
-        yield x
-        x = gf.mul(ctx, x, step)
+    """All 2^m elements fixed by conjugation, in the order of ``tower.subfield``."""
+    yield from tower.subfield.tolist()
 
 
 def canonical_gamma(tower: TowerCtx) -> int:
@@ -101,17 +117,10 @@ def canonical_gamma(tower: TowerCtx) -> int:
     raise AssertionError("unreachable: the subfield is proper")
 
 
-def cayley_image(tower: TowerCtx, gamma: int) -> list[int]:
-    """Images of the whole subfield under the parametrization, in order."""
-    return [cayley_param(tower, gamma, z) for z in subfield_iter(tower)]
-
-
 def cayley_is_bijection(tower: TowerCtx, gamma: int) -> bool:
     """True iff z -> (z+gamma)/(z+conj(gamma)) hits U \\ {1} exactly once each."""
-    image = set(cayley_image(tower, gamma))
-    target = set(unit_circle_iter(tower))
-    target.discard(1)
-    return len(image) == tower.subfield_order and image == target
+    image = {cayley_param(tower, gamma, z) for z in subfield_iter(tower)}
+    return image == set(tower.unit_circle[1:].tolist())
 
 
 def subfield_trace(tower: TowerCtx, y: int) -> int:

@@ -66,6 +66,7 @@ def test_verify_usage_errors(capsys):
     ["search", "--m", "2", "--n", "4"],
     ["table1", "--m", "3", "--n", "6"],
     ["open1", "--n", "6", "--m", "3"],
+    ["lemmas", "--which", "lemma2", "--m", "3", "--n", "10"],
 ])
 def test_m_and_n_together_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -176,15 +177,20 @@ def test_table1_modulus_checked(capsys):
     assert code == 2  # x^4+x^2+1 is reducible
 
 
-@pytest.mark.parametrize("cmd, m, message", [
-    ("search", 11, "capped at m=10"),
-    ("table1", 15, "capped at m=14"),
-    ("open1", 17, "[2, 32]"),
-    ("open2", 17, "[2, 32]"),
-], ids=["search", "table1", "open1", "open2"])
-def test_sweeps_past_their_cap_exit_2(capsys, cmd, m, message):
+@pytest.mark.parametrize("argv, message", [
+    ("search --m 11", "capped at m=10"),
+    ("table1 --m 15", "capped at m=14"),
+    ("open1 --m 17", "[2, 32]"),
+    ("open2 --m 17", "[2, 32]"),
+    ("lemmas --which eq4 --m 14", "capped at n=24"),
+    ("lemmas --which eq6 --m 14", "capped at n=24"),
+    ("lemmas --which eq8 --m 14", "capped at n=26"),
+    ("lemmas --which lemma1 --m 16", "capped at n=30"),
+    ("lemmas --which lemma2 --n 16", "capped at n=15"),
+], ids=["search", "table1", "open1", "open2", "eq4", "eq6", "eq8", "lemma1", "lemma2"])
+def test_sweeps_past_their_cap_exit_2(capsys, argv, message):
     # line scans run at every m the tower supports (m <= 16)
-    code, out, err = run(capsys, cmd, "--m", str(m))
+    code, out, err = run(capsys, *argv.split())
     assert code == 2 and message in err
     assert out == ""
 

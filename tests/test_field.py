@@ -104,12 +104,6 @@ def test_degree_bounds():
         gf.make_field(33)
 
 
-def test_tower_constants(f16):
-    assert (f16.m, f16.q_minus, f16.q_plus) == (2, 3, 5)
-    assert f16.q_minus * f16.q_plus == f16.group_order == 15
-    assert gf.make_field(3).m is None
-
-
 def test_hex_roundtrip(f16):
     assert gf.field_from_hex(4, f16.to_hex()).modulus == f16.modulus
 

@@ -1,9 +1,12 @@
 """Dataset outputs stay byte-identical to the digests in golden_datasets.json.
 
-The digests were captured from the scalar unit-circle engine before the
-vectorized one replaced it: ``table1 --all``, ``search --m 2..7`` and
-``open1``/``open2 --m 2..8``. Each key is a command line; the test writes
-its output to a file and compares the sha256 of the bytes.
+The dataset digests were captured from the scalar unit-circle engine before
+the vectorized one replaced it: ``table1 --all``, ``search --m 2..7`` and
+``open1``/``open2 --m 2..8``. The ``lemmas`` digests were captured from the
+scalar subfield scans before the array root scan replaced them: ``eq4`` and
+``eq6`` at even m = 2..8, ``eq8`` at m in {3, 4, 5, 7, 8}, ``lemma1 --m 2..8``
+and ``lemma2 --n 4..10``, all in json. Each key is a command line; the test
+writes its output to a file and compares the sha256 of the bytes.
 """
 
 import hashlib
@@ -25,5 +28,9 @@ def test_dataset_matches_golden_digest(tmp_path, command):
 
 
 def test_golden_covers_the_dataset_commands():
-    assert {c.split()[0] for c in GOLDEN} == {"table1", "search", "open1", "open2"}
-    assert len(GOLDEN) == 3 + 6 * 2 + 2 * 7 * 2
+    assert {c.split()[0] for c in GOLDEN} == {"table1", "search", "open1", "open2", "lemmas"}
+    lemmas = [c.split()[2] for c in GOLDEN if c.startswith("lemmas")]
+    assert {w: lemmas.count(w) for w in set(lemmas)} == {
+        "eq4": 4, "eq6": 4, "eq8": 5, "lemma1": 7, "lemma2": 7,
+    }
+    assert len(GOLDEN) == 3 + 6 * 2 + 2 * 7 * 2 + 27

@@ -134,6 +134,45 @@ def test_cubic_random_counts_and_consistency():
             assert gf.power(ctx, r, 3) ^ gf.mul(ctx, a2, r) ^ a1 == 0
 
 
+@pytest.mark.parametrize("m", [3, 6, 8, 11])
+def test_root_scans_match_a_scalar_loop(m):
+    # random subfield coefficients, a1 = 0 in every fourth trial and a
+    # forced root z in every other one
+    tower = tw.make_tower(m)
+    ctx = tower.field
+    subfield = list(tw.subfield_iter(tower))
+    rng = random.Random(41 + m)
+
+    def scalar_roots(coeffs):  # Horner over every z; coeffs[i] multiplies z^i
+        roots = []
+        for z in subfield:
+            acc = 0
+            for c in reversed(coeffs):
+                acc = gf.mul(ctx, acc, z) ^ c
+            if acc == 0:
+                roots.append(z)
+        return sorted(roots)
+
+    found = set()
+    for trial in range(12):
+        a2, a1, a0, z = (rng.choice(subfield) for _ in range(4))
+        if trial % 4 == 0:
+            a1 = 0
+        cubic_a1 = a1
+        if trial % 2:  # make z a root of both
+            z2 = gf.square(ctx, z)
+            cubic_a1 = gf.mul(ctx, z2, z) ^ gf.mul(ctx, a2, z)
+            a0 = gf.square(ctx, z2) ^ gf.mul(ctx, a2, z2) ^ gf.mul(ctx, a1, z)
+        cubic = loweq.cubic_roots_subfield(tower, a2, cubic_a1)
+        assert cubic == scalar_roots([cubic_a1, a2, 0, 1])
+        quartic = loweq.quartic_roots_brute(tower, QuarticLW(a2=a2, a1=a1, a0=a0))
+        assert quartic == scalar_roots([a0, a1, a2, 0, 1])
+        if trial % 2:
+            assert z in cubic and z in quartic
+        found |= {bool(cubic), bool(quartic)}
+    assert found == {True, False}  # both rooted and root-free polynomials
+
+
 # ---------------------------------------------------------------------------
 # quartic no-root certificate
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 from functools import reduce
 
+import numpy as np
 import pytest
 
 from nihoperm import field as gf
@@ -47,6 +48,33 @@ def test_unit_circle_iter_matches_brute_filter(m):
     assert len(set(via_iter)) == tower.unit_circle_order
     brute = {x for x in gf.elements(tower.field) if tw.in_unit_circle(tower, x)}
     assert set(via_iter) == brute
+
+
+def _walk(ctx, step, length):
+    x, out = 1, []
+    for _ in range(length):
+        out.append(x)
+        x = gf.mul(ctx, x, step)
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 11])
+def test_enumeration_orders_are_the_generator_walks(m):
+    # every report and counterexample depends on these orders, not just sets
+    tower = tw.make_tower(m)
+    ctx, q = tower.field, tower.subfield_order
+    w = gf.power(ctx, ctx.generator, q - 1)
+    b = gf.power(ctx, ctx.generator, q + 1)
+    assert list(tw.unit_circle_iter(tower)) == _walk(ctx, w, q + 1)
+    assert list(tw.subfield_iter(tower)) == [0, *_walk(ctx, b, q - 1)]
+
+
+def test_enumerations_build_no_exp_log_tables():
+    tower = tw.make_tower(8)
+    assert tower.unit_circle.dtype == tower.subfield.dtype == np.uint32
+    assert (tower.unit_circle.size, tower.subfield.size) == (257, 256)
+    assert not (tower.unit_circle.flags.writeable or tower.subfield.flags.writeable)
+    assert "exp_log" not in tower.field.__dict__  # the lazy tables stay unbuilt
 
 
 def test_unit_circle_product_is_one(tower2):
