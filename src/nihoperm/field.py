@@ -217,7 +217,7 @@ def _trace_by_squaring(ctx: FieldCtx, x: int) -> int:
     y = x
     for _ in range(ctx.n):
         acc ^= y
-        y = mul(ctx, y, y)
+        y = _mul_int(y, y, ctx.n, ctx.red, ctx.mask)
     assert acc in (0, 1)
     return acc
 

@@ -3,9 +3,11 @@
 Covers, over GF(2^n) and its index-2 subfield:
 
 * the trace criterion for x^2 + ax + b (solvable iff Tr(b/a^2) = 0) plus an
-  explicit Artin-Schreier solver, so root sets are constructed, not searched;
-* subfield roots of depressed cubics y^3 + a2*y + a1 and of quartics, by
-  one array evaluation over the whole subfield;
+  explicit Artin-Schreier solver, so root sets are constructed, not searched,
+  and a brute-force sweep of the criterion over every (a, b);
+* subfield roots of depressed cubics y^3 + a2*y + a1 and of quartics, for
+  many polynomials at once: with z = b^k (b = g^(q+1)) every term is a
+  gather from the subfield in log order;
 * the resolvent-cubic no-root certificate for quartics
   h(z) = z^4 + a2*z^2 + a1*z + a0 with a0*a1 != 0: with r_i the subfield
   roots of y^3 + a2*y + a1 and w_i = a0*r_i^2/a1^2, h has no subfield root
@@ -13,7 +15,11 @@ Covers, over GF(2^n) and its index-2 subfield:
   exist with trace multiset {0, 1, 1} ("case 2");
 * batch verification that the three quartic families attached to the pairs
   (3,-1), (-2/3,5/3) and (1/5,4/5) have no subfield roots for any
-  unit-circle x != 1, both by brute evaluation and by certificate.
+  unit-circle x != 1, both by brute evaluation and by certificate, as
+  whole-array passes over the unit circle.
+
+Coefficients are handled by their subfield logs (:meth:`TowerCtx.subfield_log`),
+so no path here builds the field's exp/log tables.
 """
 
 from __future__ import annotations
@@ -24,11 +30,12 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from . import field as gf
-from . import tower as tw
 from .errors import (
+    DivisionByZero,
     NotInSubfield,
     PreconditionViolated,
     ZeroCoefficient,
@@ -57,34 +64,29 @@ def quadratic_criterion_disagreements(ctx: FieldCtx) -> int:
     """Count pairs (a != 0, b) where the trace criterion and brute-force
     root existence for x^2 + ax + b disagree. The expected value is 0.
 
-    Vectorized over b for each a (the map x -> x^2 + ax is GF(2)-linear, so
-    its full image doubles as the brute-force oracle). Requires the
-    context's log tables, i.e. n <= TABLE_MAX.
+    The brute force is the image of x -> x^2 + ax over every x, for every
+    a. Both walk the field in log order over one list E = g^0..g^(N-1),
+    N = 2^n - 1, doubled to E2 = E||E so that shifted exponents need no
+    reduction: for a = g^la the image of x = g^i is E2[2i] ^ E2[la+i], and
+    b = g^j is solvable iff Tr(b/a^2) = Tr(g^(j-2la)) = 0, a contiguous
+    slice of the trace bits T2 of E2. x = 0 and b = 0 (always a root,
+    always solvable) are left out, since they agree.
     """
-    tables = ctx.exp_log
-    if tables is None:
-        raise ValueError(f"sweep needs log tables (n <= {gf.TABLE_MAX})")
-    exp, log = tables
     order = ctx.group_order
-    size = 1 << ctx.n
-    xs = np.arange(size, dtype=np.int64)
-    lv = log[1:]
-    sq = np.zeros(size, dtype=np.int64)
-    sq[1:] = exp[(lv * 2) % order]
-    tr = (np.bitwise_count(xs & ctx.trace_mask) & 1).astype(bool)
+    e2 = np.tile(_kernels.geometric(ctx.generator, order, ctx.n, ctx.red).astype(np.intp), 2)
+    e = e2[:order]
+    t2 = (np.bitwise_count(e2 & ctx.trace_mask) & 1).astype(bool)
+    squares = e2[::2].copy()  # g^(2i) for i < N
+    hit = np.full(1 << ctx.n, -1, dtype=np.intp)  # hit[b] == la: b in the image for la
     disagreements = 0
-    for a in range(1, size):
-        la = int(log[a])
-        ax = np.zeros(size, dtype=np.int64)
-        ax[1:] = exp[(lv + la) % order]
-        has_root = np.zeros(size, dtype=bool)
-        has_root[sq ^ ax] = True
-        # b / a^2 for every b, via log arithmetic
-        shift = (order - (2 * la) % order) % order
-        c = np.zeros(size, dtype=np.int64)
-        c[1:] = exp[(lv + shift) % order]
-        solvable = ~tr[c]
-        disagreements += int(np.count_nonzero(solvable != has_root))
+    shift = 0  # 2*la mod N
+    for la in range(order):
+        hit[squares ^ e2[la : la + order]] = la
+        # the criterion says g^j is unsolvable iff T2[N + j - shift] is set,
+        # so it disagrees with the image wherever that bit equals "has a root"
+        tr = t2[order - shift : 2 * order - shift]
+        disagreements += int(np.count_nonzero(tr == (hit[e] == la)))
+        shift = shift + 2 - order if shift + 2 >= order else shift + 2
     return disagreements
 
 
@@ -137,27 +139,73 @@ def quadratic_roots(ctx: FieldCtx, a: int, b: int) -> tuple[int, ...]:
 # cubics and quartics over the subfield
 # ---------------------------------------------------------------------------
 
-def _require_subfield(tower: TowerCtx, name: str, v: int) -> None:
-    if not tw.in_subfield(tower, v):
+#: (polynomial, z) elements per window of the subfield root scans
+_WINDOW_ELEMS = 1 << 18
+
+
+def _logs(tower: TowerCtx, name: str, values) -> np.ndarray:
+    """Subfield logs of the coefficients in values (-1 for 0), as intp;
+    NotInSubfield names the first entry outside the subfield."""
+    values = np.asarray(values, dtype=np.uint32)
+    lg = tower.subfield_log(values)
+    outside = np.flatnonzero((lg < 0) & (values != 0))
+    if outside.size:
+        v = int(values[outside[0]])
         raise NotInSubfield(f"{name}={hex(v)} is not in the index-2 subfield")
+    return lg
 
 
-def _subfield_roots(tower: TowerCtx, terms) -> list[int]:
-    """Subfield roots of sum c*z^e over the (c, e) in terms, sorted by bitmask.
+def _zeros(tower: TowerCtx, terms) -> tuple[np.ndarray, np.ndarray]:
+    """(row, index) of every subfield root of the polynomials sum c*z^e over
+    the (c, e) in terms, one polynomial per row, e <= 4; index points into
+    ``tower.subfield``.
 
-    Evaluates at every z of ``tower.subfield`` at once: z = b^k gives
-    z^e = b^(ek mod q-1), a gather from the same array, and z = 0 leaves
-    only the constant term.
+    Each c is the array of the rows' coefficient logs, -1 for a zero
+    coefficient. At z = b^k a term is b^(log c + ek), entry log c + ek of
+    subfield[1:] tiled five times and followed by a run of zeros that the
+    logs of zero coefficients point into. So the term's values at every z
+    are one row of a strided window view of that table, picked by log c.
+    A term that is zero in every row is left out, and the terms that are
+    equal in every row are summed once. Rows go in windows of at most
+    _WINDOW_ELEMS (row, z) elements. z = 0 is a root exactly where the
+    constant coefficient vanishes.
     """
-    ctx = tower.field
-    powers = tower.subfield[1:]
-    k = np.arange(powers.size)
-    value = np.zeros(tower.subfield_order, dtype=np.uint32)
+    q1 = tower.subfield_order - 1
+    rows = terms[0][0].size
+    const = next((c for c, e in terms if e == 0), np.full(rows, -1))
+    zero_rows = np.flatnonzero(const < 0)
+    table = np.concatenate([np.tile(tower.subfield[1:], 5), np.zeros(4 * q1, dtype=np.uint32)])
+    fixed = np.zeros(q1, dtype=np.uint32)  # the terms that are equal in every row
+    varying = []
     for c, e in terms:
-        if e == 0:
-            value[0] ^= c
-        value[1:] ^= _kernels.mul_const(powers[e * k % powers.size], c, ctx.n, ctx.red)
-    return sorted(tower.subfield[value == 0].tolist())
+        if (c < 0).all():
+            continue
+        c = np.where(c < 0, 5 * q1, c)
+        view = table[:, None] if e == 0 else sliding_window_view(table, e * (q1 - 1) + 1)[:, ::e]
+        if (c == c[0]).all():
+            fixed ^= view[c[0]]
+        else:
+            varying.append((c, view))  # view[c, k] = table[c + e*k]
+    found_rows, found_idx = [zero_rows], [np.zeros(zero_rows.size, dtype=np.intp)]
+    step = max(1, _WINDOW_ELEMS // q1)
+    for r0 in range(0, rows, step):
+        value = np.tile(fixed, (min(step, rows - r0), 1))
+        for c, view in varying:
+            value ^= view[c[r0 : r0 + step]]
+        hits = np.flatnonzero(value == 0)  # much cheaper than a 2-D np.nonzero
+        found_rows.append(hits // q1 + r0)
+        found_idx.append(hits % q1 + 1)
+    return np.concatenate(found_rows), np.concatenate(found_idx)
+
+
+def _root_list(tower: TowerCtx, terms) -> list[int]:
+    """The subfield roots of a one-row :func:`_zeros` call, sorted by bitmask."""
+    _, idx = _zeros(tower, terms)
+    return sorted(tower.subfield[idx].tolist())
+
+
+def _monic(rows: int) -> np.ndarray:
+    return np.zeros(rows, dtype=np.intp)  # log of 1
 
 
 def cubic_roots_subfield(tower: TowerCtx, a2: int, a1: int) -> list[int]:
@@ -166,9 +214,8 @@ def cubic_roots_subfield(tower: TowerCtx, a2: int, a1: int) -> list[int]:
     Coefficients must lie in the subfield. Separable cubics have 0, 1 or 3
     roots; the inseparable case (a1 = 0, a2 != 0) yields 2.
     """
-    _require_subfield(tower, "a2", a2)
-    _require_subfield(tower, "a1", a1)
-    return _subfield_roots(tower, [(1, 3), (a2, 1), (a1, 0)])
+    l2, l1 = _logs(tower, "a2", [a2]), _logs(tower, "a1", [a1])
+    return _root_list(tower, [(_monic(1), 3), (l2, 1), (l1, 0)])
 
 
 @dataclass(frozen=True)
@@ -197,9 +244,39 @@ class LWReport:
         return self.verdict is not LWVerdict.SILENT
 
 
+#: certificate verdict by case number: 0 silent, 1 and 2 the no-root cases
+_VERDICTS = (LWVerdict.SILENT, LWVerdict.NO_ROOT_CASE1, LWVerdict.NO_ROOT_CASE2)
+
+
+def _quartic_terms(l2, l1, l0):
+    return [(_monic(l0.size), 4), (l2, 2), (l1, 1), (l0, 0)]
+
+
+def _resolvent(tower: TowerCtx, l2, l1, l0):
+    """(row, root log, Tr_m(w)) for every subfield root r = b^k of the
+    resolvent cubic y^3 + a2*y + a1, with w = a0*r^2/a1^2. Needs a1 != 0,
+    so that no root is 0."""
+    rows, idx = _zeros(tower, [(_monic(l1.size), 3), (l2, 1), (l1, 0)])
+    k = idx - 1
+    lw = (l0[rows] + 2 * (k - l1[rows])) % (tower.subfield_order - 1)
+    return rows, k, tower.subfield_trace_bits[lw]
+
+
+def _cases(count, trace_sum):
+    """Certificate case per polynomial from its resolvent root count and
+    trace sum: 1 for one root of trace 1, 2 for three roots with traces
+    {0, 1, 1}, else 0."""
+    return np.where((count == 1) & (trace_sum == 1), 1,
+                    np.where((count == 3) & (trace_sum == 2), 2, 0))
+
+
 def quartic_roots_brute(tower: TowerCtx, q: QuarticLW) -> list[int]:
-    """All subfield roots of h, by direct evaluation over the subfield."""
-    return _subfield_roots(tower, [(1, 4), (q.a2, 2), (q.a1, 1), (q.a0, 0)])
+    """All subfield roots of h, by direct evaluation over the subfield.
+
+    Coefficients must lie in the subfield (:class:`NotInSubfield`).
+    """
+    logs = [_logs(tower, name, [v]) for name, v in (("a2", q.a2), ("a1", q.a1), ("a0", q.a0))]
+    return _root_list(tower, _quartic_terms(*logs))
 
 
 def quartic_no_root_lw(tower: TowerCtx, q: QuarticLW) -> LWReport:
@@ -212,22 +289,15 @@ def quartic_no_root_lw(tower: TowerCtx, q: QuarticLW) -> LWReport:
     """
     if q.a0 == 0 or q.a1 == 0:
         raise ZeroCoefficient("certificate requires a0 != 0 and a1 != 0")
-    _require_subfield(tower, "a0", q.a0)
-    _require_subfield(tower, "a1", q.a1)
-    _require_subfield(tower, "a2", q.a2)
-    ctx = tower.field
-    roots = cubic_roots_subfield(tower, q.a2, q.a1)
-    scale = gf.div(ctx, q.a0, gf.square(ctx, q.a1))
-    traces = tuple(
-        tw.subfield_trace(tower, gf.mul(ctx, scale, gf.square(ctx, r))) for r in roots
-    )
-    if len(roots) == 1 and traces[0] == 1:
-        verdict = LWVerdict.NO_ROOT_CASE1
-    elif len(roots) == 3 and sorted(traces) == [0, 1, 1]:
-        verdict = LWVerdict.NO_ROOT_CASE2
-    else:
-        verdict = LWVerdict.SILENT
-    return LWReport(verdict=verdict, resolvent_roots=tuple(roots), w_traces=traces)
+    l0, l1, l2 = (_logs(tower, name, [v])
+                  for name, v in (("a0", q.a0), ("a1", q.a1), ("a2", q.a2)))
+    _, k, traces = _resolvent(tower, l2, l1, l0)
+    roots = tower.subfield[1:][k]
+    order = np.argsort(roots)
+    roots, traces = roots[order], traces[order]
+    verdict = _VERDICTS[int(_cases(roots.size, traces.sum()))]
+    return LWReport(verdict=verdict, resolvent_roots=tuple(roots.tolist()),
+                    w_traces=tuple(traces.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +379,51 @@ def _expected_verdict(which: str, m: int) -> LWVerdict:
     return LWVerdict.NO_ROOT_CASE1 if m % 2 == 1 else LWVerdict.NO_ROOT_CASE2
 
 
+def _quotient_log(tower: TowerCtx, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """log(num/den) per entry for subfield arrays (-1 where num is 0)."""
+    ln, ld = _logs(tower, "numerator", num), _logs(tower, "denominator", den)
+    if (ld < 0).any():
+        raise DivisionByZero("a family coefficient has a zero denominator")
+    return np.where(ln < 0, -1, (ln - ld) % (tower.subfield_order - 1))
+
+
+def _from_logs(tower: TowerCtx, lg: np.ndarray) -> np.ndarray:
+    return np.where(lg < 0, 0, tower.subfield[1:][lg])
+
+
+def family_coefficients(tower: TowerCtx, which: str):
+    """(ks, a2, a1, a0): the points x = unit_circle[ks] that a family's
+    check visits, and :func:`lemma_quartic_coeffs` at each, as arrays.
+
+    ks runs over U \\ {1} in order; eq8 skips the points with x^2+x+1 = 0.
+    Divided by x^4 (eq8's t by x), every numerator and denominator is a sum
+    of the subfield elements x^i + x^-i = U[ik] + U[-ik], so each quotient
+    is a difference of subfield logs.
+    """
+    size, circle = tower.unit_circle_order, tower.unit_circle
+    q1 = tower.subfield_order - 1
+    ks = np.arange(1, size)
+    if which == "eq8":  # x^2+x+1 = 0 iff x + 1/x = 1
+        ks = ks[circle[ks] ^ circle[size - ks] != 1]
+
+    def sym(i):  # x^i + x^-i at every point
+        return circle[i * ks % size] ^ circle[-i * ks % size]
+
+    s1, s2, s4 = sym(1), sym(2), sym(4)
+    ones = np.ones(ks.size, dtype=np.uint32)
+    if which == "eq4":
+        a2 = _from_logs(tower, _quotient_log(tower, s2, s4 ^ 1))
+        return ks, a2, _from_logs(tower, _quotient_log(tower, s4, s4 ^ 1)), ones
+    if which == "eq6":
+        return ks, s4 ^ s2, s4, ones
+    if which == "eq8":
+        lt = _quotient_log(tower, s1, s1 ^ 1)
+        a1 = _from_logs(tower, np.where(lt < 0, -1, 3 * lt % q1))
+        a0 = _from_logs(tower, _quotient_log(tower, s4 ^ s2 ^ 1, s4 ^ 1))
+        return ks, np.zeros_like(ones), a1, a0
+    raise ValueError(f"unknown quartic family {which!r}")
+
+
 def verify_lemma_quartics(tower: TowerCtx, which: str) -> QuarticFamilyReport:
     """Check a quartic family's no-root claim over the whole unit circle.
 
@@ -317,7 +432,8 @@ def verify_lemma_quartics(tower: TowerCtx, which: str) -> QuarticFamilyReport:
     from x, brute evaluation over the subfield confirms it has no root,
     and the certificate of :func:`quartic_no_root_lw` is required to fire
     with the verdict the family predicts (case 1 for eq4/eq6 and for eq8
-    at odd m; case 2 for eq8 at m = 0 mod 4).
+    at odd m; case 2 for eq8 at m = 0 mod 4). Every step is one array pass
+    over all the points (:func:`family_coefficients`, :func:`_zeros`).
 
     Preconditions: m even for eq4/eq6; gcd(5, 2^m+1) = 1 for eq8.
     """
@@ -329,26 +445,22 @@ def verify_lemma_quartics(tower: TowerCtx, which: str) -> QuarticFamilyReport:
         raise PreconditionViolated(f"{which} needs even m, got m={m}")
     if which == "eq8" and gcd(5, (1 << m) + 1) != 1:
         raise PreconditionViolated(f"eq8 needs gcd(5, 2^m+1)=1, fails at m={m}")
-    ctx = tower.field
-    expected = _expected_verdict(which, m)
-    failures = []
-    certified = True
-    checked = 0
-    for x in tower.unit_circle[1:].tolist():
-        if which == "eq8" and gf.square(ctx, x) ^ x ^ 1 == 0:
-            continue
-        q = lemma_quartic_coeffs(tower, which, x)
-        if quartic_roots_brute(tower, q):
-            failures.append(hex(x))
-        if quartic_no_root_lw(tower, q).verdict is not expected:
-            certified = False
-        checked += 1
+    ks, a2, a1, a0 = family_coefficients(tower, which)
+    if not (a0.all() and a1.all()):
+        raise ZeroCoefficient("certificate requires a0 != 0 and a1 != 0")
+    l2, l1, l0 = (_logs(tower, name, v) for name, v in (("a2", a2), ("a1", a1), ("a0", a0)))
+    rooted, _ = _zeros(tower, _quartic_terms(l2, l1, l0))
+    failures = tower.unit_circle[ks[np.unique(rooted)]].tolist()
+    rows, _, traces = _resolvent(tower, l2, l1, l0)
+    cases = _cases(np.bincount(rows, minlength=ks.size),
+                   np.bincount(rows, weights=traces, minlength=ks.size))
+    expected = _VERDICTS.index(_expected_verdict(which, m))
     return QuarticFamilyReport(
         lemma=which,
         m=m,
-        modulus=ctx.to_hex(),
+        modulus=tower.field.to_hex(),
         all_pass=not failures,
-        failures=tuple(failures),
-        certified=certified,
-        checked=checked,
+        failures=tuple(hex(x) for x in failures),
+        certified=bool((cases == expected).all()),
+        checked=int(ks.size),
     )

@@ -308,13 +308,13 @@ def _circle_tables(tower: TowerCtx):
       :func:`tower.unit_circle_iter`. For x = w^k, x^s = points[ks mod q+1].
     * Every h is a + b*g with a, b in GF(q), since g lies outside the
       subfield: b = (h + h^q)/(g + g^q) and a = h + b*g. Both are
-      GF(2)-linear in h, and so is the code of a subfield element, its bits
-      at m pivot positions on which the subfield projects injectively.
-      coords[k] = code(a) | code(b) << m for h = points[k]; by linearity
-      h = 1 + x^s + x^t has coords[0] ^ coords[ks] ^ coords[kt], which is 0
-      iff h is.
-    * logs[code(y)] is the log of y to the base g^(q+1), a generator of
-      GF(q)*; logs[0] is the sentinel 2q.
+      GF(2)-linear in h, and so is the code of a subfield element
+      (:meth:`TowerCtx.subfield_code`). coords[k] = code(a) | code(b) << m
+      for h = points[k]; by linearity h = 1 + x^s + x^t has
+      coords[0] ^ coords[ks] ^ coords[kt], which is 0 iff h is.
+    * logs is :attr:`TowerCtx.subfield_logs`: logs[code(y)] is the log of
+      y to the base g^(q+1), a generator of GF(q)*; logs[0] is the
+      sentinel 2q.
     * h^(q-1) = w^C depends only on the class a/b in P^1(GF(q)), and
       classes[logs[code a] - logs[code b] + 2q] = C. The class b = 0 has
       C = 0; the other q classes are those of 1+v for v = w^j in U minus 1,
@@ -323,19 +323,7 @@ def _circle_tables(tower: TowerCtx):
     ctx = tower.field
     n, red, mask, m = ctx.n, ctx.red, ctx.mask, tower.m
     q, g = 1 << m, ctx.generator
-    points, subfield = tower.unit_circle, tower.subfield[1:]
-    pivots, rows = [], []  # echelon form of the subfield basis 1, b, .., b^(m-1)
-    for v in subfield[:m].tolist():
-        for row, bit in zip(rows, pivots):
-            if v >> bit & 1:
-                v ^= row
-        assert v, "the powers of a subfield generator below m are independent"
-        pivots.append(v.bit_length() - 1)
-        rows.append(v)
-
-    def code(y):
-        return sum((y >> bit & 1) << i for i, bit in enumerate(pivots))
-
+    points, code, logs = tower.unit_circle, tower.subfield_code, tower.subfield_logs
     inv_trace = gf._pow_int(g ^ gf._pow_int(g, q, n, red), ctx.group_order - 1, n, red)
     images = []  # code(a) | code(b) << m for h = x^i
     for i in range(n):
@@ -344,10 +332,6 @@ def _circle_tables(tower: TowerCtx):
         images.append(code(h ^ gf._mul_int(b, g, n, red, mask)) | code(b) << m)
     coords = _kernels.map_planes(_kernels.linear_tables(images, n),
                                  _kernels.byte_planes(points, n))
-    logs = np.full(q, 2 * q, dtype=np.int32)
-    logs[code(subfield)] = np.arange(q - 1)
-    assert (logs[1:] < q - 1).all(), "subfield codes are distinct"
-
     ab = coords[0] ^ coords[1:]  # 1 + w^j for j = 1..q
     la, lb = logs[ab & (q - 1)], logs[ab >> m]
     power = q + 1 - np.arange(1, q + 1)  # (1 + w^j)^(q-1) = w^(q+1-j)

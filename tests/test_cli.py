@@ -182,11 +182,11 @@ def test_table1_modulus_checked(capsys):
     ("table1 --m 15", "capped at m=14"),
     ("open1 --m 17", "[2, 32]"),
     ("open2 --m 17", "[2, 32]"),
-    ("lemmas --which eq4 --m 14", "capped at n=24"),
-    ("lemmas --which eq6 --m 14", "capped at n=24"),
-    ("lemmas --which eq8 --m 14", "capped at n=26"),
-    ("lemmas --which lemma1 --m 16", "capped at n=30"),
-    ("lemmas --which lemma2 --n 16", "capped at n=15"),
+    ("lemmas --which eq4 --m 17", "capped at n=32"),
+    ("lemmas --which eq6 --m 17", "capped at n=32"),
+    ("lemmas --which eq8 --m 17", "capped at n=32"),
+    ("lemmas --which lemma1 --m 17", "capped at n=32"),
+    ("lemmas --which lemma2 --n 17", "capped at n=16"),
 ], ids=["search", "table1", "open1", "open2", "eq4", "eq6", "eq8", "lemma1", "lemma2"])
 def test_sweeps_past_their_cap_exit_2(capsys, argv, message):
     # line scans run at every m the tower supports (m <= 16)

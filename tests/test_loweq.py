@@ -2,9 +2,11 @@
 
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 
+from nihoperm import _kernels, cli
 from nihoperm import field as gf
 from nihoperm import loweq
 from nihoperm import tower as tw
@@ -319,6 +321,123 @@ def test_internal_coefficient_identities(tower4):
         assert tw.subfield_trace(tower4, gf.inv(ctx, c)) == 1
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
 def test_trace_criterion_sweep_has_no_disagreements(n):
     assert loweq.quadratic_criterion_disagreements(gf.make_field(n)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the array kernels against scalar oracles
+# ---------------------------------------------------------------------------
+
+def _horner_roots(ctx, subfield, coeffs):  # coeffs[i] multiplies z^i
+    roots = []
+    for z in subfield:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = gf.mul(ctx, acc, z) ^ c
+        if acc == 0:
+            roots.append(z)
+    return sorted(roots)
+
+
+def _random_quartics(tower, rng, count):
+    """(a2, a1, a0) with subfield coefficients: a2 = 0 in every third, a
+    forced subfield root in every other one."""
+    ctx = tower.field
+    subfield = list(tw.subfield_iter(tower))
+    for trial in range(count):
+        a2, a1, a0, z = (rng.choice(subfield) for _ in range(4))
+        if trial % 3 == 0:
+            a2 = 0
+        if trial % 2:
+            z2 = gf.square(ctx, z)
+            a0 = gf.square(ctx, z2) ^ gf.mul(ctx, a2, z2) ^ gf.mul(ctx, a1, z)
+        yield a2, a1, a0
+
+
+@pytest.mark.parametrize("m", [3, 5, 6])
+def test_one_row_kernels_match_horner(m):
+    tower = tw.make_tower(m)
+    ctx = tower.field
+    subfield = list(tw.subfield_iter(tower))
+    rng = random.Random(101 + m)
+    verdicts = set()
+    for a2, a1, a0 in _random_quartics(tower, rng, 40):
+        q = QuarticLW(a2=a2, a1=a1, a0=a0)
+        quartic = _horner_roots(ctx, subfield, [a0, a1, a2, 0, 1])
+        assert loweq.quartic_roots_brute(tower, q) == quartic
+        cubic = _horner_roots(ctx, subfield, [a1, a2, 0, 1])
+        assert loweq.cubic_roots_subfield(tower, a2, a1) == cubic
+        if a0 == 0 or a1 == 0:
+            continue
+        rep = loweq.quartic_no_root_lw(tower, q)
+        assert list(rep.resolvent_roots) == cubic
+        scale = gf.div(ctx, a0, gf.square(ctx, a1))
+        traces = [tw.subfield_trace(tower, gf.mul(ctx, scale, gf.square(ctx, r))) for r in cubic]
+        assert list(rep.w_traces) == traces
+        verdicts.add(rep.verdict)
+    assert LWVerdict.SILENT in verdicts and len(verdicts) > 1
+
+
+@pytest.mark.parametrize("window", [1, 50, 200])
+def test_root_scan_windows_cover_every_row(monkeypatch, window):
+    # many polynomials in one call, in windows of 1 row, 3 rows (with a
+    # short last window) and 12 rows at m = 4
+    monkeypatch.setattr(loweq, "_WINDOW_ELEMS", window)
+    tower = tw.make_tower(4)
+    ctx = tower.field
+    subfield = list(tw.subfield_iter(tower))
+    rows = list(_random_quartics(tower, random.Random(7), 37))
+    logs = [loweq._logs(tower, "c", [r[i] for r in rows]) for i in range(3)]
+    got_rows, got_idx = loweq._zeros(tower, loweq._quartic_terms(*logs))
+    found = {i: [] for i in range(len(rows))}
+    for r, i in zip(got_rows.tolist(), got_idx.tolist()):
+        found[r].append(tower.subfield[i])
+    for i, (a2, a1, a0) in enumerate(rows):
+        assert sorted(found[i]) == _horner_roots(ctx, subfield, [a0, a1, a2, 0, 1])
+    rep = loweq.verify_lemma_quartics(tower, "eq4")
+    assert rep.all_pass and rep.certified and rep.checked == 16
+
+
+def _families_at(m):
+    if m % 2 == 0:
+        yield "eq4"
+        yield "eq6"
+    if gcd(5, (1 << m) + 1) == 1:
+        yield "eq8"
+
+
+@pytest.mark.parametrize("which, m", [(w, m) for m in range(3, 9) for w in _families_at(m)])
+def test_family_coefficients_match_the_scalar_oracle(which, m):
+    tower = tw.make_tower(m)
+    ctx = tower.field
+    ks, a2, a1, a0 = loweq.family_coefficients(tower, which)
+    points = tower.unit_circle[1:].tolist()
+    if which == "eq8":
+        points = [x for x in points if gf.square(ctx, x) ^ x ^ 1 != 0]
+    assert tower.unit_circle[ks].tolist() == points
+    for x, c2, c1, c0 in zip(points, a2.tolist(), a1.tolist(), a0.tolist()):
+        assert loweq.lemma_quartic_coeffs(tower, which, x) == QuarticLW(a2=c2, a1=c1, a0=c0)
+
+
+def test_non_subfield_coefficients_raise(tower4):
+    gamma = tw.canonical_gamma(tower4)
+    with pytest.raises(NotInSubfield, match="a0="):
+        loweq.quartic_roots_brute(tower4, QuarticLW(a2=1, a1=1, a0=gamma))
+    with pytest.raises(NotInSubfield, match="a2="):
+        loweq.quartic_no_root_lw(tower4, QuarticLW(a2=gamma, a1=1, a0=1))
+    with pytest.raises(NotInSubfield, match="a1="):
+        loweq.cubic_roots_subfield(tower4, 1, gamma)
+
+
+@pytest.mark.parametrize("argv", [
+    "--which eq4 --m 10", "--which eq8 --m 7", "--which lemma1 --m 10", "--which lemma2 --n 12",
+])
+def test_lemmas_build_no_exp_log_tables(monkeypatch, tmp_path, argv):
+    def no_tables(*args):
+        raise AssertionError("a lemmas check built the exp/log tables")
+
+    monkeypatch.setattr(_kernels, "exp_table", no_tables)
+    out = tmp_path / "out.json"
+    assert cli.main(["lemmas", *argv.split(), "--format", "json", "--out", str(out)]) == 0

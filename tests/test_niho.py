@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nihoperm import field as gf
 from nihoperm import niho
+from nihoperm import permcheck as pc
 from nihoperm import tower as tw
 from nihoperm.errors import ConditionViolated, NonInvertibleDenominator
 from nihoperm.niho import FamilyInstance, NihoPair, TrinomialSpec
@@ -228,6 +229,26 @@ def test_transform_failure_drops_pair():
 def test_f8_exponents_m4(tower4):
     spec = niho.family_trinomial(tower4, FamilyInstance("F8", {}))
     assert spec.exponents() == (1, 16, 121)  # 2^(m-1)(2^m-1)+1 = 121
+
+
+def _pair_one_minus_half(m):
+    return NihoPair(m, 1, niho.resolve_fraction(-1, 2, m))
+
+
+@pytest.mark.parametrize("m", [4, 5, 7, 8])
+def test_f8_is_the_table_pair_one_minus_half(m):
+    tower = tw.make_tower(m)
+    f8 = niho.family_trinomial(tower, FamilyInstance("F8", {}))
+    assert f8.terms == niho.pair_to_trinomial(tower, _pair_one_minus_half(m)).terms
+
+
+def test_f8_verdicts_past_the_exhaustive_cap():
+    # (1,-1/2) permutes exactly when 3 does not divide m (F8's condition),
+    # checked on the unit circle at m = 11..16, i.e. n = 22..32
+    for m in range(11, 17):
+        tower = tw.make_tower(m)
+        (report,) = pc.verify_pairs(tower, [_pair_one_minus_half(m)])
+        assert report.is_permutation == (m % 3 != 0), m
 
 
 def test_f8_condition_violation():

@@ -168,3 +168,51 @@ def test_subfield_trace_values(tower4):
     assert seen == {0, 1}
     with pytest.raises(ZNotInSubfield):
         tw.subfield_trace(tower4, tw.canonical_gamma(tower4))
+
+
+# ---------------------------------------------------------------------------
+# array forms: subfield log, trace bits, the parametrization image
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_subfield_log_inverts_the_enumeration(m):
+    tower = tw.make_tower(m)
+    q = tower.subfield_order
+    assert tower.subfield_log(tower.subfield[1:]).tolist() == list(range(q - 1))
+    # 0 and every element outside the subfield read -1
+    outside = [x for x in range(1 << min(2 * m, 10)) if not tw.in_subfield(tower, x)]
+    assert (tower.subfield_log(np.array([0] + outside)) == -1).all()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7])
+def test_subfield_trace_bits_match_the_scalar_trace(m):
+    tower = tw.make_tower(m)
+    bits = tower.subfield_trace_bits
+    assert bits.tolist() == [tw.subfield_trace(tower, y) for y in tower.subfield[1:].tolist()]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_cayley_image_matches_the_scalar_map(m):
+    tower = tw.make_tower(m)
+    gamma = tw.canonical_gamma(tower)
+    image = tw.cayley_image(tower, gamma).tolist()
+    assert image == [tw.cayley_param(tower, gamma, z) for z in tw.subfield_iter(tower)]
+
+
+def test_cayley_bijection_rejects_subfield_gamma(tower4):
+    with pytest.raises(GammaInSubfield):
+        tw.cayley_is_bijection(tower4, 1)
+
+
+def test_circle_minus_one_comparison(tower4):
+    points = tower4.unit_circle[1:].copy()
+    rng = np.random.default_rng(5)
+    assert tw.is_circle_minus_one(tower4, rng.permutation(points))
+    repeated = points.copy()
+    repeated[3] = repeated[7]  # one point twice, one missing
+    assert not tw.is_circle_minus_one(tower4, repeated)
+    with_one = points.copy()
+    with_one[0] = 1  # 1 instead of a point of U \ {1}
+    assert not tw.is_circle_minus_one(tower4, with_one)
+    assert not tw.is_circle_minus_one(tower4, points[1:])  # a point short
+    assert not tw.is_circle_minus_one(tower4, np.append(points, points[0]))
