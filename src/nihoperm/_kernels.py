@@ -12,14 +12,24 @@ reduction).
   images are the constant's n shifts c*x^i. Results are uint32.
 * :func:`geometric` lists r^0..r^(L-1) by doubling on :func:`mul_const`;
   :func:`exp_table` is the full-period list for a generator.
-* :func:`mul_vec` and :func:`pow_vec` multiply and power element-wise,
-  bit-serially, on int64 arrays. Exponents passed to ``pow_vec`` must be
-  >= 0; ``x**0`` is 1 for every x including 0.
+* :func:`mul_vec` multiplies element-wise: a 4-bit comb carry-less product
+  in int64, then the bits n..2n-2 are folded back by one more linear map.
+* :func:`pow_vec` powers element-wise. Frobenius x -> x^(2^i) is
+  GF(2)-linear, so each set bit of the exponent costs one byte-table map
+  and the bits are combined by popcount(e)-1 :func:`mul_vec` calls. No
+  exp/log table is built. Exponents must be >= 0; ``x**0`` is 1 for every
+  x including 0.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+#: elements per block of :func:`mul_vec`: its 16 multiples of a take
+#: 16 * 8 bytes per element, 1 MiB per block
+_COMB_BLOCK = 1 << 13
 
 
 def linear_tables(images, n: int) -> np.ndarray:
@@ -38,15 +48,19 @@ def linear_tables(images, n: int) -> np.ndarray:
     return tables
 
 
+def _shifts(c: int, count: int, n: int, red: int) -> list[int]:
+    """c*x^0, c*x^1, ..., c*x^(count-1), reduced."""
+    top, mask = 1 << (n - 1), (1 << n) - 1
+    out = []
+    for _ in range(count):
+        out.append(c)
+        c = ((c << 1) & mask) ^ (red if c & top else 0)
+    return out
+
+
 def const_tables(c: int, n: int, red: int) -> np.ndarray:
     """:func:`linear_tables` of v -> c*v, from the constant's n shifts c*x^i."""
-    top = 1 << (n - 1)
-    mask = (1 << n) - 1
-    shifts = []
-    for _ in range(n):
-        shifts.append(c)
-        c = ((c << 1) & mask) ^ (red if c & top else 0)
-    return linear_tables(shifts, n)
+    return linear_tables(_shifts(c, n, n, red), n)
 
 
 def byte_planes(v: np.ndarray, n: int) -> np.ndarray:
@@ -96,29 +110,79 @@ def exp_table(n: int, red: int, g: int) -> np.ndarray:
     return geometric(g, (1 << n) - 1, n, red).astype(np.int64)
 
 
+@lru_cache(maxsize=None)
+def _fold_tables(n: int, red: int) -> np.ndarray:
+    """:func:`linear_tables` of the reduction of bits n..2n-2: bit i of its
+    input stands for x^(n+i). Cached, so read-only."""
+    tables = linear_tables(_shifts(1, 2 * n - 1, n, red)[n:], n - 1)
+    tables.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _frobenius_tables(n: int, red: int, i: int) -> np.ndarray:
+    """:func:`linear_tables` of x -> x^(2^i), i >= 1: bit j maps to
+    (x^(2j))^(2^(i-1)). Cached, so read-only."""
+    images = np.array(_shifts(1, 2 * n - 1, n, red)[::2], dtype=np.uint32)
+    if i > 1:
+        images = map_planes(_frobenius_tables(n, red, i - 1), byte_planes(images, n))
+    tables = linear_tables(images, n)
+    tables.flags.writeable = False
+    return tables
+
+
 def mul_vec(a: np.ndarray, b: np.ndarray, n: int, red: int) -> np.ndarray:
-    a = a.astype(np.int64, copy=True)
-    b = b.astype(np.int64, copy=True)
-    res = np.zeros_like(a)
-    mask = (1 << n) - 1
-    top = 1 << (n - 1)
-    for _ in range(n):
-        res ^= np.where((b & 1) != 0, a, 0)
-        b >>= 1
-        carry = (a & top) != 0
-        a = (a << 1) & mask
-        a ^= np.where(carry, red, 0)
-    return res
+    """a*b element-wise on 1-D arrays (int64 result).
+
+    4-bit comb: per block of _COMB_BLOCK elements, the 16 carry-less
+    multiples k*a (k < 16, degree at most n+2) are tabulated, and the
+    product is accumulated Horner-style over the nibbles of b from the top,
+    one gather per nibble. The unreduced product has degree at most 2n-2:
+    for n <= 32 its highest bit is bit 62, below the int64 sign bit. Bits
+    n..2n-2 are then folded back by one byte-table linear map.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    out = np.empty(a.size, dtype=np.int64)
+    fold = _fold_tables(n, red)
+    top = 4 * ((n - 1) // 4)  # shift of b's highest nibble
+    for lo in range(0, a.size, _COMB_BLOCK):
+        aa, bb = a[lo : lo + _COMB_BLOCK], b[lo : lo + _COMB_BLOCK]
+        size = aa.size
+        multiples = np.empty((16, size), dtype=np.int64)
+        multiples[0] = 0
+        multiples[1] = aa
+        for k in range(2, 16, 2):
+            np.left_shift(multiples[k >> 1], 1, out=multiples[k])
+            np.bitwise_xor(multiples[k], aa, out=multiples[k + 1])
+        flat = multiples.ravel()
+        column = np.arange(size, dtype=np.int64)
+        acc = flat.take((bb >> top & 15) * size + column)
+        for shift in range(top - 4, -1, -4):
+            acc <<= 4
+            acc ^= flat.take((bb >> shift & 15) * size + column)
+        out[lo : lo + size] = (acc & ((1 << n) - 1)) ^ map_planes(
+            fold, byte_planes(acc >> n, n - 1)
+        )
+    return out
 
 
 def pow_vec(x: np.ndarray, e: int, n: int, red: int) -> np.ndarray:
-    res = np.ones_like(x, dtype=np.int64)
-    base = x.astype(np.int64, copy=True)
+    """x^e element-wise for e >= 0 (int64 result); x^0 = 1 and 0^e = 0 for
+    e > 0.
+
+    e > 0 is first reduced to (e-1) % (2^n-1) + 1, which keeps x^e for
+    every x including 0. Then x^e is the product of the x^(2^i) over the
+    set bits i of e, each one Frobenius map of x's byte planes.
+    """
     e = int(e)
-    while e > 0:
-        if e & 1:
-            res = mul_vec(res, base, n, red)
-        e >>= 1
-        if e:
-            base = mul_vec(base, base, n, red)
-    return res
+    if e == 0:
+        return np.ones(np.shape(x), dtype=np.int64)
+    e = (e - 1) % ((1 << n) - 1) + 1
+    planes = byte_planes(x, n)
+    res = None
+    for i in range(e.bit_length()):
+        if e >> i & 1:
+            term = map_planes(_frobenius_tables(n, red, i), planes) if i else x
+            res = term if res is None else mul_vec(res, term, n, red)
+    return res.astype(np.int64)

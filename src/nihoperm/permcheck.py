@@ -3,9 +3,12 @@
 * exhaustive: evaluate the polynomial at all 2^n field elements and track
   images in an occupancy bitset (chunked, so memory stays bounded up to the
   n = 28 desk-scale cap). The verdict pass walks the field in discrete-log
-  order, where every term is a geometric sequence; a failing verdict is
+  order, where every term is a geometric sequence, in windows that double
+  up to the chunk size and stop at the first repeat. A failing verdict is
   followed by a scan in bitmask order for the canonical counterexample: the
   first repeat together with its earlier preimage, independent of chunking.
+  Neither pass builds exp/log tables: the bitmask scan powers element-wise
+  with :func:`_kernels.pow_vec`.
 
 * unit_circle: for a Niho pair (s, t) the trinomial permutes GF(2^n) iff
   phi(x) = x * (1 + x^s + x^t)^(2^m-1) permutes the norm-1 subgroup U, so
@@ -44,6 +47,10 @@ EXHAUSTIVE_MAX_N = 28
 
 #: elements per chunk of every exhaustive pass: 2^min(n, _CHUNK_BITS)
 _CHUNK_BITS = 20
+
+#: exponents in the first window of the log-order verdict pass; windows
+#: double from there up to the chunk size
+_VERDICT_FIRST_WINDOW = 1 << 10
 
 #: the first window of the bitmask-order witness scan has 2^10 elements
 _WITNESS_FIRST_BITS = 10
@@ -105,31 +112,18 @@ class PermReport:
 # ---------------------------------------------------------------------------
 
 def _images_range(ctx: FieldCtx, terms, start: int, stop: int) -> np.ndarray:
-    """Images of [start, stop) under the sparse polynomial, in domain order."""
-    order = ctx.group_order
+    """Images of [start, stop) under the sparse polynomial, in domain order,
+    by table-free element-wise powering (:func:`_kernels.pow_vec`)."""
     acc = np.zeros(stop - start, dtype=np.int64)
-    tables = ctx.exp_log
-    if tables is not None:
-        exp, log = tables
-        lv = log[start:stop]  # elements are their own indices
-        for coef, e in terms:
-            if e == 0:
-                acc ^= coef
-                continue
-            vals = exp[(lv * e + log[coef]) % order]
-            if start == 0:
-                vals[0] = 0  # 0^e = 0 for e > 0; the log sentinel lied
-            acc ^= vals
-    else:
-        xs = np.arange(start, stop, dtype=np.int64)
-        for coef, e in terms:
-            if e == 0:
-                acc ^= coef
-                continue
-            vals = _kernels.pow_vec(xs, e, ctx.n, ctx.red)
-            if coef != 1:
-                vals = _kernels.mul_const(vals, coef, ctx.n, ctx.red)
-            acc ^= vals
+    xs = np.arange(start, stop, dtype=np.int64)
+    for coef, e in terms:
+        if e == 0:
+            acc ^= coef
+            continue
+        vals = _kernels.pow_vec(xs, e, ctx.n, ctx.red)
+        if coef != 1:
+            vals = _kernels.mul_const(vals, coef, ctx.n, ctx.red)
+        acc ^= vals
     return acc
 
 
@@ -172,17 +166,22 @@ def _occupy(bits: np.ndarray, v: np.ndarray) -> bool:
 def _log_order_verdict(ctx: FieldCtx, terms) -> bool:
     """True iff the sparse polynomial permutes the field.
 
-    Enumerates 0 and then x = g^k for k = 0, 1, ... in chunks of L
-    exponents. On x = g^k a term c*x^e is c * r^k with r = g^e, so on the
-    chunk starting at k0 it is the constant c*r^k0 times the fixed block
-    r^0..r^(L-1): one byte-table constant multiply per term and chunk.
-    0^e = 0 for e > 0, so only e = 0 terms reach x = 0.
+    Enumerates 0 and then x = g^k for k = 0, 1, ... and stops at the first
+    window of exponents that holds a repeat. On x = g^k a term c*x^e is
+    c * r^k with r = g^e. Each term keeps the block c*r^0..c*r^(w-1) of the
+    exponents seen so far; the next window [w, 2w) is r^w times that block
+    and becomes its upper half, so windows double from _VERDICT_FIRST_WINDOW
+    up to the chunk of L exponents at the cost of one constant multiply per
+    term and element. From then on the chunk starting at k0 is r^k0 times
+    the full block. 0^e = 0 for e > 0, so only e = 0 terms reach x = 0.
     """
     n, red, order = ctx.n, ctx.red, ctx.group_order
     length = min(1 << min(n, _CHUNK_BITS), order)
+    filled = min(_VERDICT_FIRST_WINDOW, length)
     image_of_zero = 0
     const = 0  # terms with r = 1 are constant on the nonzero elements
-    coefs, steps, planes = [], [], []  # per other term: c*r^k0, r^L, r^0..r^(L-1)
+    images = np.zeros(filled, dtype=np.uint32)
+    ratios, blocks = [], []  # per other term: r, c*r^0..c*r^(L-1) as byte planes
     for coef, e in terms:
         if e == 0:
             image_of_zero ^= coef
@@ -190,17 +189,38 @@ def _log_order_verdict(ctx: FieldCtx, terms) -> bool:
         if r == 1:
             const ^= coef
             continue
-        coefs.append(coef)
-        steps.append(gf._pow_int(r, length, n, red))
-        planes.append(_kernels.byte_planes(_kernels.geometric(r, length, n, red), n))
+        head = _kernels.mul_const(_kernels.geometric(r, filled, n, red), coef, n, red)
+        images ^= head
+        block = np.empty(((n + 7) // 8, length), dtype=np.uint8)
+        block[:, :filled] = _kernels.byte_planes(head, n)
+        ratios.append(r)
+        blocks.append(block)
     bits = np.zeros(max((1 << n) >> 6, 1), dtype=np.uint64)
     _occupy(bits, np.array([image_of_zero], dtype=np.uint32))
-    for k0 in range(0, order, length):
+    if not _occupy(bits, images ^ const):
+        return False
+    scales = [gf._pow_int(r, filled, n, red) for r in ratios]  # r^w
+    while filled < length:
+        size = min(filled, length - filled)
+        images = np.full(size, const, dtype=np.uint32)
+        for j, block in enumerate(blocks):
+            upper = _kernels.mul_planes(block[:, :size], scales[j], n, red)
+            block[:, filled : filled + size] = _kernels.byte_planes(upper, n)
+            images ^= upper
+            scales[j] = gf._mul_int(scales[j], scales[j], n, red, ctx.mask)
+        if not _occupy(bits, images):
+            return False
+        filled += size
+    if length == order:
+        return True
+    steps = [gf._pow_int(r, length, n, red) for r in ratios]  # r^L
+    powers = list(steps)  # r^k0
+    for k0 in range(length, order, length):
         size = min(length, order - k0)
         images = np.full(size, const, dtype=np.uint32)
-        for j, block in enumerate(planes):
-            images ^= _kernels.mul_planes(block[:, :size], coefs[j], n, red)
-            coefs[j] = gf._mul_int(coefs[j], steps[j], n, red, ctx.mask)
+        for j, block in enumerate(blocks):
+            images ^= _kernels.mul_planes(block[:, :size], powers[j], n, red)
+            powers[j] = gf._mul_int(powers[j], steps[j], n, red, ctx.mask)
         if not _occupy(bits, images):
             return False
     return True
@@ -229,10 +249,12 @@ def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
     """Full-domain permutation check with occupancy bitset.
 
     The verdict comes from a pass over the field in discrete-log order
-    (:func:`_log_order_verdict`), which needs no exp/log tables and no
-    element-wise powering. Only when that pass finds a repeat does an
-    ordered scan in bitmask order find the canonical counterexample: the
-    first repeat y and the least x < y with f(x) = f(y).
+    (:func:`_log_order_verdict`), which needs no element-wise powering and
+    stops at the first window holding a repeat. Only then does an ordered
+    scan in bitmask order (:func:`_first_repeat`) find the canonical
+    counterexample: the first repeat y and the least x < y with
+    f(x) = f(y), all images, f(y) included, from :func:`_images_range`. No
+    exp/log table is built at any n.
 
     ``evaluations`` is the canonical bitmask-scan count: 2^n on success,
     and on failure the elements a scan in chunks of 2^min(n, 20) evaluates
@@ -250,7 +272,7 @@ def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
             zero_at=None, evaluations=1 << ctx.n, elapsed=time.perf_counter() - t0,
         )
     collision_y = _first_repeat(ctx, terms)
-    target = poly.evaluate(collision_y)
+    target = _images_range(ctx, terms, collision_y, collision_y + 1)[0]
     chunk = 1 << min(ctx.n, _CHUNK_BITS)
     partner = None
     for cstart in range(0, collision_y + 1, chunk):

@@ -12,14 +12,6 @@ def _random_elems(n, size, seed):
     return rng.integers(0, 1 << n, size, dtype=np.uint64).astype(np.int64)
 
 
-def test_mul_vec_matches_scalar_multiply(f256):
-    a = _random_elems(8, 512, 4)
-    b = _random_elems(8, 512, 5)
-    out = _kernels.mul_vec(a, b, 8, f256.red)
-    for i in range(a.size):
-        assert out[i] == gf.mul(f256, int(a[i]), int(b[i]))
-
-
 @pytest.mark.parametrize("n", [2, 8, 13, 22, 32])
 def test_mul_const_matches_scalar_multiply(n):
     ctx = gf.make_field(n)
@@ -30,6 +22,38 @@ def test_mul_const_matches_scalar_multiply(n):
         out = _kernels.mul_const(v, c, n, ctx.red)
         assert out.dtype == np.uint32
         assert out.tolist() == [gf.mul(ctx, int(x), c) for x in v]
+
+
+WIDTHS = [2, 8, 13, 20, 22, 31, 32]
+
+
+def _operands(n, size, seed):
+    """0, 1 and the mask in every pairing, then random elements."""
+    specials = [0, 1, (1 << n) - 1]
+    first = np.repeat(specials, 3) if seed % 2 else np.tile(specials, 3)
+    return np.concatenate([first, _random_elems(n, size, seed)])
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_mul_vec_matches_scalar_multiply(n):
+    ctx = gf.make_field(n)
+    a, b = _operands(n, 64, 2 * n), _operands(n, 64, 2 * n + 1)
+    out = _kernels.mul_vec(a, b, n, ctx.red)
+    assert out.dtype == np.int64
+    assert out.tolist() == [gf.mul(ctx, int(x), int(y)) for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_pow_vec_matches_scalar_power(n):
+    ctx = gf.make_field(n)
+    x = _operands(n, 24, 200 + n)
+    order = ctx.group_order
+    exponents = [0, 1, order, 3 * order + 5, 1 + (1 << n // 2) + (1 << n - 1)]
+    exponents += [1 << i for i in range(n + 1)]
+    for e in exponents:
+        out = _kernels.pow_vec(x, e, n, ctx.red)
+        assert out.dtype == np.int64
+        assert out.tolist() == [gf.power(ctx, int(v), e) for v in x], e
 
 
 def test_pow_vec_zero_conventions():

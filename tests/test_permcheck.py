@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nihoperm import _kernels, cli
 from nihoperm import field as gf
 from nihoperm import niho
 from nihoperm import permcheck as pc
@@ -153,20 +154,44 @@ def test_exhaustive_matches_brute_force(spec):
     assert rep.evaluations == evaluations
 
 
-@pytest.mark.parametrize("chunk_bits", [2, 5])
-def test_exhaustive_chunked_matches_reference_scan(monkeypatch, chunk_bits):
-    # several log-order chunks and witness windows, with first repeats past
-    # the first window
+@pytest.mark.parametrize("chunk_bits", [2, 3, 5, 20])
+@pytest.mark.parametrize("first", [1, 8, pc._VERDICT_FIRST_WINDOW])
+def test_exhaustive_chunked_matches_reference_scan(monkeypatch, first, chunk_bits):
+    # doubling verdict windows, log-order chunks and witness windows, with
+    # first repeats past the first window; the permutations c*x^d + k run
+    # every window and chunk
     monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(pc, "_VERDICT_FIRST_WINDOW", first)
     monkeypatch.setattr(pc, "_WITNESS_FIRST_BITS", 1)
     ctx = gf.make_field(7)
     rng = random.Random(chunk_bits)
-    for _ in range(30):
-        spec = TrinomialSpec.make(ctx, [(rng.randrange(1, 128), rng.randrange(128))
-                                        for _ in range(rng.randrange(1, 4))])
+    specs = [TrinomialSpec.make(ctx, [(rng.randrange(1, 128), rng.randrange(128))
+                                      for _ in range(rng.randrange(1, 4))])
+             for _ in range(30)]
+    specs += [TrinomialSpec.make(ctx, [(rng.randrange(1, 128), rng.randrange(1, 128)),
+                                       (rng.randrange(128), 0)])
+              for _ in range(10)]
+    for spec in specs:
         rep = pc.is_permutation_exhaustive(ctx, spec)
         assert rep.is_permutation == brute_is_permutation(ctx, spec)
         assert (rep.counterexample, rep.evaluations) == reference_scan(ctx, spec)
+
+
+@pytest.mark.parametrize("chunk_bits", [2, 3, 20])
+@pytest.mark.parametrize("first", [1, 8, pc._VERDICT_FIRST_WINDOW])
+def test_verdict_pass_sees_every_exponent(monkeypatch, first, chunk_bits):
+    # x^-1 + c*x^(2^n-1) maps x != 0 to x^-1 + c and 0 to 0, so its one
+    # repeat is x = c^-1 = g^k against 0: a pass that skips exponent k
+    # would call it a permutation
+    monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(pc, "_VERDICT_FIRST_WINDOW", first)
+    ctx = gf.make_field(5)
+    order = ctx.group_order
+    for k in range(order):
+        y = gf.power(ctx, ctx.generator, k)
+        spec = TrinomialSpec.make(ctx, [(1, order - 1), (gf.inv(ctx, y), order)])
+        rep = pc.is_permutation_exhaustive(ctx, spec)
+        assert (rep.is_permutation, rep.counterexample) == (False, (0, y)), k
 
 
 def test_exhaustive_full_pass_above_table_max():
@@ -194,6 +219,50 @@ def test_exhaustive_counterexample_above_table_max():
     assert rep.counterexample == (0x28, 0x6B0)
     assert rep.evaluations == 1048576
     assert spec.evaluate(0x28) == spec.evaluate(0x6B0)
+
+
+@pytest.mark.parametrize("n", [8, 22])
+def test_images_range_matches_evaluate(n):
+    # a constant term shifts every image alike, so reports alone cannot see
+    # it dropped from the witness scan
+    ctx = gf.make_field(n)
+    order = ctx.group_order
+    spec = TrinomialSpec.make(ctx, [(5, 0), (3, 1), (7, order), (1, 3 * order + 5), (9, order - 1)])
+    for start, stop in ((0, 70), (200, 256)):
+        got = pc._images_range(ctx, spec.terms, start, stop)
+        assert got.tolist() == [spec.evaluate(x) for x in range(start, stop)]
+
+
+def test_late_first_repeat_above_table_max():
+    # x^2 + c*x is GF(2)-linear with kernel {0, c}: the first repeat is
+    # y = 2^21 with partner y ^ c = 1, three 2^20-chunks into the scan
+    ctx = gf.make_field(22)
+    spec = TrinomialSpec.make(ctx, [(1, 2), ((1 << 21) + 1, 1)])
+    rep = pc.is_permutation_exhaustive(ctx, spec)
+    assert not rep.is_permutation
+    assert rep.counterexample == (1, 1 << 21)
+    assert rep.evaluations == 3 << 20
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("--m 10 --pair 788,861", 1), ("--m 10 --pair 2,-1", 0), ("--m 11 --pair 3,5", 1),
+])
+def test_verify_builds_no_exp_log_tables(monkeypatch, tmp_path, argv, code):
+    def no_tables(*args):
+        raise AssertionError("verify built the exp/log tables")
+
+    make_tower, towers = tw.make_tower, []
+
+    def recording_make_tower(*args):
+        towers.append(make_tower(*args))
+        return towers[-1]
+
+    monkeypatch.setattr(_kernels, "exp_table", no_tables)
+    monkeypatch.setattr(tw, "make_tower", recording_make_tower)
+    out = tmp_path / "out.json"
+    assert cli.main(["verify", *argv.split(), "--format", "json", "--out", str(out)]) == code
+    assert json.loads(out.read_text())["is_permutation"] == (code == 0)
+    assert towers and all("exp_log" not in t.field.__dict__ for t in towers)
 
 
 def test_field_too_large():
