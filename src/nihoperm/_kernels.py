@@ -16,9 +16,8 @@ reduction).
   in int64, then the bits n..2n-2 are folded back by one more linear map.
 * :func:`pow_vec` powers element-wise. Frobenius x -> x^(2^i) is
   GF(2)-linear, so each set bit of the exponent costs one byte-table map
-  and the bits are combined by popcount(e)-1 :func:`mul_vec` calls. No
-  exp/log table is built. Exponents must be >= 0; ``x**0`` is 1 for every
-  x including 0.
+  and the bits are combined by popcount(e)-1 :func:`mul_vec` calls.
+  Exponents must be >= 0; ``x**0`` is 1 for every x including 0.
 """
 
 from __future__ import annotations

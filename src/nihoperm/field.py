@@ -3,13 +3,10 @@
 Elements are plain Python ints: bit i is the coefficient of x^i, so 0 is
 the zero element and 1 the multiplicative identity. The interpretation is
 carried by an immutable :class:`FieldCtx` passed to every operation, never
-by the elements themselves. Addition is XOR; multiplication is carry-less
-multiplication reduced by the context's irreducible modulus.
-
-For n <= ``TABLE_MAX`` a discrete log/antilog table pair over the canonical
-generator is built lazily and used to make scalar multiply, inverse and
-powering O(1); the semantics are identical to the loop-based fallback used
-above that bound.
+by the elements themselves. Addition is XOR; multiplication is the
+carry-less product of the two ints reduced by the context's irreducible
+modulus, the one path every scalar operation takes at every n. Bulk
+operations on arrays live in :mod:`._kernels`.
 """
 
 from __future__ import annotations
@@ -30,7 +27,8 @@ from .errors import (
     ZeroArgument,
 )
 
-#: largest degree for which log/antilog tables are built (8 MiB per table).
+#: largest degree for which :attr:`FieldCtx.exp_log` builds its tables
+#: (8 MiB per table).
 TABLE_MAX = 20
 
 #: largest degree accepted by make_field.
@@ -155,7 +153,7 @@ class FieldCtx:
         order = self.group_order
         primes = _factorize(order)
         for g in range(2, 1 << self.n):
-            if all(_pow_int(g, order // p, self.n, self.red) != 1 for p in primes):
+            if all(power(self, g, order // p) != 1 for p in primes):
                 return g
         raise AssertionError("unreachable: the multiplicative group is cyclic")
 
@@ -163,7 +161,9 @@ class FieldCtx:
     def exp_log(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(exp, log) tables over the canonical generator, or None if n > TABLE_MAX.
 
-        exp[i] = g^i for 0 <= i < 2^n-1; log[exp[i]] = i, log[0] = -1.
+        exp[i] = g^i for 0 <= i < 2^n-1; log[exp[i]] = i, log[0] = -1. No
+        field operation reads them: they are a discrete log to check the
+        operations against.
         """
         if self.n > TABLE_MAX:
             return None
@@ -186,38 +186,12 @@ class FieldCtx:
         return hex(self.modulus)
 
 
-def _pow_int(x: int, e: int, n: int, red: int) -> int:
-    """Square-and-multiply x^e (e >= 0) without tables."""
-    res = 1
-    mask = (1 << n) - 1
-    while e > 0:
-        if e & 1:
-            res = _mul_int(res, x, n, red, mask)
-        e >>= 1
-        if e:
-            x = _mul_int(x, x, n, red, mask)
-    return res
-
-
-def _mul_int(a: int, b: int, n: int, red: int, mask: int) -> int:
-    res = 0
-    for _ in range(n):
-        if b & 1:
-            res ^= a
-        b >>= 1
-        carry = (a >> (n - 1)) & 1
-        a = (a << 1) & mask
-        if carry:
-            a ^= red
-    return res
-
-
 def _trace_by_squaring(ctx: FieldCtx, x: int) -> int:
     acc = 0
     y = x
     for _ in range(ctx.n):
         acc ^= y
-        y = _mul_int(y, y, ctx.n, ctx.red, ctx.mask)
+        y = mul(ctx, y, y)
     assert acc in (0, 1)
     return acc
 
@@ -259,13 +233,20 @@ def add(ctx: FieldCtx, a: int, b: int) -> int:
 
 
 def mul(ctx: FieldCtx, a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    tables = ctx.exp_log
-    if tables is not None:
-        exp, log = tables
-        return int(exp[(log[a] + log[b]) % ctx.group_order])
-    return _mul_int(a, b, ctx.n, ctx.red, ctx.mask)
+    """a*b: the carry-less product, a shifted by each set bit of b, then
+    reduced by XORing in the modulus under its leading bit until the degree
+    drops below n."""
+    res = 0
+    while b:
+        low = b & -b
+        res ^= a * low
+        b ^= low
+    n, mod = ctx.n, ctx.modulus
+    top = res.bit_length()
+    while top > n:
+        res ^= mod << (top - 1 - n)
+        top = res.bit_length()
+    return res
 
 
 def square(ctx: FieldCtx, a: int) -> int:
@@ -276,11 +257,7 @@ def inv(ctx: FieldCtx, a: int) -> int:
     """Multiplicative inverse; raises DivisionByZero on 0."""
     if a == 0:
         raise DivisionByZero("0 has no multiplicative inverse")
-    tables = ctx.exp_log
-    if tables is not None:
-        exp, log = tables
-        return int(exp[(ctx.group_order - log[a]) % ctx.group_order])
-    return _pow_int(a, ctx.group_order - 1, ctx.n, ctx.red)
+    return power(ctx, a, -1)
 
 
 def div(ctx: FieldCtx, a: int, b: int) -> int:
@@ -293,6 +270,7 @@ def power(ctx: FieldCtx, x: int, e: int) -> int:
     For nonzero x the exponent is reduced mod 2^n-1 (negative exponents go
     through the inverse). For x = 0: 0^0 = 1, 0^e = 0 for e > 0, and e < 0
     raises DivisionByZero. The x=0 rules keep polynomial evaluation total.
+    Square-and-multiply over the bits of the reduced exponent.
     """
     if x == 0:
         if e == 0:
@@ -301,11 +279,14 @@ def power(ctx: FieldCtx, x: int, e: int) -> int:
             return 0
         raise DivisionByZero("0 cannot be raised to a negative power")
     e %= ctx.group_order
-    tables = ctx.exp_log
-    if tables is not None:
-        exp, log = tables
-        return int(exp[(log[x] * e) % ctx.group_order])
-    return _pow_int(x, e, ctx.n, ctx.red)
+    res = 1
+    while e:
+        if e & 1:
+            res = mul(ctx, res, x)
+        e >>= 1
+        if e:
+            x = mul(ctx, x, x)
+    return res
 
 
 def sqrt(ctx: FieldCtx, x: int) -> int:
@@ -359,10 +340,6 @@ def cube_coset_index(ctx: FieldCtx, x: int) -> int:
         raise NotDivisible(f"3 does not divide 2^{ctx.n}-1")
     if x == 0:
         raise ZeroArgument("0 has no discrete log")
-    tables = ctx.exp_log
-    if tables is not None:
-        _, log = tables
-        return int(log[x]) % 3
     third = ctx.group_order // 3
     y = power(ctx, x, third)
     if y == 1:

@@ -18,8 +18,7 @@ Covers, over GF(2^n) and its index-2 subfield:
   unit-circle x != 1, both by brute evaluation and by certificate, as
   whole-array passes over the unit circle.
 
-Coefficients are handled by their subfield logs (:meth:`TowerCtx.subfield_log`),
-so no path here builds the field's exp/log tables.
+Coefficients are handled by their subfield logs (:meth:`TowerCtx.subfield_log`).
 """
 
 from __future__ import annotations

@@ -248,9 +248,19 @@ PAIR_FAMILIES = {
 }
 
 
+#: the parameters each family reads; the others take none
+FAMILY_PARAMS = {
+    "F1": ("k", "a"), "F2": ("k", "v"), "F3": ("r", "a", "b", "c"), "F4": ("k",),
+    "F5": ("a",), "F6": ("k",), "F7": ("a", "b"),
+    "C1": ("k",), "C2": ("k",), "C3": ("k",), "C4": ("k",),
+}
+
+
 @dataclass(frozen=True)
 class FamilyInstance:
-    """A family id plus its parameters; hypotheses are re-checked on use."""
+    """A family id plus its parameters; hypotheses are re-checked on use.
+
+    Raises ValueError for an unknown id or a missing parameter."""
 
     family_id: str
     params: dict[str, Any]
@@ -259,6 +269,9 @@ class FamilyInstance:
         fid = self.family_id.upper()
         if fid not in FAMILY_IDS:
             raise ValueError(f"unknown family {self.family_id!r}")
+        missing = [k for k in FAMILY_PARAMS.get(fid, ()) if k not in self.params]
+        if missing:
+            raise ValueError(f"family {fid} is missing parameters {', '.join(missing)}")
         object.__setattr__(self, "family_id", fid)
 
 

@@ -6,9 +6,8 @@
   order, where every term is a geometric sequence, in windows that double
   up to the chunk size and stop at the first repeat. A failing verdict is
   followed by a scan in bitmask order for the canonical counterexample: the
-  first repeat together with its earlier preimage, independent of chunking.
-  Neither pass builds exp/log tables: the bitmask scan powers element-wise
-  with :func:`_kernels.pow_vec`.
+  first repeat together with its earlier preimage, independent of chunking;
+  it powers element-wise with :func:`_kernels.pow_vec`.
 
 * unit_circle: for a Niho pair (s, t) the trinomial permutes GF(2^n) iff
   phi(x) = x * (1 + x^s + x^t)^(2^m-1) permutes the norm-1 subgroup U, so
@@ -20,7 +19,8 @@
 
 The subgroup reduction is also exposed in its general form
 (:func:`zieve_check`): x^r h(x^s) permutes the field iff gcd(r, s) = 1 and
-x^r h(x)^s permutes the d-th roots of unity, where d*s = 2^n-1.
+x^r h(x)^s permutes the d-th roots of unity, where d*s = 2^n-1. It is one
+array pass over the roots on the exhaustive engine's kernels and bitset.
 cross_validate runs both engines on a pair and reports agreement.
 """
 
@@ -39,7 +39,7 @@ from . import field as gf
 from .errors import BadFactorization, FieldTooLarge
 from .field import FieldCtx
 from .niho import NihoPair, TrinomialSpec, pair_to_trinomial
-from .tower import TowerCtx
+from .tower import TowerCtx, conjugate
 
 #: exhaustive verification bound: the occupancy bitset is 32 MiB at n = 28,
 #: and a full pass there takes about 30 s (timings in the README).
@@ -111,11 +111,10 @@ class PermReport:
 # exhaustive engine
 # ---------------------------------------------------------------------------
 
-def _images_range(ctx: FieldCtx, terms, start: int, stop: int) -> np.ndarray:
-    """Images of [start, stop) under the sparse polynomial, in domain order,
-    by table-free element-wise powering (:func:`_kernels.pow_vec`)."""
-    acc = np.zeros(stop - start, dtype=np.int64)
-    xs = np.arange(start, stop, dtype=np.int64)
+def _images(ctx: FieldCtx, terms, xs: np.ndarray) -> np.ndarray:
+    """Images of the elements xs under the sparse polynomial (int64), by
+    element-wise powering (:func:`_kernels.pow_vec`)."""
+    acc = np.zeros(xs.size, dtype=np.int64)
     for coef, e in terms:
         if e == 0:
             acc ^= coef
@@ -127,27 +126,25 @@ def _images_range(ctx: FieldCtx, terms, start: int, stop: int) -> np.ndarray:
     return acc
 
 
+def _images_range(ctx: FieldCtx, terms, start: int, stop: int) -> np.ndarray:
+    """:func:`_images` of start, start+1, ..., stop-1."""
+    return _images(ctx, terms, np.arange(start, stop, dtype=np.int64))
+
+
 def _repeats(bits: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Mask of the entries of v equal to an earlier entry of v or already in
-    the occupancy bitset; when there are none, v is added to the bitset."""
+    the occupancy bitset, which is left as it is."""
     order = np.argsort(v, kind="stable")
     sv = v[order]
-    dup = np.empty(v.size, dtype=bool)
-    dup[0] = False
-    dup[1:] = sv[1:] == sv[:-1]
     repeat = np.zeros(v.size, dtype=bool)
-    repeat[order[dup]] = True  # non-first occurrences within v
-    idx = v >> 6
-    pos = (v & 63).astype(np.uint64)
-    repeat |= ((bits[idx] >> pos) & 1).astype(bool)  # seen before v
-    if not repeat.any():
-        np.bitwise_or.at(bits, idx, np.uint64(1) << pos)
+    repeat[order[1:][sv[1:] == sv[:-1]]] = True  # non-first occurrences within v
+    repeat |= ((bits[v >> 6] >> (v & 63).astype(np.uint64)) & 1).astype(bool)
     return repeat
 
 
 def _occupy(bits: np.ndarray, v: np.ndarray) -> bool:
-    """Add the values v to the occupancy bitset; False if any of them
-    repeats an earlier one (the bitset is then left partly updated)."""
+    """Add the values v to the occupancy bitset and return True, or return
+    False, with the bitset unchanged, if any of them repeats an earlier one."""
     sv = np.sort(v)
     if (sv[1:] == sv[:-1]).any():
         return False
@@ -185,7 +182,7 @@ def _log_order_verdict(ctx: FieldCtx, terms) -> bool:
     for coef, e in terms:
         if e == 0:
             image_of_zero ^= coef
-        r = gf._pow_int(ctx.generator, e % order, n, red)
+        r = gf.power(ctx, ctx.generator, e)
         if r == 1:
             const ^= coef
             continue
@@ -199,7 +196,7 @@ def _log_order_verdict(ctx: FieldCtx, terms) -> bool:
     _occupy(bits, np.array([image_of_zero], dtype=np.uint32))
     if not _occupy(bits, images ^ const):
         return False
-    scales = [gf._pow_int(r, filled, n, red) for r in ratios]  # r^w
+    scales = [gf.power(ctx, r, filled) for r in ratios]  # r^w
     while filled < length:
         size = min(filled, length - filled)
         images = np.full(size, const, dtype=np.uint32)
@@ -207,20 +204,20 @@ def _log_order_verdict(ctx: FieldCtx, terms) -> bool:
             upper = _kernels.mul_planes(block[:, :size], scales[j], n, red)
             block[:, filled : filled + size] = _kernels.byte_planes(upper, n)
             images ^= upper
-            scales[j] = gf._mul_int(scales[j], scales[j], n, red, ctx.mask)
+            scales[j] = gf.square(ctx, scales[j])
         if not _occupy(bits, images):
             return False
         filled += size
     if length == order:
         return True
-    steps = [gf._pow_int(r, length, n, red) for r in ratios]  # r^L
+    steps = [gf.power(ctx, r, length) for r in ratios]  # r^L
     powers = list(steps)  # r^k0
     for k0 in range(length, order, length):
         size = min(length, order - k0)
         images = np.full(size, const, dtype=np.uint32)
         for j, block in enumerate(blocks):
             images ^= _kernels.mul_planes(block[:, :size], powers[j], n, red)
-            powers[j] = gf._mul_int(powers[j], steps[j], n, red, ctx.mask)
+            powers[j] = gf.mul(ctx, powers[j], steps[j])
         if not _occupy(bits, images):
             return False
     return True
@@ -230,7 +227,8 @@ def _first_repeat(ctx: FieldCtx, terms) -> int:
     """The least y with f(y) = f(x) for some x < y, scanning in bitmask order.
 
     Windows start at 2^10 elements and double, up to the chunk size, so the
-    cost grows with y rather than with the field.
+    cost grows with y rather than with the field. Each window is screened
+    by :func:`_occupy`; only the one holding y gets the repeat mask.
     """
     cap = 1 << min(ctx.n, _CHUNK_BITS)
     width = min(1 << _WITNESS_FIRST_BITS, cap)
@@ -238,9 +236,9 @@ def _first_repeat(ctx: FieldCtx, terms) -> int:
     start, size = 0, 1 << ctx.n
     while start < size:
         stop = min(start + width, size)
-        repeat = _repeats(bits, _images_range(ctx, terms, start, stop))
-        if repeat.any():
-            return start + int(np.flatnonzero(repeat)[0])
+        images = _images_range(ctx, terms, start, stop)
+        if not _occupy(bits, images):
+            return start + int(np.flatnonzero(_repeats(bits, images))[0])
         start, width = stop, min(2 * width, cap)
     raise AssertionError("the log-order pass found a repeat that the bitmask scan did not")
 
@@ -253,8 +251,7 @@ def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
     stops at the first window holding a repeat. Only then does an ordered
     scan in bitmask order (:func:`_first_repeat`) find the canonical
     counterexample: the first repeat y and the least x < y with
-    f(x) = f(y), all images, f(y) included, from :func:`_images_range`. No
-    exp/log table is built at any n.
+    f(x) = f(y), all images, f(y) included, from :func:`_images_range`.
 
     ``evaluations`` is the canonical bitmask-scan count: 2^n on success,
     and on failure the elements a scan in chunks of 2^min(n, 20) evaluates
@@ -300,25 +297,35 @@ def zieve_check(ctx: FieldCtx, r: int, s_div: int, h: TrinomialSpec) -> bool:
 
     Any zero of h on the roots of unity fails the check. Raises
     BadFactorization unless s_div divides 2^n-1.
+
+    The roots x = z^k, z = g^s, go in chunks of 2^min(n, _CHUNK_BITS): z^k0
+    times the block z^0..z^(L-1), with h and x^r h(x)^s evaluated on the
+    chunk as arrays. A single chunk is tested for repeats by sorting; with
+    more, images go into an occupancy bitset of 2^n bits (32 MiB at n = 28).
     """
     order = ctx.group_order
     if s_div <= 0 or order % s_div != 0:
         raise BadFactorization(f"{s_div} does not divide 2^{ctx.n}-1")
     if gcd(r, s_div) != 1:
         return False
+    n, red = ctx.n, ctx.red
     d = order // s_div
     step = gf.power(ctx, ctx.generator, s_div)
-    seen = set()
-    x = 1
-    for _ in range(d):
-        hx = h.evaluate(x)
-        if hx == 0:
+    length = min(1 << min(n, _CHUNK_BITS), d)
+    block = _kernels.geometric(step, length, n, red)
+    bits = np.zeros(max((1 << n) >> 6, 1), dtype=np.uint64) if d > length else None
+    for k0 in range(0, d, length):
+        xs = _kernels.mul_const(block[: d - k0], gf.power(ctx, step, k0), n, red)
+        hx = _images(ctx, h.terms, xs)
+        if not hx.all():
             return False
-        y = gf.mul(ctx, gf.power(ctx, x, r), gf.power(ctx, hx, s_div))
-        if y in seen:
+        y = _kernels.mul_vec(_kernels.pow_vec(xs, r % order, n, red),
+                             _kernels.pow_vec(hx, s_div, n, red), n, red)
+        if bits is None:
+            y.sort()
+            return not (y[1:] == y[:-1]).any()
+        if not _occupy(bits, y):
             return False
-        seen.add(y)
-        x = gf.mul(ctx, x, step)
     return True
 
 
@@ -343,15 +350,15 @@ def _circle_tables(tower: TowerCtx):
       where (1+v)^(q-1) = v^(-1) gives C = q+1-j.
     """
     ctx = tower.field
-    n, red, mask, m = ctx.n, ctx.red, ctx.mask, tower.m
+    n, m = ctx.n, tower.m
     q, g = 1 << m, ctx.generator
     points, code, logs = tower.unit_circle, tower.subfield_code, tower.subfield_logs
-    inv_trace = gf._pow_int(g ^ gf._pow_int(g, q, n, red), ctx.group_order - 1, n, red)
+    inv_trace = gf.inv(ctx, g ^ conjugate(tower, g))
     images = []  # code(a) | code(b) << m for h = x^i
     for i in range(n):
         h = 1 << i
-        b = gf._mul_int(h ^ gf._pow_int(h, q, n, red), inv_trace, n, red, mask)
-        images.append(code(h ^ gf._mul_int(b, g, n, red, mask)) | code(b) << m)
+        b = gf.mul(ctx, h ^ conjugate(tower, h), inv_trace)
+        images.append(code(h ^ gf.mul(ctx, b, g)) | code(b) << m)
     coords = _kernels.map_planes(_kernels.linear_tables(images, n),
                                  _kernels.byte_planes(points, n))
     ab = coords[0] ^ coords[1:]  # 1 + w^j for j = 1..q

@@ -8,8 +8,7 @@ U minus 1.
 Subfield elements are represented inside the big field. A scalar's
 membership is the Frobenius fixed-point test x^(2^m) = x; an array's is a
 lookup in the tower's subfield log (:meth:`TowerCtx.subfield_log`). There
-is no separate GF(2^m) context and no embedding maps. Nothing here builds
-the field's exp/log tables.
+is no separate GF(2^m) context and no embedding maps.
 """
 
 from __future__ import annotations
@@ -30,9 +29,8 @@ from .field import FieldCtx
 class TowerCtx:
     """GF(2^m) < GF(2^n) with n = 2m; immutable and freely shareable.
 
-    The enumerations of U and of the subfield are built lazily, without the
-    field's exp/log tables, and fixed by the canonical generator g, so
-    reports and counterexamples are stable.
+    The enumerations of U and of the subfield are built lazily and fixed by
+    the canonical generator g, so reports and counterexamples are stable.
     """
 
     field: FieldCtx
@@ -50,7 +48,7 @@ class TowerCtx:
         """head, then r^0..r^(length-1) with r = g^e, as a read-only uint32
         array: every caller shares it."""
         ctx = self.field
-        r = gf._pow_int(ctx.generator, e, ctx.n, ctx.red)
+        r = gf.power(ctx, ctx.generator, e)
         out = np.concatenate([np.array(head, dtype=np.uint32),
                               _kernels.geometric(r, length, ctx.n, ctx.red)])
         out.flags.writeable = False
@@ -140,9 +138,8 @@ def tower_over(ctx: FieldCtx) -> TowerCtx:
 
 
 def conjugate(tower: TowerCtx, x: int) -> int:
-    """x^(2^m), the subfield-fixing involution (square-and-multiply, no tables)."""
-    ctx = tower.field
-    return gf._pow_int(x, tower.subfield_order, ctx.n, ctx.red)
+    """x^(2^m), the subfield-fixing involution."""
+    return gf.power(tower.field, x, tower.subfield_order)
 
 
 def norm(tower: TowerCtx, x: int) -> int:

@@ -37,7 +37,6 @@ def criterion(cid, desc, budget=None):
 def towers():
     built = {m: tw.make_tower(m) for m in range(1, 11)}
     for tower in built.values():
-        tower.field.exp_log
         tower.field.trace_mask
         tower.field.generator
     # touch both engines once so every code path is hot

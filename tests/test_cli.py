@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from nihoperm import cli, permcheck
+from nihoperm import _kernels, cli, permcheck
 
 
 def run(capsys, *argv):
@@ -113,6 +113,35 @@ def test_family_condition_violation_exits_2(capsys):
 def test_family_unknown_id(capsys):
     code, _, _ = run(capsys, "family", "--family", "F12", "--m", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, missing", [
+    ("--family F1 --m 4", "k, a"),
+    ("--family C1 --m 4", "k"),
+    ("--family F3 --m 2 --param r=1", "a, b, c"),
+])
+def test_family_missing_params_exit_2(capsys, argv, missing):
+    code, out, err = run(capsys, "family", *argv.split())
+    assert code == 2 and out == ""
+    assert f"missing parameters {missing}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "F1 --m 9 --param k=6 --param a=2",
+    "F2 --m 9 --param k=6 --param v=1",
+    "F3 --m 10 --param r=1 --param a=1 --param b=2 --param c=7",
+    "F5 --m 10 --param a=1584",
+    "F7 --m 10 --param a=170475 --param b=2",
+])
+def test_family_builds_no_exp_log_tables(monkeypatch, capsys, argv):
+    # admissible instances whose hypotheses take scalar field operations
+    def no_tables(*args):
+        raise AssertionError("family built the exp/log tables")
+
+    monkeypatch.setattr(_kernels, "exp_table", no_tables)
+    code, out, _ = run(capsys, "family", "--family", *argv.split(), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["report"]["is_permutation"] is True
 
 
 def test_family_above_exhaustive_cap_exits_2(capsys):

@@ -176,13 +176,27 @@ def test_field_axioms_random(n):
             assert gf.mul(ctx, a, gf.inv(ctx, a)) == 1
 
 
-def test_scalar_mul_agrees_with_loop_fallback(f256):
-    # the table path and the bit-serial loop implement the same product
-    rng = random.Random(99)
-    for _ in range(2000):
-        a = rng.randrange(256)
-        b = rng.randrange(256)
-        assert gf.mul(f256, a, b) == gf._mul_int(a, b, 8, f256.red, f256.mask)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 12, 16, 20])
+def test_scalar_ops_match_exp_log_arithmetic(n):
+    # index arithmetic on the discrete log: g^i * g^j = g^(i+j), and so on;
+    # every operand pair at n <= 6, random pairs above
+    ctx = gf.make_field(n)
+    exp, log = (t.tolist() for t in ctx.exp_log)
+    order = ctx.group_order
+    if n <= 6:
+        pairs = [(a, b) for a in range(1, 1 << n) for b in range(1, 1 << n)]
+    else:
+        rng = random.Random(n)
+        pairs = [(rng.randrange(1, 1 << n), rng.randrange(1, 1 << n)) for _ in range(400)]
+    for a, b in pairs:
+        la, lb = log[a], log[b]
+        assert gf.mul(ctx, a, b) == exp[(la + lb) % order]
+        assert gf.mul(ctx, a, 0) == gf.mul(ctx, 0, b) == 0
+        assert gf.inv(ctx, a) == exp[-la % order]
+        for e in (b, b - (1 << n), b + 2 * order):  # reduced, negative, large
+            assert gf.power(ctx, a, e) == exp[la * e % order]
+        if order % 3 == 0:
+            assert gf.cube_coset_index(ctx, a) == la % 3
 
 
 # ---------------------------------------------------------------------------

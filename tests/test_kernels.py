@@ -69,7 +69,7 @@ def test_exp_table_is_multiplicative_walk():
         assert table.dtype == np.int64
         walk = [1]
         for _ in range(ctx.group_order - 1):
-            walk.append(gf._mul_int(walk[-1], ctx.generator, n, ctx.red, ctx.mask))
+            walk.append(gf.mul(ctx, walk[-1], ctx.generator))
         assert table.tolist() == walk, n
         assert len(set(walk)) == ctx.group_order  # hits every nonzero element once
 

@@ -320,6 +320,12 @@ def test_unknown_family_rejected():
         FamilyInstance("F10", {})
 
 
+def test_missing_family_params_rejected():
+    with pytest.raises(ValueError, match="F7 is missing parameters b"):
+        FamilyInstance("F7", {"a": 1})
+    assert FamilyInstance("f8", {}).family_id == "F8"  # F8 takes no parameters
+
+
 def test_pair_families_resolve(tower4):
     spec_t3 = niho.family_trinomial(tower4, FamilyInstance("T3", {}))
     pair = NihoPair(4, 11, 7)

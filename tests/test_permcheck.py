@@ -6,6 +6,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,22 @@ from nihoperm.errors import BadFactorization, FieldTooLarge
 from nihoperm.niho import NihoPair, TrinomialSpec
 
 
+def all_images(ctx, spec):
+    """f(x) for every x in bitmask order, by index arithmetic on the discrete
+    log: c*x^e = exp[(log c + e*log x) mod 2^n-1] for x != 0, and only the
+    constant term reaches x = 0. Independent of the engine's kernels."""
+    exp, log = ctx.exp_log
+    images = np.zeros(1 << ctx.n, dtype=np.int64)
+    for coef, e in spec.terms:
+        if e == 0:
+            images ^= coef
+        else:
+            images[1:] ^= exp[(log[coef] + e * log[1:]) % ctx.group_order]
+    return images
+
+
 def brute_is_permutation(ctx, spec):
-    return len({spec.evaluate(x) for x in gf.elements(ctx)}) == 1 << ctx.n
+    return np.unique(all_images(ctx, spec)).size == 1 << ctx.n
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +101,7 @@ def test_exhaustive_deterministic_across_chunking_and_threads(
 
 
 def test_exhaustive_without_tables(f16, monkeypatch):
-    # force the generic kernel path by hiding the log tables
+    # no field operation reads the exp/log tables: hiding them changes nothing
     ctx = gf.FieldCtx(n=4, modulus=f16.modulus)
     ctx.__dict__["exp_log"] = None
     for terms, expected in ([(1, 3)], False), ([(1, 2)], True):
@@ -104,14 +119,14 @@ def test_exhaustive_coefficient_terms(f256):
 def reference_scan(ctx, spec):
     """Plain bitmask-order scan: (counterexample, evaluations) as the
     exhaustive engine must report them."""
-    seen = {}
-    for y in gf.elements(ctx):
-        v = spec.evaluate(y)
-        if v in seen:
-            c = min(ctx.n, 20)
-            return (seen[v], y), ((y >> c) + 1) << c
-        seen[v] = y
-    return None, 1 << ctx.n
+    images = all_images(ctx, spec)
+    later = np.ones(images.size, dtype=bool)
+    later[np.unique(images, return_index=True)[1]] = False  # first occurrences
+    if not later.any():
+        return None, 1 << ctx.n
+    y = int(np.flatnonzero(later)[0])
+    c = min(ctx.n, 20)
+    return (int(np.flatnonzero(images == images[y])[0]), y), ((y >> c) + 1) << c
 
 
 @st.composite
@@ -306,6 +321,58 @@ def test_zieve_rejects_non_permutation(f16):
     # x^3: gcd(3, 5) = 1 but x^3 is constant 1 on the cube roots of unity
     assert not pc.zieve_check(f16, 3, 5, one)
     assert not brute_is_permutation(f16, TrinomialSpec.make(f16, [(1, 3)]))
+
+
+def zieve_loop(ctx, r, s_div, h):
+    """The subgroup criterion point by point, with the scalar field
+    operations and a set of images."""
+    if gcd(r, s_div) != 1:
+        return False
+    step = gf.power(ctx, ctx.generator, s_div)
+    seen, x = set(), 1
+    for _ in range(ctx.group_order // s_div):
+        hx = h.evaluate(x)
+        if hx == 0:
+            return False
+        y = gf.mul(ctx, gf.power(ctx, x, r), gf.power(ctx, hx, s_div))
+        if y in seen:
+            return False
+        seen.add(y)
+        x = gf.mul(ctx, x, step)
+    return True
+
+
+@pytest.mark.parametrize("chunk_bits", [3, 20])
+def test_zieve_matches_scalar_loop(monkeypatch, chunk_bits):
+    # random (r, s, h) at n = 2..12: h constant or a monomial (often a
+    # permutation), random sparse, or y + c with c a root of unity (a zero
+    # on the subgroup); r shares a factor with s in about a fifth of cases
+    monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(chunk_bits)
+    verdicts = []
+    for _ in range(150):
+        ctx = _field(rng.randrange(2, 13))
+        order = ctx.group_order
+        s = rng.choice([d for d in range(1, order + 1) if order % d == 0])
+        r = rng.randrange(-order, 2 * order)
+        if s > 1 and rng.random() < 0.2:
+            r = s * rng.randrange(1, 5)
+        kind = rng.randrange(4)
+        if kind == 0:
+            terms = [(rng.randrange(1, order + 1), 0)]
+        elif kind == 1:
+            terms = [(rng.randrange(1, order + 1), rng.randrange(1, order + 1))]
+        elif kind == 2:
+            terms = [(rng.randrange(1, order + 1), rng.randrange(order + 1))
+                     for _ in range(rng.randrange(1, 4))]
+        else:
+            root = gf.power(ctx, ctx.generator, s * rng.randrange(order // s))
+            terms = [(1, 1), (root, 0)]
+        h = TrinomialSpec.make(ctx, terms)
+        verdict = pc.zieve_check(ctx, r, s, h)
+        assert verdict == zieve_loop(ctx, r, s, h), (ctx.n, r, s, h.terms)
+        verdicts.append(verdict)
+    assert 20 < sum(verdicts) < 130
 
 
 def test_zieve_bad_factorization(f16):
