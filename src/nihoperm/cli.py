@@ -20,7 +20,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
+import itertools
 import json
 import sys
 from math import gcd
@@ -42,11 +44,16 @@ LEMMAS_MAX_N = {"eq4": 32, "eq6": 32, "eq8": 32, "lemma1": 32, "lemma2": 16}
 
 
 def _write(text: str, out_path: str | None) -> None:
+    _write_chunks((text,), out_path)
+
+
+def _write_chunks(chunks, out_path: str | None) -> None:
+    """Write the strings of an iterable one by one, to out_path or stdout."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _degree_from(args) -> int:
@@ -165,7 +172,9 @@ def _table1_dataset(towers: list[tw.TowerCtx]) -> list[dict]:
         rows = niho.known_pairs_table1(tower.m)
         pairs = {p for row in rows for p in (row.pair, *(p for _, p in row.equivalents))}
         pairs.discard(None)
-        verdict = {r.pair: r.is_permutation for r in permcheck.verify_pairs(tower, pairs)}
+        pairs = list(pairs)
+        pp = permcheck._verdicts(tower, [p.s for p in pairs], [p.t for p in pairs])
+        verdict = dict(zip(pairs, pp.tolist()))
         verdict[None] = None
         for row in rows:
             out_rows.append({
@@ -307,12 +316,14 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_search(args) -> int:
+    # --format text writes the CSV; both formats go out in row chunks
     tower = _tower_from(args)
     rows = survey.search_pairs(tower)
-    if args.format == "json":
-        _write(survey.rows_to_json(rows) + "\n", args.out)
-    else:
-        _write(survey.rows_to_csv(rows), args.out)
+    emit = survey.rows_to_json if args.format == "json" else survey.rows_to_csv
+    step = survey.EMIT_ROWS
+    chunks = (emit(rows, lo, lo + step) for lo in range(0, len(rows), step))
+    tail = "\n" if args.format == "json" else ""
+    _write_chunks(itertools.chain(chunks, [tail]), args.out)
     return 0
 
 
@@ -334,6 +345,7 @@ def _cmd_open(args, scan, key: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser; :func:`main` builds one per process."""
     parser = argparse.ArgumentParser(
         prog="nihoperm",
         description="Permutation trinomials from Niho exponents over GF(2^n)",
@@ -402,10 +414,13 @@ def _fix_argv(argv: list[str]) -> list[str]:
     return out
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(_fix_argv(list(argv)))
     except SystemExit as exc:  # --help, or a usage error already printed

@@ -12,7 +12,7 @@ operations on arrays live in :mod:`._kernels`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import isqrt
 
 import numpy as np
@@ -109,8 +109,10 @@ def is_irreducible(p: int) -> bool:
     return True
 
 
+@cache
 def smallest_irreducible(n: int) -> int:
-    """Smallest (as an integer bitmask) irreducible polynomial of degree n."""
+    """Smallest (as an integer bitmask) irreducible polynomial of degree n
+    (memoized: every default field and tower asks for it)."""
     for p in range(1 << n, 1 << (n + 1)):
         if is_irreducible(p):
             return p

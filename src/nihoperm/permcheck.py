@@ -415,6 +415,28 @@ def _first_failures(tower, tables, s, t):
     return fail, partner
 
 
+def _block_failures(tower, tables, s, t):
+    """:func:`_first_failures` of the pairs (s[i], t[i]), in blocks of at
+    most _TABLE_ELEMS / (q+1) pairs."""
+    size = tower.unit_circle_order
+    block = max(1, min(_TABLE_ELEMS // size, _WINDOW_ELEMS // _FIRST_WINDOW))
+    fail = np.empty(s.size, dtype=np.int64)
+    partner = np.empty(s.size, dtype=np.int64)
+    for lo in range(0, s.size, block):
+        part = slice(lo, lo + block)
+        fail[part], partner[part] = _first_failures(tower, tables, s[part], t[part])
+    return fail, partner
+
+
+def _verdicts(tower: TowerCtx, s, t) -> np.ndarray:
+    """Permutation verdicts of the pairs (s[i], t[i]) as a bool array: the
+    ``is_permutation`` fields of :func:`verify_pairs`, without its reports.
+    s and t are integer arrays of residues mod 2^m+1, in either order."""
+    s, t = np.asarray(s), np.asarray(t)
+    fail, _ = _block_failures(tower, _circle_tables(tower), s, t)
+    return fail < 0
+
+
 def verify_pairs(tower: TowerCtx, pairs: Iterable[NihoPair]) -> list[PermReport]:
     """Unit-circle reports for many Niho pairs at one m, in input order.
 
@@ -433,17 +455,11 @@ def verify_pairs(tower: TowerCtx, pairs: Iterable[NihoPair]) -> list[PermReport]
     t0 = time.perf_counter()
     pairs = list(pairs)
     tables = _circle_tables(tower)
-    size = tower.unit_circle_order
-    block = max(1, min(_TABLE_ELEMS // size, _WINDOW_ELEMS // _FIRST_WINDOW))
-    fail, partner = [], []
-    for lo in range(0, len(pairs), block):
-        chunk = pairs[lo : lo + block]
-        s = np.array([p.s for p in chunk], dtype=np.int64)
-        t = np.array([p.t for p in chunk], dtype=np.int64)
-        k, j = _first_failures(tower, tables, s, t)
-        fail += k.tolist()
-        partner += j.tolist()
+    s = np.array([p.s for p in pairs], dtype=np.int64)
+    t = np.array([p.t for p in pairs], dtype=np.int64)
+    fail, partner = _block_failures(tower, tables, s, t)
     elapsed = time.perf_counter() - t0
+    size = tower.unit_circle_order
     points = tables[0].tolist()
     return [
         PermReport(
@@ -452,7 +468,7 @@ def verify_pairs(tower: TowerCtx, pairs: Iterable[NihoPair]) -> list[PermReport]
             zero_at=points[k] if k >= 0 and j < 0 else None,
             evaluations=k + 1 if k >= 0 else size, elapsed=elapsed, pair=pair,
         )
-        for pair, k, j in zip(pairs, fail, partner)
+        for pair, k, j in zip(pairs, fail.tolist(), partner.tolist())
     ]
 
 

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from nihoperm import _kernels, cli, permcheck
+from nihoperm import tower as tw
+from nihoperm.niho import NihoPair
 
 
 def run(capsys, *argv):
@@ -168,6 +170,22 @@ def test_table1_m4_json(capsys):
                     assert e["is_pp"] is True
 
 
+def test_table1_verdicts_agree_with_verify_pairs():
+    towers = [tw.make_tower(m) for m in range(2, 9)]
+    rows = cli._table1_dataset(towers)
+    checked = 0
+    for r in rows:
+        tower = towers[r["m"] - 2]
+        for item in (r, *r["equivalents"]):
+            if item["s"] is None:
+                assert item["is_pp"] is None
+                continue
+            pair = NihoPair(r["m"], item["s"], item["t"])
+            assert item["is_pp"] is permcheck.verify_pairs(tower, [pair])[0].is_permutation
+            checked += 1
+    assert checked > len(rows)
+
+
 def test_table1_m6_undefined_equivalent_rendered(capsys):
     code, out, _ = run(capsys, "table1", "--m", "6")
     assert code == 0
@@ -207,7 +225,7 @@ def test_table1_modulus_checked(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    ("search --m 11", "capped at m=10"),
+    ("search --m 12", "capped at m=11"),
     ("table1 --m 15", "capped at m=14"),
     ("open1 --m 17", "[2, 32]"),
     ("open2 --m 17", "[2, 32]"),
@@ -353,3 +371,12 @@ def test_help_lists_all_commands(capsys):
     out = capsys.readouterr().out
     for cmd in ("verify", "family", "table1", "lemmas", "search", "open1", "open2"):
         assert cmd in out
+
+
+def test_main_builds_one_parser_per_process(capsys):
+    # a usage error and a run in between must not leave state behind
+    assert run(capsys, "verify", "--m", "3", "--bogus")[0] == 2
+    assert run(capsys, "search", "--m", "2", "--format", "csv")[0] == 0
+    assert run(capsys, "verify", "--m", "3", "--pair", "2,-1")[0] == 0
+    assert cli._parser.cache_info().misses == 1
+    assert cli.build_parser() is not cli.build_parser()

@@ -2,7 +2,8 @@
 
 The dataset digests were captured from the scalar unit-circle engine before
 the vectorized one replaced it: ``table1 --all``, ``search --m 2..7`` and
-``open1``/``open2 --m 2..8``. The ``lemmas`` digests were captured from the
+``open1``/``open2 --m 2..8``. ``search --m 8`` was captured before the
+array orbit labels replaced the scalar orbit closure. The ``lemmas`` digests were captured from the
 scalar subfield scans before the array root scan replaced them: ``eq4`` and
 ``eq6`` at even m = 2..8, ``eq8`` at m in {3, 4, 5, 7, 8}, ``lemma1 --m 2..8``
 and ``lemma2 --n 4..10``, all in json. Each key is a command line; the test
@@ -33,4 +34,4 @@ def test_golden_covers_the_dataset_commands():
     assert {w: lemmas.count(w) for w in set(lemmas)} == {
         "eq4": 4, "eq6": 4, "eq8": 5, "lemma1": 7, "lemma2": 7,
     }
-    assert len(GOLDEN) == 3 + 6 * 2 + 2 * 7 * 2 + 27
+    assert len(GOLDEN) == 3 + 7 * 2 + 2 * 7 * 2 + 27

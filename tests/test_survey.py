@@ -1,5 +1,11 @@
 """Pair sweeps: orbits, classification, open-problem scans."""
 
+import csv
+import dataclasses
+import io
+import json
+
+import numpy as np
 import pytest
 
 from nihoperm import field as gf
@@ -33,6 +39,35 @@ def test_orbit_closure_under_transforms():
             for p in orbit:
                 for q in niho.equivalent_pairs(m, p):
                     assert q in members
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_orbit_labels_match_the_scalar_closure(m):
+    # every pair: the array label names the scalar closure's representative,
+    # and the sweep row of that label holds its sorted members
+    s, t, label = survey.orbit_labels(m)
+    assert (survey.pair_index(m, s, t) == np.arange(s.size)).all()
+    rows = {r.pair: r for r in survey.search_pairs(tw.make_tower(m))}
+    for i, (a, b) in enumerate(zip(s.tolist(), t.tolist())):
+        rep, orbit = survey.canonical_orbit(m, NihoPair(m, a, b))
+        assert (s[label[i]], t[label[i]]) == (rep.s, rep.t)
+        assert rows[rep].orbit == orbit
+        assert (label == label[i]).sum() == len(orbit)
+
+
+def test_flipped_orbit_member_trips_the_homogeneity_check(monkeypatch, tower4):
+    _, _, label = survey.orbit_labels(4)
+    member = np.flatnonzero(label != np.arange(label.size))[0]  # not its orbit's rep
+    verdicts = survey._verdicts
+
+    def flipped(tower, s, t):
+        pp = verdicts(tower, s, t)
+        pp[member] = ~pp[member]
+        return pp
+
+    monkeypatch.setattr(survey, "_verdicts", flipped)
+    with pytest.raises(AssertionError, match="not homogeneous"):
+        survey.search_pairs(tower4)
 
 
 def test_search_m2_finds_known_pair(tower2):
@@ -134,6 +169,16 @@ def test_line_scans_run_past_the_square_sweep_cap():
 # open-problem scans
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_line_scans_agree_with_verify_pairs(m):
+    tower = tw.make_tower(m)
+    for scan, pair_at in ((survey.scan_open_problem_1, lambda j: (j, 1 - j)),
+                          (survey.scan_open_problem_2, lambda k: (2 * k, -k))):
+        pairs = [NihoPair(m, *pair_at(j)) for j in range((1 << m) + 1)]
+        reports = pc.verify_pairs(tower, pairs)
+        assert scan(tower) == [j for j, r in enumerate(reports) if r.is_permutation]
+
+
 def test_open1_m3_full_list(tower3):
     hits = survey.scan_open_problem_1(tower3)
     # independent recomputation with the exhaustive engine
@@ -191,3 +236,57 @@ def test_emitters_deterministic_across_runs_and_moduli(tower3):
         rows = survey.search_pairs(tower)
         assert survey.rows_to_csv(rows) == base_csv
         assert survey.rows_to_json(rows) == base_json
+
+
+def _row_dicts(rows):
+    return [
+        {
+            "m": r.m,
+            "s": r.pair.s,
+            "t": r.pair.t,
+            "orbit": [[p.s, p.t] for p in r.orbit],
+            "orbit_size": len(r.orbit),
+            "is_pp": r.is_pp,
+            "covered_by": r.covered_by,
+            "flagged_new": r.flagged_new,
+            "degenerate": r.degenerate,
+        }
+        for r in rows
+    ]
+
+
+def _csv_reference(rows):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(survey.CSV_COLUMNS)
+    for r in rows:
+        w.writerow([r.m, r.pair.s, r.pair.t, len(r.orbit), str(r.is_pp).lower(),
+                    r.covered_by or "", str(r.flagged_new).lower(),
+                    str(r.degenerate).lower()])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_template_emitters_equal_the_library_encoders(m):
+    rows = survey.search_pairs(tw.make_tower(m))
+    assert survey.rows_to_json(rows) == json.dumps(_row_dicts(rows), indent=2)
+    assert survey.rows_to_csv(rows) == _csv_reference(rows)
+
+
+def test_template_emitters_escape_covered_by(tower4):
+    rows = survey.search_pairs(tower4)
+    odd = ('say "hi"', "back\\slash", "caf\u00e9 \u2211", "comma, and\nnewline", "tab\t")
+    rows = dataclasses.replace(
+        rows, sources=tuple(odd[i % len(odd)] for i in range(len(rows.sources)))
+    )
+    assert {r.covered_by for r in rows} >= set(odd)
+    assert survey.rows_to_json(rows) == json.dumps(_row_dicts(rows), indent=2)
+    assert survey.rows_to_csv(rows) == _csv_reference(rows)
+
+
+@pytest.mark.parametrize("step", [1, 7, 1000])
+def test_emitter_chunks_concatenate_to_the_whole(tower4, step):
+    rows = survey.search_pairs(tower4)
+    for emit in (survey.rows_to_json, survey.rows_to_csv):
+        chunks = [emit(rows, lo, lo + step) for lo in range(0, len(rows), step)]
+        assert "".join(chunks) == emit(rows)
