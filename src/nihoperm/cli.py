@@ -81,7 +81,7 @@ def _known_row_notes(m: int, pair: NihoPair) -> list[str]:
     mod = (1 << m) + 1
     if pair.s != pair.t and (pair.s + pair.t) % mod == 0:
         k = min(pair.s, pair.t)
-        if not (m % 2 == 0 or niho.exp3(k) >= niho.exp3(mod)):
+        if not niho.k_minus_k_holds(m, k):
             notes.append(
                 f"matches row k,-k [k={k}] whose condition fails at m={m}; "
                 "verdict comes from the engine"

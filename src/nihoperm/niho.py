@@ -44,6 +44,12 @@ def exp3(k: int) -> int:
     return v
 
 
+def k_minus_k_holds(m: int, k: int) -> bool:
+    """The condition of the (k,-k) row of the known-pair table, also F6's:
+    m even, or v3(k) >= v3(2^m+1)."""
+    return m % 2 == 0 or exp3(k) >= exp3((1 << m) + 1)
+
+
 def resolve_fraction(num: int, den: int, m: int) -> int:
     """num/den as a residue mod 2^m+1.
 
@@ -275,15 +281,17 @@ class FamilyInstance:
         object.__setattr__(self, "family_id", fid)
 
 
+#: what T3-T6 need, by the condition text of their pair's known-pair row
+_PAIR_FAMILY_NEEDS = {"m even": "even m, got", "gcd(5, 2^m+1) = 1": "gcd(5, 2^m+1)=1, fails at"}
+
+
 def _pair_family_condition(tower: TowerCtx, fid: str) -> tuple[bool, str]:
+    """The condition of the known-pair row of the family's pair."""
     m = tower.m
-    if fid in ("T3", "T4", "T5"):
-        if m % 2 != 0:
-            return False, f"{fid} needs even m, got m={m}"
-    else:  # T6
-        if gcd(5, (1 << m) + 1) != 1:
-            return False, f"T6 needs gcd(5, 2^m+1)=1, fails at m={m}"
-    return True, ""
+    _, text, holds, _, _ = next(row for row in _FIXED_ROWS if row[3] == PAIR_FAMILIES[fid])
+    if holds(m):
+        return True, ""
+    return False, f"{fid} needs {_PAIR_FAMILY_NEEDS[text]} m={m}"
 
 
 def check_family_conditions(tower: TowerCtx, inst: FamilyInstance) -> tuple[bool, str]:
@@ -354,7 +362,7 @@ def check_family_conditions(tower: TowerCtx, inst: FamilyInstance) -> tuple[bool
         k = p["k"]
         if k < 1:
             return False, "F6 needs a positive k"
-        if m % 2 != 0 and exp3(k) < exp3(q + 1):
+        if not k_minus_k_holds(m, k):
             return False, "F6 at odd m needs v3(k) >= v3(2^m+1)"
         return True, ""
 
@@ -539,15 +547,13 @@ def known_pairs_table1(m: int, k_max: int | None = None) -> list[Table1Row]:
     """
     if k_max is None:
         k_max = 1 << m
-    q_plus = (1 << m) + 1
     rows: list[Table1Row] = []
     kmk_cond = "m even, or m odd with v3(k) >= v3(2^m+1)"
     for k in range(1, k_max + 1):
-        ok = m % 2 == 0 or exp3(k) >= exp3(q_plus)
         rows.append(Table1Row(
             source=f"k,-k [k={k}]",
             condition=kmk_cond,
-            condition_ok=ok,
+            condition_ok=k_minus_k_holds(m, k),
             pair=NihoPair(m, k, -k),
             equivalents=(
                 (f"{k}/{2*k-1},{2*k}/{2*k-1}",

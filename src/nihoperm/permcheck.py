@@ -1,13 +1,13 @@
 """Two independent permutation-verification engines.
 
 * exhaustive: evaluate the polynomial at all 2^n field elements and track
-  images in an occupancy bitset (chunked, so memory stays bounded up to the
-  n = 28 desk-scale cap). The verdict pass walks the field in discrete-log
-  order, where every term is a geometric sequence, in windows that double
-  up to the chunk size and stop at the first repeat. A failing verdict is
-  followed by a scan in bitmask order for the canonical counterexample: the
-  first repeat together with its earlier preimage, independent of chunking;
-  it powers element-wise with :func:`_kernels.pow_vec`.
+  images in an occupancy bitset, in windows that double up to a chunk, so
+  memory stays bounded up to the n = 28 cap. Two walks do it. The verdict
+  walks the field in discrete-log order (:func:`_log_windows`), where every
+  term is a geometric sequence, and stops at the first repeat. Only a
+  failing verdict is followed by walks in bitmask order
+  (:func:`_bitmask_windows`, element-wise powering): one to the first
+  repeat y, one to its earlier preimage, the canonical counterexample.
 
 * unit_circle: for a Niho pair (s, t) the trinomial permutes GF(2^n) iff
   phi(x) = x * (1 + x^s + x^t)^(2^m-1) permutes the norm-1 subgroup U, so
@@ -19,8 +19,8 @@
 
 The subgroup reduction is also exposed in its general form
 (:func:`zieve_check`): x^r h(x^s) permutes the field iff gcd(r, s) = 1 and
-x^r h(x)^s permutes the d-th roots of unity, where d*s = 2^n-1. It is one
-array pass over the roots on the exhaustive engine's kernels and bitset.
+x^r h(x)^s permutes the d-th roots of unity, where d*s = 2^n-1. Its roots
+come from the log-order walk, and its repeat test is the exhaustive one.
 cross_validate runs both engines on a pair and reports agreement.
 """
 
@@ -54,9 +54,6 @@ _VERDICT_FIRST_WINDOW = 1 << 10
 
 #: the first window of the bitmask-order witness scan has 2^10 elements
 _WITNESS_FIRST_BITS = 10
-
-#: chunk size, in bits, of the bitmask scan that ``evaluations`` counts
-_SCAN_BITS = 20
 
 #: unit-circle scan: points per pair in the first window, (pair, point)
 #: elements per window, and entries of the image table (pairs per block
@@ -126,9 +123,9 @@ def _images(ctx: FieldCtx, terms, xs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _images_range(ctx: FieldCtx, terms, start: int, stop: int) -> np.ndarray:
-    """:func:`_images` of start, start+1, ..., stop-1."""
-    return _images(ctx, terms, np.arange(start, stop, dtype=np.int64))
+def _bitset(ctx: FieldCtx) -> np.ndarray:
+    """An empty occupancy bitset of the 2^n field elements."""
+    return np.zeros(max((1 << ctx.n) >> 6, 1), dtype=np.uint64)
 
 
 def _repeats(bits: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -138,8 +135,7 @@ def _repeats(bits: np.ndarray, v: np.ndarray) -> np.ndarray:
     sv = v[order]
     repeat = np.zeros(v.size, dtype=bool)
     repeat[order[1:][sv[1:] == sv[:-1]]] = True  # non-first occurrences within v
-    repeat |= ((bits[v >> 6] >> (v & 63).astype(np.uint64)) & 1).astype(bool)
-    return repeat
+    return repeat | ((bits[v >> 6] >> (v & 63).astype(np.uint64)) & 1).astype(bool)
 
 
 def _occupy(bits: np.ndarray, v: np.ndarray) -> bool:
@@ -160,98 +156,62 @@ def _occupy(bits: np.ndarray, v: np.ndarray) -> bool:
     return True
 
 
-def _log_order_verdict(ctx: FieldCtx, terms) -> bool:
-    """True iff the sparse polynomial permutes the field.
+def _log_windows(ctx: FieldCtx, series, count: int, first: int):
+    """The XOR over (c, r) in series of c*r^k, for k = 0..count-1, as uint32
+    windows.
 
-    Enumerates 0 and then x = g^k for k = 0, 1, ... and stops at the first
-    window of exponents that holds a repeat. On x = g^k a term c*x^e is
-    c * r^k with r = g^e. Each term keeps the block c*r^0..c*r^(w-1) of the
-    exponents seen so far; the next window [w, 2w) is r^w times that block
-    and becomes its upper half, so windows double from _VERDICT_FIRST_WINDOW
-    up to the chunk of L exponents at the cost of one constant multiply per
-    term and element. From then on the chunk starting at k0 is r^k0 times
-    the full block. 0^e = 0 for e > 0, so only e = 0 terms reach x = 0.
+    The first window has ``first`` exponents and each later one is as long
+    as everything before it, up to the chunk of L = 2^min(n, _CHUNK_BITS).
+    Each term keeps the block c*r^0..c*r^(L-1) as byte planes. The first
+    window is c times :func:`_kernels.geometric`; a later one, starting at
+    k0, is r^k0 times the block's head, one constant multiply per term and
+    element. While k0 < L, each window also fills the block from k0 on.
     """
-    n, red, order = ctx.n, ctx.red, ctx.group_order
-    length = min(1 << min(n, _CHUNK_BITS), order)
-    filled = min(_VERDICT_FIRST_WINDOW, length)
-    image_of_zero = 0
-    const = 0  # terms with r = 1 are constant on the nonzero elements
-    images = np.zeros(filled, dtype=np.uint32)
-    ratios, blocks = [], []  # per other term: r, c*r^0..c*r^(L-1) as byte planes
-    for coef, e in terms:
-        if e == 0:
-            image_of_zero ^= coef
-        r = gf.power(ctx, ctx.generator, e)
-        if r == 1:
-            const ^= coef
-            continue
-        head = _kernels.mul_const(_kernels.geometric(r, filled, n, red), coef, n, red)
-        images ^= head
-        block = np.empty(((n + 7) // 8, length), dtype=np.uint8)
-        block[:, :filled] = _kernels.byte_planes(head, n)
-        ratios.append(r)
-        blocks.append(block)
-    bits = np.zeros(max((1 << n) >> 6, 1), dtype=np.uint64)
-    _occupy(bits, np.array([image_of_zero], dtype=np.uint32))
-    if not _occupy(bits, images ^ const):
-        return False
-    scales = [gf.power(ctx, r, filled) for r in ratios]  # r^w
-    while filled < length:
-        size = min(filled, length - filled)
-        images = np.full(size, const, dtype=np.uint32)
-        for j, block in enumerate(blocks):
-            upper = _kernels.mul_planes(block[:, :size], scales[j], n, red)
-            block[:, filled : filled + size] = _kernels.byte_planes(upper, n)
-            images ^= upper
-            scales[j] = gf.square(ctx, scales[j])
-        if not _occupy(bits, images):
-            return False
-        filled += size
-    if length == order:
-        return True
-    steps = [gf.power(ctx, r, length) for r in ratios]  # r^L
-    powers = list(steps)  # r^k0
-    for k0 in range(length, order, length):
-        size = min(length, order - k0)
-        images = np.full(size, const, dtype=np.uint32)
-        for j, block in enumerate(blocks):
-            images ^= _kernels.mul_planes(block[:, :size], powers[j], n, red)
-            powers[j] = gf.mul(ctx, powers[j], steps[j])
-        if not _occupy(bits, images):
-            return False
-    return True
+    length = min(1 << min(ctx.n, _CHUNK_BITS), count)
+    first = min(first, length)
+    # one array per term, each below numpy's 4 MiB huge-page threshold
+    blocks = [np.empty(((ctx.n + 7) // 8, length), dtype=np.uint8) for _ in series]
+    k0 = 0
+    while k0 < count:
+        size = min(k0 or first, length, count - k0)
+        yield _log_window(ctx, series, blocks, k0, size)
+        k0 += size
 
 
-def _first_repeat(ctx: FieldCtx, terms) -> int:
-    """The least y with f(y) = f(x) for some x < y, scanning in bitmask order.
+def _log_window(ctx: FieldCtx, series, blocks, k0: int, size: int) -> np.ndarray:
+    """One window of :func:`_log_windows`; its temporaries die on return."""
+    n, red = ctx.n, ctx.red
+    images = np.zeros(size, dtype=np.uint32)
+    for block, (c, r) in zip(blocks, series):
+        if k0:
+            part = _kernels.mul_planes(block[:, :size], gf.power(ctx, r, k0), n, red)
+        else:
+            part = _kernels.mul_const(_kernels.geometric(r, size, n, red), c, n, red)
+        if k0 < block.shape[1]:
+            block[:, k0 : k0 + size] = _kernels.byte_planes(part[: block.shape[1] - k0], n)
+        images ^= part
+    return images
 
-    Windows start at 2^10 elements and double, up to the chunk size, so the
-    cost grows with y rather than with the field. Each window is screened
-    by :func:`_occupy`; only the one holding y gets the repeat mask.
-    """
-    cap = 1 << min(ctx.n, _CHUNK_BITS)
-    width = min(1 << _WITNESS_FIRST_BITS, cap)
-    bits = np.zeros(max((1 << ctx.n) >> 6, 1), dtype=np.uint64)
-    start, size = 0, 1 << ctx.n
-    while start < size:
-        stop = min(start + width, size)
-        images = _images_range(ctx, terms, start, stop)
-        if not _occupy(bits, images):
-            return start + int(np.flatnonzero(_repeats(bits, images))[0])
-        start, width = stop, min(2 * width, cap)
-    raise AssertionError("the log-order pass found a repeat that the bitmask scan did not")
+
+def _bitmask_windows(ctx: FieldCtx, terms, stop: int):
+    """(start, images of start, start+1, ...) for the elements below stop,
+    in windows that double from 2^_WITNESS_FIRST_BITS up to the chunk."""
+    chunk = 1 << min(ctx.n, _CHUNK_BITS)
+    start, width = 0, min(1 << _WITNESS_FIRST_BITS, chunk)
+    while start < stop:
+        end = min(start + width, stop)
+        yield start, _images(ctx, terms, np.arange(start, end, dtype=np.int64))
+        start, width = end, min(2 * width, chunk)
 
 
 def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
     """Full-domain permutation check with occupancy bitset.
 
-    The verdict comes from a pass over the field in discrete-log order
-    (:func:`_log_order_verdict`), which needs no element-wise powering and
-    stops at the first window holding a repeat. Only then does an ordered
-    scan in bitmask order (:func:`_first_repeat`) find the canonical
-    counterexample: the first repeat y and the least x < y with
-    f(x) = f(y), all images, f(y) included, from :func:`_images_range`.
+    The verdict walks 0 and then x = g^k, where a term c*x^e is the
+    geometric sequence c*(g^e)^k (:func:`_log_windows`), and stops at the
+    first window holding a repeat. Only then does a walk in bitmask order
+    (:func:`_bitmask_windows`) find the first repeat y and its image, and a
+    second walk that stops at y the least x < y with f(x) = f(y).
 
     ``evaluations`` is the canonical bitmask-scan count: 2^n on success,
     and on failure the elements a scan in chunks of 2^min(n, 20) evaluates
@@ -263,27 +223,33 @@ def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
         raise FieldTooLarge(f"exhaustive check capped at n={EXHAUSTIVE_MAX_N}, got n={ctx.n}")
     t0 = time.perf_counter()
     terms = poly.terms
-    if _log_order_verdict(ctx, terms):
+    bits = _bitset(ctx)
+    _occupy(bits, _images(ctx, terms, np.zeros(1, dtype=np.int64)))  # the image of 0
+    series = [(c, gf.power(ctx, ctx.generator, e)) for c, e in terms]
+    # the walk is not bound to a name, so its blocks die with the verdict
+    if all(_occupy(bits, v) for v in _log_windows(ctx, series, ctx.group_order,
+                                                   _VERDICT_FIRST_WINDOW)):
         return PermReport(
             is_permutation=True, method="exhaustive", counterexample=None,
             zero_at=None, evaluations=1 << ctx.n, elapsed=time.perf_counter() - t0,
         )
-    collision_y = _first_repeat(ctx, terms)
-    target = _images_range(ctx, terms, collision_y, collision_y + 1)[0]
-    chunk = 1 << min(ctx.n, _CHUNK_BITS)
-    partner = None
-    for cstart in range(0, collision_y + 1, chunk):
-        v = _images_range(ctx, terms, cstart, min(cstart + chunk, collision_y))
-        hits = np.flatnonzero(v == target)
-        if hits.size:
-            partner = cstart + int(hits[0])
+    bits = _bitset(ctx)
+    for start, images in _bitmask_windows(ctx, terms, 1 << ctx.n):
+        if not _occupy(bits, images):
+            i = int(np.argmax(_repeats(bits, images)))
+            y, target = start + i, images[i]
             break
-    assert partner is not None and partner < collision_y
-    c = min(ctx.n, _SCAN_BITS)
+    else:
+        raise AssertionError("the log-order pass found a repeat that the bitmask scan did not")
+    del bits, images  # free the failing window before the partner walk
+    partner = next((start + int(np.argmax(hit)) for start, images
+                    in _bitmask_windows(ctx, terms, y) if (hit := images == target).any()), y)
+    assert partner < y
+    c = min(ctx.n, 20)  # the counted scan's chunk bits, whatever _CHUNK_BITS is
     return PermReport(
         is_permutation=False, method="exhaustive",
-        counterexample=(partner, collision_y), zero_at=None,
-        evaluations=((collision_y >> c) + 1) << c, elapsed=time.perf_counter() - t0,
+        counterexample=(partner, y), zero_at=None,
+        evaluations=((y >> c) + 1) << c, elapsed=time.perf_counter() - t0,
     )
 
 
@@ -298,10 +264,11 @@ def zieve_check(ctx: FieldCtx, r: int, s_div: int, h: TrinomialSpec) -> bool:
     Any zero of h on the roots of unity fails the check. Raises
     BadFactorization unless s_div divides 2^n-1.
 
-    The roots x = z^k, z = g^s, go in chunks of 2^min(n, _CHUNK_BITS): z^k0
-    times the block z^0..z^(L-1), with h and x^r h(x)^s evaluated on the
-    chunk as arrays. A single chunk is tested for repeats by sorting; with
-    more, images go into an occupancy bitset of 2^n bits (32 MiB at n = 28).
+    The roots x = z^k, z = g^s, come from :func:`_log_windows` in chunks of
+    2^min(n, _CHUNK_BITS), with h and x^r h(x)^s evaluated on each chunk as
+    arrays. Roots that fit one chunk are tested for repeats by one sort and
+    need no bitset; with more chunks, images go into an occupancy bitset of
+    2^n bits (32 MiB at n = 28).
     """
     order = ctx.group_order
     if s_div <= 0 or order % s_div != 0:
@@ -310,12 +277,9 @@ def zieve_check(ctx: FieldCtx, r: int, s_div: int, h: TrinomialSpec) -> bool:
         return False
     n, red = ctx.n, ctx.red
     d = order // s_div
-    step = gf.power(ctx, ctx.generator, s_div)
-    length = min(1 << min(n, _CHUNK_BITS), d)
-    block = _kernels.geometric(step, length, n, red)
-    bits = np.zeros(max((1 << n) >> 6, 1), dtype=np.uint64) if d > length else None
-    for k0 in range(0, d, length):
-        xs = _kernels.mul_const(block[: d - k0], gf.power(ctx, step, k0), n, red)
+    chunk = 1 << min(n, _CHUNK_BITS)
+    bits = _bitset(ctx) if d > chunk else None
+    for xs in _log_windows(ctx, [(1, gf.power(ctx, ctx.generator, s_div))], d, chunk):
         hx = _images(ctx, h.terms, xs)
         if not hx.all():
             return False

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nihoperm import cli
 from nihoperm import field as gf
 from nihoperm import niho
 from nihoperm import permcheck as pc
@@ -384,6 +385,35 @@ def test_table_k_family_conditions():
     # even m: every k is admissible
     assert all(r.condition_ok for r in niho.known_pairs_table1(4)
                if r.source.startswith("k,-k"))
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_k_minus_k_condition_agrees_across_callers(m):
+    # the table row, the F6 hypothesis and the verify note read one predicate
+    tower = tw.make_tower(m)
+    rows = [r for r in niho.known_pairs_table1(m) if r.source.startswith("k,-k")]
+    assert len(rows) == 1 << m
+    for k, row in enumerate(rows, start=1):
+        f6_ok, _ = niho.check_family_conditions(tower, FamilyInstance("F6", {"k": k}))
+        notes = cli._known_row_notes(m, NihoPair(m, k, -k))
+        noted = any(note.startswith("matches row k,-k [") for note in notes)
+        assert row.condition_ok == f6_ok == (not noted) == niho.k_minus_k_holds(m, k), k
+    assert any(not r.condition_ok for r in rows) == (m % 2 == 1)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_pair_family_conditions_keep_their_messages(m):
+    # T3-T6 read their known-pair rows; the messages are the ones the
+    # families stated on their own
+    tower = tw.make_tower(m)
+    for fid in ("T3", "T4", "T5", "T6"):
+        if fid != "T6":
+            expected = (True, "") if m % 2 == 0 else (False, f"{fid} needs even m, got m={m}")
+        elif gcd(5, (1 << m) + 1) == 1:
+            expected = (True, "")
+        else:
+            expected = (False, f"T6 needs gcd(5, 2^m+1)=1, fails at m={m}")
+        assert niho.check_family_conditions(tower, FamilyInstance(fid, {})) == expected
 
 
 def test_table_equivalents_match_transforms_when_defined():

@@ -244,8 +244,41 @@ def test_images_range_matches_evaluate(n):
     order = ctx.group_order
     spec = TrinomialSpec.make(ctx, [(5, 0), (3, 1), (7, order), (1, 3 * order + 5), (9, order - 1)])
     for start, stop in ((0, 70), (200, 256)):
-        got = pc._images_range(ctx, spec.terms, start, stop)
+        got = pc._images(ctx, spec.terms, np.arange(start, stop))
         assert got.tolist() == [spec.evaluate(x) for x in range(start, stop)]
+
+
+@pytest.mark.parametrize("chunk_bits", [2, 3, 20])
+@pytest.mark.parametrize("first", [1, 3, 8, "chunk"])
+def test_log_windows_concatenate_to_geometric_sums(monkeypatch, first, chunk_bits):
+    # 2^7-1 exponents of three terms (one with r = 1), and the d = 85 roots
+    # of unity zieve_check walks at n = 8, s = 3; neither count is a power
+    # of two, so the last window is cut short. first = 3 makes a window run
+    # past the end of the block it fills
+    monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
+    chunk = 1 << min(7, chunk_bits)
+    first = chunk if first == "chunk" else first
+    for ctx, series, count in (
+        (_field(7), [(5, 3), (1, 1), (100, 77)], 127),
+        (_field(8), [(1, gf.power(_field(8), _field(8).generator, 3))], 85),
+    ):
+        windows = list(pc._log_windows(ctx, series, count, first))
+        expected = np.zeros(count, dtype=np.uint32)
+        for c, r in series:
+            expected ^= _kernels.mul_const(_kernels.geometric(r, count, ctx.n, ctx.red),
+                                           c, ctx.n, ctx.red)
+        assert np.concatenate(windows).tolist() == expected.tolist()
+        sizes = [w.size for w in windows]
+        assert sizes[0] == min(first, chunk, count)
+        assert all(size <= min(sum(sizes[:i]), chunk) for i, size in enumerate(sizes) if i)
+
+
+def test_false_log_order_repeat_trips_the_consistency_assertion(f16, monkeypatch):
+    # a log-order walk that reports a repeat on a permutation: the bitmask
+    # walk finds none, and the engine must say so rather than report one
+    monkeypatch.setattr(pc, "_log_windows", lambda *args: iter([np.zeros(2, dtype=np.uint32)]))
+    with pytest.raises(AssertionError, match="bitmask scan did not"):
+        pc.is_permutation_exhaustive(f16, TrinomialSpec.make(f16, [(1, 2)]))
 
 
 def test_late_first_repeat_above_table_max():
