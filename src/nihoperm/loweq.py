@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,6 +40,7 @@ from .errors import (
     ZeroLinearCoefficient,
 )
 from .field import FieldCtx
+from .niho import known_row_failure
 from .tower import TowerCtx
 
 
@@ -434,16 +434,17 @@ def verify_lemma_quartics(tower: TowerCtx, which: str) -> QuarticFamilyReport:
     at odd m; case 2 for eq8 at m = 0 mod 4). Every step is one array pass
     over all the points (:func:`family_coefficients`, :func:`_zeros`).
 
-    Preconditions: m even for eq4/eq6; gcd(5, 2^m+1) = 1 for eq8.
+    Preconditions: the condition of the family's known-pair row
+    (:data:`QUARTIC_FAMILY_PAIRS`), m even for eq4/eq6 and gcd(5, 2^m+1) = 1
+    for eq8.
     """
     which = which.lower()
     if which not in QUARTIC_FAMILY_PAIRS:
         raise ValueError(f"unknown quartic family {which!r}")
     m = tower.m
-    if which in ("eq4", "eq6") and m % 2 != 0:
-        raise PreconditionViolated(f"{which} needs even m, got m={m}")
-    if which == "eq8" and gcd(5, (1 << m) + 1) != 1:
-        raise PreconditionViolated(f"eq8 needs gcd(5, 2^m+1)=1, fails at m={m}")
+    reason = known_row_failure(QUARTIC_FAMILY_PAIRS[which], m, which)
+    if reason:
+        raise PreconditionViolated(reason)
     ks, a2, a1, a0 = family_coefficients(tower, which)
     if not (a0.all() and a1.all()):
         raise ZeroCoefficient("certificate requires a0 != 0 and a1 != 0")

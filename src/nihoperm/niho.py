@@ -281,17 +281,26 @@ class FamilyInstance:
         object.__setattr__(self, "family_id", fid)
 
 
-#: what T3-T6 need, by the condition text of their pair's known-pair row
-_PAIR_FAMILY_NEEDS = {"m even": "even m, got", "gcd(5, 2^m+1) = 1": "gcd(5, 2^m+1)=1, fails at"}
+#: what a known-pair row's condition asks of m, by its condition text, in
+#: the words of a failed hypothesis
+_ROW_NEEDS = {"m even": "even m, got", "gcd(5, 2^m+1) = 1": "gcd(5, 2^m+1)=1, fails at"}
+
+#: C1-C4 shift T3-T6 by a monomial and keep their pair's condition
+_SHIFTED_FAMILIES = {"C1": "T3", "C2": "T4", "C3": "T5", "C4": "T6"}
 
 
-def _pair_family_condition(tower: TowerCtx, fid: str) -> tuple[bool, str]:
-    """The condition of the known-pair row of the family's pair."""
-    m = tower.m
-    _, text, holds, _, _ = next(row for row in _FIXED_ROWS if row[3] == PAIR_FAMILIES[fid])
-    if holds(m):
-        return True, ""
-    return False, f"{fid} needs {_PAIR_FAMILY_NEEDS[text]} m={m}"
+def known_row_failure(source: str, m: int, who: str) -> str:
+    """"" if the condition of the known-pair row ``source`` (e.g. "3,-1")
+    holds at m, else the failed hypothesis "<who> needs ... m=<m>"."""
+    _, text, holds, _, _ = next(row for row in _FIXED_ROWS if row[0] == source)
+    return "" if holds(m) else f"{who} needs {_ROW_NEEDS[text]} m={m}"
+
+
+def _pair_family_condition(m: int, family: str, who: str) -> tuple[bool, str]:
+    """The condition of the known-pair row of a T3-T6 family's pair."""
+    source = next(row[0] for row in _FIXED_ROWS if row[3] == PAIR_FAMILIES[family])
+    reason = known_row_failure(source, m, who)
+    return not reason, reason
 
 
 def check_family_conditions(tower: TowerCtx, inst: FamilyInstance) -> tuple[bool, str]:
@@ -308,7 +317,7 @@ def check_family_conditions(tower: TowerCtx, inst: FamilyInstance) -> tuple[bool
     q = 1 << m
 
     if fid in PAIR_FAMILIES:
-        return _pair_family_condition(tower, fid)
+        return _pair_family_condition(m, fid, fid)
 
     if fid in ("F1", "F2"):
         k = p["k"]
@@ -400,11 +409,7 @@ def check_family_conditions(tower: TowerCtx, inst: FamilyInstance) -> tuple[bool
         return False, f"{fid} needs a positive k"
     if gcd(2 * k + 1, q - 1) != 1:
         return False, f"{fid} needs gcd(2k+1, 2^m-1)=1, fails at k={k}"
-    if fid in ("C1", "C2", "C3") and m % 2 != 0:
-        return False, f"{fid} needs even m, got m={m}"
-    if fid == "C4" and gcd(5, q + 1) != 1:
-        return False, f"C4 needs gcd(5, 2^m+1)=1, fails at m={m}"
-    return True, ""
+    return _pair_family_condition(m, _SHIFTED_FAMILIES[fid], fid)
 
 
 def family_trinomial(

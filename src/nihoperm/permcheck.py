@@ -4,7 +4,10 @@
   images in an occupancy bitset, in windows that double up to a chunk, so
   memory stays bounded up to the n = 28 cap. Two walks do it. The verdict
   walks the field in discrete-log order (:func:`_log_windows`), where every
-  term is a geometric sequence, and stops at the first repeat. Only a
+  term is a geometric sequence, and stops at the first repeat. Where the
+  exponents make f(g^k)/g^(e0*k) periodic with a period d up to the chunk,
+  as for every Niho trinomial (d divides 2^m+1), each window after the
+  first is one constant multiple of f's images at the start. Only a
   failing verdict is followed by walks in bitmask order
   (:func:`_bitmask_windows`, element-wise powering): one to the first
   repeat y, one to its earlier preimage, the canonical counterexample.
@@ -48,8 +51,9 @@ EXHAUSTIVE_MAX_N = 28
 #: elements per chunk of every exhaustive pass: 2^min(n, _CHUNK_BITS)
 _CHUNK_BITS = 20
 
-#: exponents in the first window of the log-order verdict pass; windows
-#: double from there up to the chunk size
+#: exponents in the first window of the log-order verdict pass (rounded up
+#: to a multiple of the period in :func:`_log_windows`); windows double from
+#: there up to the chunk size
 _VERDICT_FIRST_WINDOW = 1 << 10
 
 #: the first window of the bitmask-order witness scan has 2^10 elements
@@ -156,37 +160,58 @@ def _occupy(bits: np.ndarray, v: np.ndarray) -> bool:
     return True
 
 
-def _log_windows(ctx: FieldCtx, series, count: int, first: int):
-    """The XOR over (c, r) in series of c*r^k, for k = 0..count-1, as uint32
-    windows.
+def _log_windows(ctx: FieldCtx, terms, count: int, first: int):
+    """f(g^k) for k = 0..count-1 as uint32 windows, where f is the sum of
+    the terms (c, e), c*x^e, and g is the field's generator.
 
     The first window has ``first`` exponents and each later one is as long
     as everything before it, up to the chunk of L = 2^min(n, _CHUNK_BITS).
-    Each term keeps the block c*r^0..c*r^(L-1) as byte planes. The first
-    window is c times :func:`_kernels.geometric`; a later one, starting at
-    k0, is r^k0 times the block's head, one constant multiply per term and
-    element. While k0 < L, each window also fills the block from k0 on.
+    A later window, starting at k0, reuses the head of a block of byte
+    planes that the earlier windows fill as far as a later one reads it.
+
+    With N = 2^n-1 and e0 the first exponent, d = N / gcd(N, e - e0 over
+    the terms) is the period of f(g^k)/g^(e0*k), so f(g^(k0+j)) =
+    g^(e0*k0) * f(g^j) whenever d divides k0. If d <= L, the first window
+    and the chunk are rounded to multiples of d (up and down), so every
+    window starts at one, the one block holds f(g^j), and a window is one
+    constant multiply per element. Otherwise each term keeps its own block
+    c*g^(e*j) and a window is one constant multiply per term and element.
+    The first window sums c times :func:`_kernels.geometric` over the terms.
     """
-    length = min(1 << min(ctx.n, _CHUNK_BITS), count)
-    first = min(first, length)
-    # one array per term, each below numpy's 4 MiB huge-page threshold
-    blocks = [np.empty(((ctx.n + 7) // 8, length), dtype=np.uint8) for _ in series]
-    k0 = 0
+    order, chunk = ctx.group_order, 1 << min(ctx.n, _CHUNK_BITS)
+    e0 = terms[0][1] if terms else 0
+    d = order // gcd(order, *(e - e0 for _, e in terms))
+    if d <= chunk:
+        strands = [(e0, terms)]
+        first, chunk = -(-first // d) * d, chunk - chunk % d
+    else:
+        strands = [(e, ((c, e),)) for c, e in terms]
+    sizes, k0 = [], 0
     while k0 < count:
-        size = min(k0 or first, length, count - k0)
-        yield _log_window(ctx, series, blocks, k0, size)
+        sizes.append(min(k0 or first, chunk, count - k0))
+        k0 += sizes[-1]
+    length = max(sizes[1:], default=0)
+    # one array per strand: one 3-D array would cross numpy's 4 MiB
+    # huge-page threshold sooner
+    blocks = [np.empty(((ctx.n + 7) // 8, length), dtype=np.uint8) for _ in strands]
+    k0 = 0
+    for size in sizes:
+        yield _log_window(ctx, strands, blocks, k0, size)
         k0 += size
 
 
-def _log_window(ctx: FieldCtx, series, blocks, k0: int, size: int) -> np.ndarray:
+def _log_window(ctx: FieldCtx, strands, blocks, k0: int, size: int) -> np.ndarray:
     """One window of :func:`_log_windows`; its temporaries die on return."""
-    n, red = ctx.n, ctx.red
+    n, red, g = ctx.n, ctx.red, ctx.generator
     images = np.zeros(size, dtype=np.uint32)
-    for block, (c, r) in zip(blocks, series):
+    for block, (e_step, terms) in zip(blocks, strands):
         if k0:
-            part = _kernels.mul_planes(block[:, :size], gf.power(ctx, r, k0), n, red)
+            part = _kernels.mul_planes(block[:, :size], gf.power(ctx, g, e_step * k0), n, red)
         else:
-            part = _kernels.mul_const(_kernels.geometric(r, size, n, red), c, n, red)
+            part = np.zeros(size, dtype=np.uint32)
+            for c, e in terms:
+                part ^= _kernels.mul_const(_kernels.geometric(gf.power(ctx, g, e), size, n, red),
+                                           c, n, red)
         if k0 < block.shape[1]:
             block[:, k0 : k0 + size] = _kernels.byte_planes(part[: block.shape[1] - k0], n)
         images ^= part
@@ -225,9 +250,8 @@ def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
     terms = poly.terms
     bits = _bitset(ctx)
     _occupy(bits, _images(ctx, terms, np.zeros(1, dtype=np.int64)))  # the image of 0
-    series = [(c, gf.power(ctx, ctx.generator, e)) for c, e in terms]
     # the walk is not bound to a name, so its blocks die with the verdict
-    if all(_occupy(bits, v) for v in _log_windows(ctx, series, ctx.group_order,
+    if all(_occupy(bits, v) for v in _log_windows(ctx, terms, ctx.group_order,
                                                    _VERDICT_FIRST_WINDOW)):
         return PermReport(
             is_permutation=True, method="exhaustive", counterexample=None,
@@ -279,7 +303,7 @@ def zieve_check(ctx: FieldCtx, r: int, s_div: int, h: TrinomialSpec) -> bool:
     d = order // s_div
     chunk = 1 << min(n, _CHUNK_BITS)
     bits = _bitset(ctx) if d > chunk else None
-    for xs in _log_windows(ctx, [(1, gf.power(ctx, ctx.generator, s_div))], d, chunk):
+    for xs in _log_windows(ctx, [(1, s_div)], d, chunk):
         hx = _images(ctx, h.terms, xs)
         if not hx.all():
             return False

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from nihoperm import cli
 from nihoperm import field as gf
-from nihoperm import niho
+from nihoperm import loweq, niho
 from nihoperm import permcheck as pc
 from nihoperm import tower as tw
-from nihoperm.errors import ConditionViolated, NonInvertibleDenominator
+from nihoperm.errors import ConditionViolated, NonInvertibleDenominator, PreconditionViolated
 from nihoperm.niho import FamilyInstance, NihoPair, TrinomialSpec
 
 
@@ -414,6 +414,27 @@ def test_pair_family_conditions_keep_their_messages(m):
         else:
             expected = (False, f"T6 needs gcd(5, 2^m+1)=1, fails at m={m}")
         assert niho.check_family_conditions(tower, FamilyInstance(fid, {})) == expected
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_shifted_family_and_lemma_preconditions_keep_their_messages(m):
+    # C1-C4 and the eq4/eq6/eq8 lemma batches read the known-pair rows of
+    # T3-T6; the messages are the ones they stated on their own
+    tower = tw.make_tower(m)
+    k = next(k for k in range(1, 1 << m) if gcd(2 * k + 1, (1 << m) - 1) == 1)
+    even = (True, "") if m % 2 == 0 else (False, "{} needs even m, got m=%d" % m)
+    five = ((True, "") if gcd(5, (1 << m) + 1) == 1
+            else (False, "{} needs gcd(5, 2^m+1)=1, fails at m=%d" % m))
+    for who, expected in (("C1", even), ("C2", even), ("C3", even), ("C4", five)):
+        got = niho.check_family_conditions(tower, FamilyInstance(who, {"k": k}))
+        assert got == (expected[0], expected[1].format(who))
+    for who, expected in (("eq4", even), ("eq6", even), ("eq8", five)):
+        if expected[0]:
+            assert loweq.verify_lemma_quartics(tower, who).all_pass
+        else:
+            with pytest.raises(PreconditionViolated) as err:
+                loweq.verify_lemma_quartics(tower, who)
+            assert str(err.value) == expected[1].format(who)
 
 
 def test_table_equivalents_match_transforms_when_defined():

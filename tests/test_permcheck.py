@@ -248,29 +248,98 @@ def test_images_range_matches_evaluate(n):
         assert got.tolist() == [spec.evaluate(x) for x in range(start, stop)]
 
 
+def _check_log_windows(ctx, terms, count, first):
+    """The windows of pc._log_windows concatenate to the sum of the per-term
+    geometric sequences c*(g^e)^k, k < count. Their sizes follow the
+    doubling schedule, with the first window and the chunk rounded to
+    multiples of the period d of f(g^k)/g^(e0*k) when d <= the chunk, so
+    that every later window then starts at a multiple of d."""
+    order = ctx.group_order
+    chunk = 1 << min(ctx.n, pc._CHUNK_BITS)
+    exps = [e for _, e in terms]
+    d = next(d for d in range(1, order + 1)
+             if all((e - exps[0]) * d % order == 0 for e in exps))
+    if d <= chunk:
+        first, chunk = -(-first // d) * d, chunk // d * d
+    windows = list(pc._log_windows(ctx, terms, count, first))
+    expected = np.zeros(count, dtype=np.uint32)
+    for c, e in terms:
+        r = gf.power(ctx, ctx.generator, e)
+        expected ^= _kernels.mul_const(_kernels.geometric(r, count, ctx.n, ctx.red),
+                                       c, ctx.n, ctx.red)
+    assert np.concatenate(windows).tolist() == expected.tolist()
+    sizes = [w.size for w in windows]
+    assert sizes[0] == min(first, chunk, count)
+    assert all(size <= min(sum(sizes[:i]), chunk) for i, size in enumerate(sizes) if i)
+    if d <= chunk:
+        assert all(sum(sizes[:i]) % d == 0 for i in range(1, len(sizes)))
+
+
 @pytest.mark.parametrize("chunk_bits", [2, 3, 20])
 @pytest.mark.parametrize("first", [1, 3, 8, "chunk"])
 def test_log_windows_concatenate_to_geometric_sums(monkeypatch, first, chunk_bits):
-    # 2^7-1 exponents of three terms (one with r = 1), and the d = 85 roots
-    # of unity zieve_check walks at n = 8, s = 3; neither count is a power
-    # of two, so the last window is cut short. first = 3 makes a window run
-    # past the end of the block it fills
+    # 2^7-1 exponents of three terms (one with e = 0, so r = 1), and the
+    # d = 85 roots of unity zieve_check walks at n = 8, s = 3; neither count
+    # is a power of two, so the last window is cut short. first = 3 makes a
+    # window run past the end of the block it fills
     monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
     chunk = 1 << min(7, chunk_bits)
     first = chunk if first == "chunk" else first
-    for ctx, series, count in (
-        (_field(7), [(5, 3), (1, 1), (100, 77)], 127),
-        (_field(8), [(1, gf.power(_field(8), _field(8).generator, 3))], 85),
-    ):
-        windows = list(pc._log_windows(ctx, series, count, first))
-        expected = np.zeros(count, dtype=np.uint32)
-        for c, r in series:
-            expected ^= _kernels.mul_const(_kernels.geometric(r, count, ctx.n, ctx.red),
-                                           c, ctx.n, ctx.red)
-        assert np.concatenate(windows).tolist() == expected.tolist()
-        sizes = [w.size for w in windows]
-        assert sizes[0] == min(first, chunk, count)
-        assert all(size <= min(sum(sizes[:i]), chunk) for i, size in enumerate(sizes) if i)
+    _check_log_windows(_field(7), [(5, 3), (1, 0), (100, 77)], 127, first)
+    _check_log_windows(_field(8), [(1, 3)], 85, first)
+
+
+@pytest.mark.parametrize("chunk_bits", [2, 3, 5, 20])
+@pytest.mark.parametrize("n", [8, 12])
+def test_log_windows_collapse_by_the_period(monkeypatch, n, chunk_bits):
+    # N = 2^n-1 is composite at n = 8 and 12, so the period d of
+    # f(g^k)/g^(e0*k) runs through every divisor of N: 1, d dividing no
+    # chunk, and d above the chunk. Exponents reach past N and include 0
+    monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
+    ctx = _field(n)
+    order = ctx.group_order
+    rng = random.Random(n * 100 + chunk_bits)
+    cases = [
+        [],  # the zero polynomial
+        [(7, 5)],  # a single term: d = 1
+        [(1, 5), (3, 5 + order)],  # x^e and x^(e+N) agree off 0: d = 1
+        [(2, 0), (9, order)],  # a constant and x^N: d = 1
+        [(1, 1), (1, 2 * 15 + 1), (1, -1 * 15 + 1)] if n == 8 else
+        [(1, 1), (1, 2 * 63 + 1), (1, -1 * 63 + 1)],  # Niho (2,-1): d = 2^m+1
+    ]
+    divisors = [q for q in range(1, order + 1) if order % q == 0]
+    for q in divisors:  # the third term can shorten the gcd of the first two
+        e0 = rng.randrange(3 * order)
+        cases.append([(rng.randrange(1, 1 << n), e0),
+                      (rng.randrange(1, 1 << n), e0 + q),
+                      (rng.randrange(1, 1 << n), e0 + rng.choice(divisors) * rng.randrange(4))])
+    for terms in cases:
+        count = rng.choice([order, rng.randrange(1, order)])
+        _check_log_windows(ctx, terms, count, rng.choice([1, 3, 8, 1 << 10]))
+
+
+def test_verdict_collapses_to_one_multiply_per_window(monkeypatch):
+    # the (2,-1) trinomial at n = 20 has period 2^10+1: after the first
+    # window, each window is one constant multiply of the one block, not
+    # one per term
+    tower = tw.make_tower(10)
+    spec = niho.pair_to_trinomial(tower, NihoPair(10, 2, -1))
+    calls = []
+    mul_planes, log_window = _kernels.mul_planes, pc._log_window
+
+    def counted(*args):
+        calls[-1][1] += 1
+        return mul_planes(*args)
+
+    def window(ctx, strands, blocks, k0, size):
+        calls.append([k0, 0])
+        return log_window(ctx, strands, blocks, k0, size)
+
+    monkeypatch.setattr(_kernels, "mul_planes", counted)
+    monkeypatch.setattr(pc, "_log_window", window)
+    assert pc.is_permutation_exhaustive(tower.field, spec).is_permutation
+    assert len(calls) > 10 and calls[0][0] == 0
+    assert all(k0 % 1025 == 0 and count == 1 for k0, count in calls[1:])
 
 
 def test_false_log_order_repeat_trips_the_consistency_assertion(f16, monkeypatch):
