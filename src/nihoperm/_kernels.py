@@ -10,7 +10,9 @@ reduction).
   built from the images of the n bits. :func:`mul_const` multiplies a
   vector by one field constant this way: v -> c*v is linear, and its bit
   images are the constant's n shifts c*x^i. Results are uint32.
-* :func:`geometric` lists r^0..r^(L-1) by doubling on :func:`mul_const`;
+* :func:`geometric` lists start*r^0..start*r^(L-1) by doubling: each
+  round builds the byte tables of one step r^k, maps the known head
+  through them, and reads the next step r^(2k) from the same tables.
   :func:`exp_table` is the full-period list for a generator.
 * :func:`mul_vec` multiplies element-wise: a 4-bit comb carry-less product
   in int64, then the bits n..2n-2 are folded back by one more linear map.
@@ -63,9 +65,13 @@ def const_tables(c: int, n: int, red: int) -> np.ndarray:
 
 
 def byte_planes(v: np.ndarray, n: int) -> np.ndarray:
-    """The bytes of each element, as ceil(n/8) contiguous uint8 rows."""
-    v = np.asarray(v, dtype=np.uint32)
-    return np.stack([(v >> (8 * j)).astype(np.uint8) for j in range((n + 7) // 8)])
+    """The bytes of each element, as ceil(n/8) contiguous uint8 rows: row j
+    is (v >> 8j) & 255, shaped like v. One strided copy of the low bytes of
+    v's little-endian uint32 view."""
+    nbytes = (n + 7) // 8
+    v = np.asarray(v, dtype="<u4")
+    low = v.reshape(-1, 1).view(np.uint8).T[:nbytes]
+    return np.ascontiguousarray(low).reshape(nbytes, *v.shape)
 
 
 def map_planes(tables: np.ndarray, planes: np.ndarray) -> np.ndarray:
@@ -87,20 +93,25 @@ def mul_const(v: np.ndarray, c: int, n: int, red: int) -> np.ndarray:
     return mul_planes(byte_planes(v, n), c, n, red)
 
 
-def geometric(r: int, length: int, n: int, red: int) -> np.ndarray:
-    """r^0, r^1, ..., r^(length-1) as uint32, length >= 1.
+def geometric(r: int, length: int, n: int, red: int, start: int = 1) -> np.ndarray:
+    """start*r^0, start*r^1, ..., start*r^(length-1) as uint32, length >= 1.
 
-    Doubling construction: once r^0..r^(k-1) are known, the next k entries
-    are r^k * (r^0..r^(k-1)), one constant multiply per round.
+    Doubling construction: once the first k entries are known, the next k
+    are r^k times them, one :func:`const_tables` build per round. The next
+    round's step r^(2k) = r^k * r^k is read from the same tables, with
+    ceil(n/8) scalar lookups.
     """
     out = np.empty(length, dtype=np.uint32)
-    out[0] = 1
-    filled = 1
+    out[0] = start
+    filled, step = 1, r
     while filled < length:
         k = min(filled, length - filled)
-        step = int(mul_const(out[filled - 1 : filled], r, n, red)[0])
-        out[filled : filled + k] = mul_const(out[:k], step, n, red)
+        tables = const_tables(step, n, red)
+        out[filled : filled + k] = map_planes(tables, byte_planes(out[:k], n))
         filled += k
+        prev, step = step, 0
+        for j, table in enumerate(tables):
+            step ^= int(table[prev >> 8 * j & 255])
     return out
 
 

@@ -176,7 +176,8 @@ def _log_windows(ctx: FieldCtx, terms, count: int, first: int):
     window starts at one, the one block holds f(g^j), and a window is one
     constant multiply per element. Otherwise each term keeps its own block
     c*g^(e*j) and a window is one constant multiply per term and element.
-    The first window sums c times :func:`_kernels.geometric` over the terms.
+    The first window sums :func:`_kernels.geometric` sequences started at c
+    over the terms.
     """
     order, chunk = ctx.group_order, 1 << min(ctx.n, _CHUNK_BITS)
     e0 = terms[0][1] if terms else 0
@@ -210,8 +211,7 @@ def _log_window(ctx: FieldCtx, strands, blocks, k0: int, size: int) -> np.ndarra
         else:
             part = np.zeros(size, dtype=np.uint32)
             for c, e in terms:
-                part ^= _kernels.mul_const(_kernels.geometric(gf.power(ctx, g, e), size, n, red),
-                                           c, n, red)
+                part ^= _kernels.geometric(gf.power(ctx, g, e), size, n, red, c)
         if k0 < block.shape[1]:
             block[:, k0 : k0 + size] = _kernels.byte_planes(part[: block.shape[1] - k0], n)
         images ^= part
@@ -328,7 +328,9 @@ def _circle_tables(tower: TowerCtx):
       GF(2)-linear in h, and so is the code of a subfield element
       (:meth:`TowerCtx.subfield_code`). coords[k] = code(a) | code(b) << m
       for h = points[k]; by linearity h = 1 + x^s + x^t has
-      coords[0] ^ coords[ks] ^ coords[kt], which is 0 iff h is.
+      coords[0] ^ coords[ks] ^ coords[kt], which is 0 iff h is. The bit
+      images come as arrays: h^q from the Frobenius tables, then b and a
+      by one constant multiply each.
     * logs is :attr:`TowerCtx.subfield_logs`: logs[code(y)] is the log of
       y to the base g^(q+1), a generator of GF(q)*; logs[0] is the
       sentinel 2q.
@@ -342,11 +344,12 @@ def _circle_tables(tower: TowerCtx):
     q, g = 1 << m, ctx.generator
     points, code, logs = tower.unit_circle, tower.subfield_code, tower.subfield_logs
     inv_trace = gf.inv(ctx, g ^ conjugate(tower, g))
-    images = []  # code(a) | code(b) << m for h = x^i
-    for i in range(n):
-        h = 1 << i
-        b = gf.mul(ctx, h ^ conjugate(tower, h), inv_trace)
-        images.append(code(h ^ gf.mul(ctx, b, g)) | code(b) << m)
+    h = np.uint32(1) << np.arange(n, dtype=np.uint32)  # the basis bits x^i
+    conj = _kernels.map_planes(_kernels._frobenius_tables(n, ctx.red, m),
+                               _kernels.byte_planes(h, n))
+    b = _kernels.mul_const(h ^ conj, inv_trace, n, ctx.red)
+    a = h ^ _kernels.mul_const(b, g, n, ctx.red)
+    images = code(a) | code(b) << m  # of h = x^i
     coords = _kernels.map_planes(_kernels.linear_tables(images, n),
                                  _kernels.byte_planes(points, n))
     ab = coords[0] ^ coords[1:]  # 1 + w^j for j = 1..q

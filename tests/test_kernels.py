@@ -80,3 +80,47 @@ def test_geometric_is_power_sequence(length):
     r = 0x2F00D
     got = _kernels.geometric(r, length, ctx.n, ctx.red)
     assert got.tolist() == [gf.power(ctx, r, i) for i in range(length)]
+
+
+@pytest.mark.parametrize("n", [2, 8, 13, 22, 32])
+def test_geometric_matches_scalar_power(n):
+    ctx = gf.make_field(n)
+    rng = np.random.default_rng(300 + n)
+    r_random, c_random = (int(x) for x in rng.integers(2, 1 << n, 2))
+    for length in (1, 2, 3, 1000, 1025):
+        for r in (0, 1, ctx.mask, r_random):
+            powers = [gf.power(ctx, r, i) for i in range(length)]
+            got = _kernels.geometric(r, length, n, ctx.red)
+            assert got.dtype == np.uint32
+            assert got.tolist() == powers, (length, r)
+            got = _kernels.geometric(r, length, n, ctx.red, c_random)
+            assert got.tolist() == [gf.mul(ctx, c_random, p) for p in powers], (length, r)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 1024, 1025])
+def test_geometric_builds_one_table_per_round(monkeypatch, length):
+    # the step of the next round is read from the tables just built, so a
+    # doubling round builds one set of tables, not one more for its step
+    calls = []
+    linear_tables = _kernels.linear_tables
+
+    def counted(*args):
+        calls.append(args)
+        return linear_tables(*args)
+
+    monkeypatch.setattr(_kernels, "linear_tables", counted)
+    ctx = gf.make_field(20)
+    _kernels.geometric(ctx.generator, length, ctx.n, ctx.red, 5)
+    assert len(calls) == (length - 1).bit_length()  # ceil(log2 length)
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+def test_byte_planes_rows_are_the_bytes(dtype):
+    for n in range(2, 33):
+        v = _random_elems(n, 60, 400 + n).reshape(3, 20).astype(dtype)
+        v[0, :2] = (0, (1 << n) - 1)
+        planes = _kernels.byte_planes(v, n)
+        assert planes.dtype == np.uint8 and planes.flags.c_contiguous
+        assert planes.shape == ((n + 7) // 8, 3, 20)
+        for j, row in enumerate(planes):
+            assert row.tolist() == ((v.astype(np.int64) >> 8 * j) & 255).tolist(), (n, j)

@@ -618,6 +618,32 @@ def test_verify_pairs_empty_and_other_moduli():
         assert rep == reference_unit_circle(tower, pair, rep.elapsed)
 
 
+def scalar_coord(tower, h):
+    """code(a) | code(b) << m for h = a + b*g with a, b in the subfield:
+    b = (h + h^q)/(g + g^q) and a = h + b*g, in scalar field arithmetic."""
+    ctx, g, code = tower.field, tower.field.generator, tower.subfield_code
+    b = gf.mul(ctx, h ^ tw.conjugate(tower, h), gf.inv(ctx, g ^ tw.conjugate(tower, g)))
+    return code(h ^ gf.mul(ctx, b, g)) | code(b) << tower.m
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_circle_tables_match_scalar_formula(m):
+    # coords is the scalar split h = a + b*g at every point of U, and the
+    # class of a/b gives the log to the base w of h^(q-1), for every h = 1+w^j
+    # and for random nonzero h
+    tower = _tower(m)
+    ctx, q = tower.field, tower.subfield_order
+    points, coords, logs, classes = pc._circle_tables(tower)
+    assert coords.tolist() == [scalar_coord(tower, x) for x in points.tolist()]
+    log_w = {x: k for k, x in enumerate(points.tolist())}
+    rng = random.Random(m)
+    hs = [1 ^ x for x in points[1:].tolist()] + [rng.randrange(1, 1 << 2 * m) for _ in range(64)]
+    for h in hs:
+        ab = scalar_coord(tower, h)
+        cls = classes[logs[ab & (q - 1)] - logs[ab >> m] + 2 * q]
+        assert cls == log_w[gf.power(ctx, h, q - 1)], h
+
+
 def test_verify_pairs_builds_no_tables():
     tower = tw.make_tower(8)
     assert pc.unit_circle_check(tower, NihoPair(8, 2, -1)).is_permutation
