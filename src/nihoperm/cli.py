@@ -213,6 +213,48 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+#: a table1 row and one of its equivalents as json.dumps({"rows": rows},
+#: indent=2) lays them out
+_TABLE1_ROW = """    {
+      "m": %d,
+      "source": %s,
+      "condition": %s,
+      "condition_ok": %s,
+      "s": %s,
+      "t": %s,
+      "is_pp": %s,
+      "equivalents": [
+%s
+      ]
+    }"""
+_TABLE1_EQUIV = """        {
+          "label": %s,
+          "s": %s,
+          "t": %s,
+          "is_pp": %s
+        }"""
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _table1_json(rows: list[dict]) -> str:
+    """``json.dumps({"rows": rows}, indent=2) + "\\n"`` from string templates.
+    The cells are strings, ints or None, and bools or None; the rows, and
+    each row's equivalents, are never empty."""
+    def num(v):
+        return "null" if v is None else str(v)
+
+    def equivalents(es):
+        return ",\n".join(_TABLE1_EQUIV % (json.dumps(e["label"]), num(e["s"]), num(e["t"]),
+                                           _JSON_WORDS[e["is_pp"]]) for e in es)
+
+    return '{\n  "rows": [\n' + ",\n".join(
+        _TABLE1_ROW % (r["m"], json.dumps(r["source"]), json.dumps(r["condition"]),
+                       _JSON_WORDS[r["condition_ok"]], num(r["s"]), num(r["t"]),
+                       _JSON_WORDS[r["is_pp"]], equivalents(r["equivalents"]))
+        for r in rows
+    ) + "\n  ]\n}\n"
+
+
 def cmd_table1(args) -> int:
     if args.all or (args.m is None and args.n is None):
         if args.modulus:
@@ -226,7 +268,7 @@ def cmd_table1(args) -> int:
             raise NihopermError(f"table capped at m={TABLE1_MAX_M}")
     rows = _table1_dataset(towers)
     if args.format == "json":
-        _write(json.dumps({"rows": rows}, indent=2) + "\n", args.out)
+        _write(_table1_json(rows), args.out)
     elif args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

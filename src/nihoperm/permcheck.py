@@ -361,31 +361,44 @@ def _circle_tables(tower: TowerCtx):
     classes = np.zeros(4 * q + 1, dtype=np.int32)  # b = 0: indices 0..q-2
     classes[ratio + 2 * q] = classes[ratio + q + 1] = power[nonzero]
     classes[3 * q + 2 :] = power[~nonzero]  # a = 0: la is the sentinel
-    return points, coords, logs, classes
+    # as intp, so that the gathers of _phi_window index with them uncast
+    return points, coords.astype(np.intp), logs.astype(np.intp), classes.astype(np.intp)
+
+
+def _mod(x: np.ndarray, size: int) -> np.ndarray:
+    """x % size with floor semantics, in place: numpy divides by a scalar
+    on a fast path that its remainder does not take."""
+    x -= x // size * size
+    return x
 
 
 def _phi_window(tower, tables, s, t, ks):
-    """(phi index, h == 0) on the points ks, one row per pair (s, t)."""
+    """(phi index, h == 0) on the points ks, one row per pair (s, t).
+
+    s and t may be negative (open1 has t = 1-s); the products s*k stay
+    int64, since they reach 2^32 at m = 16.
+    """
     _, coords, logs, classes = tables
     q, size = tower.subfield_order, tower.unit_circle_order
-    ab = coords[0] ^ coords[s[:, None] * ks % size] ^ coords[t[:, None] * ks % size]
+    ab = coords[0] ^ coords[_mod(s[:, None] * ks, size)] ^ coords[_mod(t[:, None] * ks, size)]
     cls = classes[logs[ab & (q - 1)] - logs[ab >> tower.m] + 2 * q]
-    return (ks + cls) % size, ab == 0
+    return _mod(cls + ks, size), ab == 0
 
 
-def _first_failures(tower, tables, s, t):
+def _first_failures(tower, tables, s, t, first, stamp):
     """Per pair, (first failing k or -1, earlier colliding k or -1).
 
     Points are evaluated in windows, only for the pairs that have not
     failed yet; a window's width starts at _FIRST_WINDOW and doubles, but
     it holds at most _WINDOW_ELEMS (pair, point) elements. first[row, phi]
-    holds the least k seen with that image, so a point repeats an earlier
-    one iff the minimum written at its image is not its own k.
+    holds stamp plus the least k seen with that image, so a point repeats
+    an earlier one iff the minimum written at its image is not its own.
+    first is an int32 buffer of at least s.size * (q+1) entries; whatever
+    it holds must be at least stamp + q+1, so that it reads as unseen.
     """
     size = tower.unit_circle_order
     fail = np.full(s.size, -1, dtype=np.int64)
     partner = np.full(s.size, -1, dtype=np.int64)
-    first = np.full(s.size * size, size, dtype=np.int32)
     active = np.arange(s.size)
     k0, width = 0, _FIRST_WINDOW
     while active.size and k0 < size:
@@ -393,8 +406,9 @@ def _first_failures(tower, tables, s, t):
         ks = np.arange(k0, min(k0 + width, size))
         phi, zero = _phi_window(tower, tables, s[active], t[active], ks)
         key = active[:, None] * size + phi
-        np.minimum.at(first, key, np.broadcast_to(ks.astype(np.int32), key.shape))
-        earlier = first[key]
+        # 1-D index and contiguous values of first's dtype: ufunc.at's fast loop
+        np.minimum.at(first, key.ravel(), np.tile((ks + stamp).astype(np.int32), active.size))
+        earlier = first[key] - stamp
         bad = zero | (earlier != ks)
         hit = bad.any(axis=1)
         rows = np.flatnonzero(hit)
@@ -413,9 +427,18 @@ def _block_failures(tower, tables, s, t):
     block = max(1, min(_TABLE_ELEMS // size, _WINDOW_ELEMS // _FIRST_WINDOW))
     fail = np.empty(s.size, dtype=np.int64)
     partner = np.empty(s.size, dtype=np.int64)
+    # one image table for every block, not reset between them: each block's
+    # stamp is q+1 below the one before, so what earlier blocks wrote reads
+    # as unseen; the first block, and any whose stamp would go negative,
+    # fills the table instead
+    first, stamp, top = np.empty(min(block, s.size) * size, dtype=np.int32), 0, 2**31 - 1
     for lo in range(0, s.size, block):
+        if stamp < size:
+            first.fill(top)
+            stamp = top
+        stamp -= size
         part = slice(lo, lo + block)
-        fail[part], partner[part] = _first_failures(tower, tables, s[part], t[part])
+        fail[part], partner[part] = _first_failures(tower, tables, s[part], t[part], first, stamp)
     return fail, partner
 
 

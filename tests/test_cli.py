@@ -186,6 +186,16 @@ def test_table1_verdicts_agree_with_verify_pairs():
     assert checked > len(rows)
 
 
+@pytest.mark.parametrize("argv", [["--m", "9"], ["--m", "10"], ["--m", "5", "--modulus", "0x409"]])
+def test_table1_json_is_the_indented_dump(capsys, argv):
+    # the template emitter writes what json.dumps(indent=2) writes, also at
+    # the m the golden digests do not cover and under another modulus
+    code, out, _ = run(capsys, "table1", *argv, "--format", "json")
+    assert code == 0
+    tower = cli._tower_from(cli.build_parser().parse_args(["table1", *argv]))
+    assert out == json.dumps({"rows": cli._table1_dataset([tower])}, indent=2) + "\n"
+
+
 def test_table1_m6_undefined_equivalent_rendered(capsys):
     code, out, _ = run(capsys, "table1", "--m", "6")
     assert code == 0

@@ -1,5 +1,6 @@
 """Engine behavior: exhaustive scan, subgroup checks, cross-validation."""
 
+import collections
 import functools
 import json
 import random
@@ -669,6 +670,86 @@ def test_paper_predicted_pairs_above_table_max(m):
     for rep in pc.verify_pairs(tower, pairs):
         assert rep.is_permutation, rep.pair
         assert rep.evaluations == (1 << m) + 1
+
+
+def _scalar_phis(tower, pair, count):
+    """phi at the first count points of U (None where h vanishes), in
+    scalar field arithmetic."""
+    ctx, out = tower.field, []
+    for x in tower.unit_circle[:count].tolist():
+        h = 1 ^ gf.power(ctx, x, pair.s) ^ gf.power(ctx, x, pair.t)
+        out.append(None if h == 0 else
+                   gf.mul(ctx, x, gf.mul(ctx, tw.conjugate(tower, h), gf.inv(ctx, h))))
+    return out
+
+
+#: pairs whose phi takes one value at three or more of the first 16 points
+#: of U (found by a seeded random scan), so the first window of the repeat
+#: test writes one image several times
+_TRIPLE_REPEATS = {
+    9: [(431, 481), (285, 286), (39, 310), (22, 309), (95, 504), (172, 428), (20, 41), (92, 94)],
+    10: [(366, 693), (323, 739), (570, 602), (82, 378), (643, 922), (162, 422), (383, 1000), (19, 133)],
+}
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_verify_pairs_exact_at_sweep_shapes(m):
+    # one call on about 40 pairs, as the sweeps make them: random pairs, the
+    # paper's predicted pairs, a vanishing h, and repeats within one window
+    tower = _tower(m)
+    top = 1 << m
+    rng = random.Random(900 + m)
+    triples = [NihoPair(m, s, t) for s, t in _TRIPLE_REPEATS[m]]
+    for pair in triples:
+        counts = collections.Counter(_scalar_phis(tower, pair, pc._FIRST_WINDOW))
+        counts.pop(None, None)
+        assert max(counts.values()) >= 3, pair
+    pairs = [NihoPair(m, rng.randrange(top + 1), rng.randrange(top + 1)) for _ in range(30)]
+    pairs[5:5] = triples
+    pairs += _predicted_pairs(m) + [NihoPair(m, 1, 2)]  # 1+x+x^2 vanishes on U iff m is odd
+    assert len(pairs) >= 40
+    reps = pc.verify_pairs(tower, pairs)
+    assert [r.pair for r in reps] == pairs
+    for rep, pair in zip(reps, pairs):
+        assert rep == reference_unit_circle(tower, pair, rep.elapsed)
+    assert all(r.is_permutation for r in reps[-1 - len(_predicted_pairs(m)) : -1])
+    assert (reps[-1].zero_at is not None) == (m % 2 == 1)
+
+
+@pytest.mark.parametrize("line", [lambda j: (j, 1 - j), lambda j: (2 * j, -j)],
+                         ids=["open1", "open2"])
+def test_verdicts_match_reports_on_open_lines(line):
+    # the unreduced, partly negative residues of the open1/open2 lines give
+    # the verdicts of the reduced pairs' reports
+    tower = _tower(9)
+    s, t = line(np.arange(tower.unit_circle_order))
+    reports = pc.verify_pairs(tower, [NihoPair(9, a, b) for a, b in zip(s.tolist(), t.tolist())])
+    assert pc._verdicts(tower, s, t).tolist() == [r.is_permutation for r in reports]
+
+
+def test_phi_window_negative_residues_and_wide_products():
+    # at m = 16, s*k reaches 2^32 and open1's t = 1-s is negative: the index
+    # arithmetic must match Python's exact floor modulo. (h never vanishes on
+    # U at even m: 1 + a and a in U make a a cube root of unity.)
+    m = 16
+    tower = _tower(m)
+    ctx, q, size = tower.field, tower.subfield_order, tower.unit_circle_order
+    points = tower.unit_circle.tolist()
+    rng = random.Random(1616)
+    pairs = [(s, 1 - s) for s in rng.sample(range(size), 16)]
+    pairs += [(rng.randrange(1 << 15, size), rng.randrange(1 << 15, size)) for _ in range(16)]
+    pairs += [(rng.randrange(-2 * size, 2 * size), rng.randrange(-2 * size, 2 * size))
+              for _ in range(32)]
+    assert any(t < 0 for _, t in pairs[32:]) and any(s < 0 for s, _ in pairs[32:])
+    ks = np.array(sorted(rng.sample(range(size), 64)))
+    s, t = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+    phi, zero = pc._phi_window(tower, pc._circle_tables(tower), s, t, ks)
+    assert phi.shape == zero.shape == (64, 64) and not zero.any()
+    for row, (a, b) in enumerate(pairs):
+        for col, k in enumerate(ks.tolist()):
+            h = 1 ^ points[k * a % size] ^ points[k * b % size]
+            value = gf.mul(ctx, points[k], gf.power(ctx, h, q - 1))
+            assert points[phi[row, col]] == value, (a, b, k)
 
 
 # ---------------------------------------------------------------------------
