@@ -11,8 +11,8 @@ reduction).
   vector by one field constant this way: v -> c*v is linear, and its bit
   images are the constant's n shifts c*x^i. Results are uint32.
 * :func:`geometric` lists start*r^0..start*r^(L-1) by doubling: each
-  round builds the byte tables of one step r^k, maps the known head
-  through them, and reads the next step r^(2k) from the same tables.
+  round maps the known head through the byte tables of one step r^k, and
+  the tables of r^(2k) are those tables mapped through themselves.
   :func:`exp_table` is the full-period list for a generator.
 * :func:`mul_vec` multiplies element-wise: a 4-bit comb carry-less product
   in int64, then the bits n..2n-2 are folded back by one more linear map.
@@ -97,21 +97,19 @@ def geometric(r: int, length: int, n: int, red: int, start: int = 1) -> np.ndarr
     """start*r^0, start*r^1, ..., start*r^(length-1) as uint32, length >= 1.
 
     Doubling construction: once the first k entries are known, the next k
-    are r^k times them, one :func:`const_tables` build per round. The next
-    round's step r^(2k) = r^k * r^k is read from the same tables, with
-    ceil(n/8) scalar lookups.
+    are r^k times them, one map through the byte tables of r^k. Only the
+    tables of r come from :func:`const_tables`; each later round's tables
+    are the current ones mapped through themselves, r^(2k)*v = r^k*(r^k*v).
     """
     out = np.empty(length, dtype=np.uint32)
     out[0] = start
-    filled, step = 1, r
+    tables, filled = const_tables(r, n, red), 1
     while filled < length:
         k = min(filled, length - filled)
-        tables = const_tables(step, n, red)
         out[filled : filled + k] = map_planes(tables, byte_planes(out[:k], n))
         filled += k
-        prev, step = step, 0
-        for j, table in enumerate(tables):
-            step ^= int(table[prev >> 8 * j & 255])
+        if filled < length:
+            tables = map_planes(tables, byte_planes(tables, n))
     return out
 
 

@@ -8,9 +8,11 @@
   exponents make f(g^k)/g^(e0*k) periodic with a period d up to the chunk,
   as for every Niho trinomial (d divides 2^m+1), each window after the
   first is one constant multiple of f's images at the start. Only a
-  failing verdict is followed by walks in bitmask order
-  (:func:`_bitmask_windows`, element-wise powering): one to the first
-  repeat y, one to its earlier preimage, the canonical counterexample.
+  failing verdict is followed by one walk in bitmask order
+  (:func:`_bitmask_windows`, element-wise powering) to the first repeat
+  y. It keeps its first chunk of images, so y's earlier preimage, the
+  canonical counterexample, is found without evaluating them again; only
+  a preimage between that chunk and y's window takes a second walk.
 
 * unit_circle: for a Niho pair (s, t) the trinomial permutes GF(2^n) iff
   phi(x) = x * (1 + x^s + x^t)^(2^m-1) permutes the norm-1 subgroup U, so
@@ -218,25 +220,70 @@ def _log_window(ctx: FieldCtx, strands, blocks, k0: int, size: int) -> np.ndarra
     return images
 
 
-def _bitmask_windows(ctx: FieldCtx, terms, stop: int):
-    """(start, images of start, start+1, ...) for the elements below stop,
-    in windows that double from 2^_WITNESS_FIRST_BITS up to the chunk."""
+def _bitmask_windows(ctx: FieldCtx, terms, stop: int, start: int = 0):
+    """(x0, images of x0, x0+1, ...) for the elements from start below stop.
+    From 0 the windows double from 2^_WITNESS_FIRST_BITS up to the chunk;
+    from a later start every window is a chunk."""
     chunk = 1 << min(ctx.n, _CHUNK_BITS)
-    start, width = 0, min(1 << _WITNESS_FIRST_BITS, chunk)
+    width = chunk if start else min(1 << _WITNESS_FIRST_BITS, chunk)
     while start < stop:
         end = min(start + width, stop)
         yield start, _images(ctx, terms, np.arange(start, end, dtype=np.int64))
         start, width = end, min(2 * width, chunk)
 
 
+def _first_match(windows, target: int) -> Optional[int]:
+    """The first element of the (x0, images) windows whose image is target."""
+    for x0, images in windows:
+        hit = np.flatnonzero(images == target)
+        if hit.size:
+            return x0 + int(hit[0])
+    return None
+
+
+def _witness(ctx: FieldCtx, terms) -> tuple[int, int]:
+    """The canonical counterexample (x, y): y is the first element in
+    bitmask order whose image repeats, x the least one with the same image.
+
+    One :func:`_bitmask_windows` walk screens each window with
+    :func:`_occupy` and keeps the images of its windows as uint32 while
+    their total fits one chunk. In the failing window the repeat mask gives
+    y. An earlier entry of that window with y's image is x: had its image
+    been seen before the window, it would have been a repeat before y.
+    Otherwise x lies before the window, and the window is dropped: x is the
+    first match in the kept windows, or else in a walk from their end to
+    the failing window, which runs only then, with nothing else held.
+    """
+    chunk = 1 << min(ctx.n, _CHUNK_BITS)
+    bits, kept, held = _bitset(ctx), [], 0
+    for start, images in _bitmask_windows(ctx, terms, 1 << ctx.n):
+        if not _occupy(bits, images):
+            break
+        if held + images.size <= chunk:
+            kept.append((start, images.astype(np.uint32)))
+            held += images.size
+    else:
+        raise AssertionError("the log-order pass found a repeat that the bitmask scan did not")
+    i = int(np.argmax(_repeats(bits, images)))
+    y, target = start + i, int(images[i])
+    partner = _first_match([(start, images[:i])], target)
+    del bits, images  # the failing window
+    if partner is None:
+        partner = _first_match(kept, target)
+    del kept  # nothing is held across the walk that follows
+    if partner is None:
+        partner = _first_match(_bitmask_windows(ctx, terms, start, held), target)
+    return (y if partner is None else partner), y
+
+
 def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
     """Full-domain permutation check with occupancy bitset.
 
-    The verdict walks 0 and then x = g^k, where a term c*x^e is the
-    geometric sequence c*(g^e)^k (:func:`_log_windows`), and stops at the
-    first window holding a repeat. Only then does a walk in bitmask order
-    (:func:`_bitmask_windows`) find the first repeat y and its image, and a
-    second walk that stops at y the least x < y with f(x) = f(y).
+    The verdict takes the image of 0 from :meth:`TrinomialSpec.evaluate`,
+    then walks x = g^k, where a term c*x^e is the geometric sequence
+    c*(g^e)^k (:func:`_log_windows`), and stops at the first window holding
+    a repeat. Only then does one walk in bitmask order (:func:`_witness`)
+    find the first repeat y and the least x < y with f(x) = f(y).
 
     ``evaluations`` is the canonical bitmask-scan count: 2^n on success,
     and on failure the elements a scan in chunks of 2^min(n, 20) evaluates
@@ -249,7 +296,7 @@ def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
     t0 = time.perf_counter()
     terms = poly.terms
     bits = _bitset(ctx)
-    _occupy(bits, _images(ctx, terms, np.zeros(1, dtype=np.int64)))  # the image of 0
+    _occupy(bits, np.array([poly.evaluate(0)], dtype=np.uint32))  # the image of 0
     # the walk is not bound to a name, so its blocks die with the verdict
     if all(_occupy(bits, v) for v in _log_windows(ctx, terms, ctx.group_order,
                                                    _VERDICT_FIRST_WINDOW)):
@@ -257,17 +304,8 @@ def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
             is_permutation=True, method="exhaustive", counterexample=None,
             zero_at=None, evaluations=1 << ctx.n, elapsed=time.perf_counter() - t0,
         )
-    bits = _bitset(ctx)
-    for start, images in _bitmask_windows(ctx, terms, 1 << ctx.n):
-        if not _occupy(bits, images):
-            i = int(np.argmax(_repeats(bits, images)))
-            y, target = start + i, images[i]
-            break
-    else:
-        raise AssertionError("the log-order pass found a repeat that the bitmask scan did not")
-    del bits, images  # free the failing window before the partner walk
-    partner = next((start + int(np.argmax(hit)) for start, images
-                    in _bitmask_windows(ctx, terms, y) if (hit := images == target).any()), y)
+    del bits
+    partner, y = _witness(ctx, terms)
     assert partner < y
     c = min(ctx.n, 20)  # the counted scan's chunk bits, whatever _CHUNK_BITS is
     return PermReport(

@@ -99,8 +99,9 @@ def test_geometric_matches_scalar_power(n):
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 1024, 1025])
 def test_geometric_builds_one_table_per_round(monkeypatch, length):
-    # the step of the next round is read from the tables just built, so a
-    # doubling round builds one set of tables, not one more for its step
+    # one build per call, whatever the number of doubling rounds: only the
+    # tables of r come from shifts, and each later round's tables are the
+    # current ones mapped through themselves
     calls = []
     linear_tables = _kernels.linear_tables
 
@@ -111,7 +112,7 @@ def test_geometric_builds_one_table_per_round(monkeypatch, length):
     monkeypatch.setattr(_kernels, "linear_tables", counted)
     ctx = gf.make_field(20)
     _kernels.geometric(ctx.generator, length, ctx.n, ctx.red, 5)
-    assert len(calls) == (length - 1).bit_length()  # ceil(log2 length)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("dtype", [np.uint32, np.int64])

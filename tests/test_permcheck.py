@@ -362,6 +362,83 @@ def test_late_first_repeat_above_table_max():
     assert rep.evaluations == 3 << 20
 
 
+def _witness_walks(monkeypatch, ctx, spec):
+    """The engine's report on spec, checked against reference_scan, and the
+    (stop, start) of each bitmask walk it made."""
+    walks, windows = [], pc._bitmask_windows
+
+    def recorded(ctx, terms, stop, start=0):
+        walks.append((stop, start))
+        return windows(ctx, terms, stop, start)
+
+    monkeypatch.setattr(pc, "_bitmask_windows", recorded)
+    rep = pc.is_permutation_exhaustive(ctx, spec)
+    assert (rep.counterexample, rep.evaluations) == reference_scan(ctx, spec)
+    return rep, walks
+
+
+def test_witness_partner_in_a_kept_window(monkeypatch):
+    # x^2 + c*x is GF(2)-linear with kernel {0, c}: y = 2^13 lies in the
+    # window [7168, 15360), its partner 5 in the kept window [0, 1024)
+    ctx = gf.make_field(16)
+    spec = TrinomialSpec.make(ctx, [(1, 2), ((1 << 13) + 5, 1)])
+    rep, walks = _witness_walks(monkeypatch, ctx, spec)
+    assert rep.counterexample == (5, 1 << 13)
+    assert walks == [(1 << 16, 0)]
+
+
+def test_witness_partner_in_the_failing_window(monkeypatch):
+    # y = 2^13 and its partner 7200 share the window [7168, 15360)
+    ctx = gf.make_field(16)
+    spec = TrinomialSpec.make(ctx, [(1, 2), ((1 << 13) ^ 7200, 1)])
+    rep, walks = _witness_walks(monkeypatch, ctx, spec)
+    assert rep.counterexample == (7200, 1 << 13)
+    assert walks == [(1 << 16, 0)]
+
+
+@pytest.mark.parametrize("chunk_bits, held", [(2, 2), (3, 6)])
+def test_witness_partner_past_the_kept_windows(monkeypatch, chunk_bits, held):
+    # windows of 2, 4, 8 ... up to the chunk: only [0, held) fits one chunk,
+    # so the partner 20 of y = 64 (failing window from 62) comes from a
+    # second walk over [held, 62) in chunk-sized windows
+    monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(pc, "_WITNESS_FIRST_BITS", 1)
+    ctx = gf.make_field(7)
+    spec = TrinomialSpec.make(ctx, [(1, 2), (64 + 20, 1)])
+    rep, walks = _witness_walks(monkeypatch, ctx, spec)
+    assert rep.counterexample == (20, 64)
+    assert walks == [(128, 0), (62, held)]
+    starts = [x0 for x0, _ in pc._bitmask_windows(ctx, spec.terms, 62, held)]
+    assert starts == list(range(held, 62, 1 << chunk_bits))
+    rng = random.Random(chunk_bits)
+    for _ in range(40):  # every position of y against the kept range
+        c = rng.randrange(2, 128)
+        _witness_walks(monkeypatch, ctx, TrinomialSpec.make(ctx, [(1, 2), (c, 1), (c, 0)]))
+
+
+def test_witness_partner_is_zero_when_f0_repeats(monkeypatch):
+    # x^2 + 2^12*x + 7 maps 0 and 2^12 to 7: the image of 0 is the scalar
+    # f(0) in the verdict pass and the partner of y = 2^12 in the witness
+    ctx = gf.make_field(16)
+    spec = TrinomialSpec.make(ctx, [(1, 2), (1 << 12, 1), (7, 0)])
+    assert spec.evaluate(0) == spec.evaluate(1 << 12) == 7
+    rep, walks = _witness_walks(monkeypatch, ctx, spec)
+    assert rep.counterexample == (0, 1 << 12)
+    assert walks == [(1 << 16, 0)]
+
+
+def test_permuting_pass_takes_no_element_wise_powers(monkeypatch):
+    # the image of 0 is scalar and the log-order walk is geometric, so a
+    # permutation never reaches pow_vec
+    def no_pow_vec(*args):
+        raise AssertionError("pow_vec called on a permuting pass")
+
+    monkeypatch.setattr(_kernels, "pow_vec", no_pow_vec)
+    tower = tw.make_tower(5)
+    spec = niho.pair_to_trinomial(tower, NihoPair(5, 2, -1))
+    assert pc.is_permutation_exhaustive(tower.field, spec).is_permutation
+
+
 @pytest.mark.parametrize("argv, code", [
     ("--m 10 --pair 788,861", 1), ("--m 10 --pair 2,-1", 0), ("--m 11 --pair 3,5", 1),
 ])
