@@ -393,22 +393,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Permutation trinomials from Niho exponents over GF(2^n)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    plain, tabular = ("text", "json"), ("text", "json", "csv")
 
-    def common(p):
+    def common(p, formats):
         p.add_argument("--m", type=int, help="tower parameter m (field degree n=2m)")
         p.add_argument("--n", type=int, help="field degree n (must be even)")
         p.add_argument("--modulus", type=str, help="modulus override, hex (e.g. 0x13)")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", type=str, help="write output to this path")
 
     p = sub.add_parser("verify", help="verify a Niho pair with both engines")
-    common(p)
+    common(p, plain)
     p.add_argument("--pair", required=True,
                    help="pair 'S,T'; components may be fractions like -1/3")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("family", help="build and verify a trinomial family instance")
-    common(p)
+    common(p, plain)
     p.add_argument("--family", required=True,
                    help="one of F1..F9, T3..T6, C1..C4")
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
@@ -416,26 +417,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_family)
 
     p = sub.add_parser("table1", help="reproduce the known-pair table")
-    common(p)
+    common(p, tabular)
     p.add_argument("--all", action="store_true", help="sweep m = 2..8 (default)")
     p.set_defaults(fn=cmd_table1)
 
     p = sub.add_parser("lemmas", help="run a batch verification")
-    common(p)
+    common(p, plain)
     p.add_argument("--which", required=True,
                    help="eq4 | eq6 | eq8 | lemma1 | lemma2")
     p.set_defaults(fn=cmd_lemmas)
 
     p = sub.add_parser("search", help="full (s,t) sweep with classification")
-    common(p)
+    common(p, tabular)
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("open1", help="sweep the line s+t=1")
-    common(p)
+    common(p, tabular)
     p.set_defaults(fn=lambda a: _cmd_open(a, survey.scan_open_problem_1, "s"))
 
     p = sub.add_parser("open2", help="sweep the family (2k,-k)")
-    common(p)
+    common(p, tabular)
     p.set_defaults(fn=lambda a: _cmd_open(a, survey.scan_open_problem_2, "k"))
 
     return parser

@@ -40,7 +40,7 @@ from .errors import (
     ZeroLinearCoefficient,
 )
 from .field import FieldCtx
-from .niho import known_row_failure
+from .niho import PAIR_FAMILIES, known_row_failure
 from .tower import TowerCtx
 
 
@@ -304,11 +304,8 @@ def quartic_no_root_lw(tower: TowerCtx, q: QuarticLW) -> LWReport:
 # ---------------------------------------------------------------------------
 
 #: quartic family id -> the Niho pair whose verification it underpins
-QUARTIC_FAMILY_PAIRS = {
-    "eq4": "3,-1",
-    "eq6": "-2/3,5/3",
-    "eq8": "1/5,4/5",
-}
+QUARTIC_FAMILY_PAIRS = {"eq4": PAIR_FAMILIES["T4"], "eq6": PAIR_FAMILIES["T5"],
+                        "eq8": PAIR_FAMILIES["T6"]}
 
 
 def lemma_quartic_coeffs(tower: TowerCtx, which: str, x: int) -> QuarticLW:

@@ -13,10 +13,11 @@ Besides raw pairs the module materializes:
 
 * the inverse-exponent transforms that map a permutation pair to further
   permutation pairs (closing these out gives the pair's orbit);
+* the known-pair table with per-m conditions and equivalent pairs, each
+  fixed row written once, as labels that are parsed at m;
 * the trinomial families F1-F9 (previously published shapes with their
-  hypotheses), T3-T6 (the fractional pairs (-1/3,4/3), (3,-1), (-2/3,5/3),
-  (1/5,4/5)) and C1-C4 (monomial-shifted variants of T3-T6);
-* the known-pair survey table with per-m conditions and equivalent pairs.
+  hypotheses), T3-T6 and C1-C4: F8 and T3-T6 are table rows
+  (:data:`PAIR_FAMILIES`), and C1-C4 are x^((2^m+1)k) times T3-T6.
 """
 
 from __future__ import annotations
@@ -236,6 +237,89 @@ def equivalent_pairs(m: int, pair: NihoPair) -> list[NihoPair]:
 
 
 # ---------------------------------------------------------------------------
+# the known-pair table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Table1Row:
+    """One materialized row of the known-pair table at a fixed m."""
+
+    source: str
+    condition: str
+    condition_ok: bool
+    pair: Optional[NihoPair]
+    equivalents: tuple[tuple[str, Optional[NihoPair]], ...]
+
+
+_FIXED_ROWS = (
+    # (source, condition text, condition fn, equivalent labels); each pair
+    # is its label parsed at m
+    ("2,-1", "every positive m", lambda m: True, ("1,1/3", "1,2/3")),
+    ("1,-1/2", "m not divisible by 3", lambda m: m % 3 != 0, ("1,3/2", "1/4,3/4")),
+    ("-1/3,4/3", "m even", lambda m: m % 2 == 0, ("1,1/5", "1,4/5")),
+    ("3,-1", "m even", lambda m: m % 2 == 0, ("3/5,4/5", "1/3,4/3")),
+    ("-2/3,5/3", "m even", lambda m: m % 2 == 0, ("1,2/7", "1,5/7")),
+    ("1/5,4/5", "gcd(5, 2^m+1) = 1", lambda m: gcd(5, (1 << m) + 1) == 1,
+     ("1,-1/3", "1,4/3")),
+)
+
+#: what a known-pair row's condition asks of m, by its condition text, in
+#: the words of a failed hypothesis
+_ROW_NEEDS = {"m not divisible by 3": "m != 0 mod 3, got", "m even": "even m, got",
+              "gcd(5, 2^m+1) = 1": "gcd(5, 2^m+1)=1, fails at"}
+
+
+def _try_pair(label: str, m: int) -> Optional[NihoPair]:
+    """The pair of a table label at m; None if a denominator is not invertible."""
+    try:
+        return parse_pair(label, m)
+    except NonInvertibleDenominator:
+        return None
+
+
+def known_row_failure(source: str, m: int, who: str) -> str:
+    """"" if the condition of the known-pair row labelled ``source`` holds
+    at m, else the failed hypothesis "<who> needs ... m=<m>"."""
+    _, text, holds, _ = next(row for row in _FIXED_ROWS if row[0] == source)
+    return "" if holds(m) else f"{who} needs {_ROW_NEEDS[text]} m={m}"
+
+
+def known_pairs_table1(m: int, k_max: int | None = None) -> list[Table1Row]:
+    """Materialize every known-pair row at the given m.
+
+    The (k,-k) family is expanded over k in [1, k_max] (default 2^m, after
+    which residues repeat); its equivalents are the two transforms of (k,-k).
+    Conditions are evaluated per row; fractional pairs and equivalents that
+    do not resolve mod 2^m+1 are kept as None so callers can render them as
+    undefined.
+    """
+    if k_max is None:
+        k_max = 1 << m
+    rows: list[Table1Row] = []
+    kmk_cond = "m even, or m odd with v3(k) >= v3(2^m+1)"
+    for k in range(1, k_max + 1):
+        rows.append(Table1Row(
+            source=f"k,-k [k={k}]",
+            condition=kmk_cond,
+            condition_ok=k_minus_k_holds(m, k),
+            pair=NihoPair(m, k, -k),
+            equivalents=(
+                (f"{k}/{2*k-1},{2*k}/{2*k-1}", _transform(m, k, -k)),
+                (f"{k}/{2*k+1},{2*k}/{2*k+1}", _transform(m, -k, k)),
+            ),
+        ))
+    for source, cond_text, cond_fn, equivalents in _FIXED_ROWS:
+        rows.append(Table1Row(
+            source=source,
+            condition=cond_text,
+            condition_ok=cond_fn(m),
+            pair=_try_pair(source, m),
+            equivalents=tuple((label, _try_pair(label, m)) for label in equivalents),
+        ))
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # construction families
 # ---------------------------------------------------------------------------
 
@@ -245,13 +329,14 @@ FAMILY_IDS = (
     "C1", "C2", "C3", "C4",
 )
 
-#: the fractional pair behind each of T3-T6
-PAIR_FAMILIES = {
-    "T3": ((-1, 3), (4, 3)),
-    "T4": ((3, 1), (-1, 1)),
-    "T5": ((-2, 3), (5, 3)),
-    "T6": ((1, 5), (4, 5)),
-}
+#: the known-pair row of each pair family, the fixed rows after (2,-1):
+#: F8 = x + x^q + x^((q/2)(q-1)+1) is (1,-1/2), T3-T6 the paper's new pairs
+PAIR_FAMILIES = dict(zip(("F8", "T3", "T4", "T5", "T6"), (row[0] for row in _FIXED_ROWS[1:])))
+
+#: C1-C4 are x^((q+1)k) times T3-T6: by the subgroup criterion this only
+#: changes r in x^r h(x^(q-1)), so they permute iff T3-T6 do and
+#: gcd(2k+1, q-1) = 1
+_SHIFTED_FAMILIES = {"C1": "T3", "C2": "T4", "C3": "T5", "C4": "T6"}
 
 
 #: the parameters each family reads; the others take none
@@ -281,28 +366,6 @@ class FamilyInstance:
         object.__setattr__(self, "family_id", fid)
 
 
-#: what a known-pair row's condition asks of m, by its condition text, in
-#: the words of a failed hypothesis
-_ROW_NEEDS = {"m even": "even m, got", "gcd(5, 2^m+1) = 1": "gcd(5, 2^m+1)=1, fails at"}
-
-#: C1-C4 shift T3-T6 by a monomial and keep their pair's condition
-_SHIFTED_FAMILIES = {"C1": "T3", "C2": "T4", "C3": "T5", "C4": "T6"}
-
-
-def known_row_failure(source: str, m: int, who: str) -> str:
-    """"" if the condition of the known-pair row ``source`` (e.g. "3,-1")
-    holds at m, else the failed hypothesis "<who> needs ... m=<m>"."""
-    _, text, holds, _, _ = next(row for row in _FIXED_ROWS if row[0] == source)
-    return "" if holds(m) else f"{who} needs {_ROW_NEEDS[text]} m={m}"
-
-
-def _pair_family_condition(m: int, family: str, who: str) -> tuple[bool, str]:
-    """The condition of the known-pair row of a T3-T6 family's pair."""
-    source = next(row[0] for row in _FIXED_ROWS if row[3] == PAIR_FAMILIES[family])
-    reason = known_row_failure(source, m, who)
-    return not reason, reason
-
-
 def check_family_conditions(tower: TowerCtx, inst: FamilyInstance) -> tuple[bool, str]:
     """Evaluate the stated hypotheses of a family instance.
 
@@ -317,7 +380,8 @@ def check_family_conditions(tower: TowerCtx, inst: FamilyInstance) -> tuple[bool
     q = 1 << m
 
     if fid in PAIR_FAMILIES:
-        return _pair_family_condition(m, fid, fid)
+        reason = known_row_failure(PAIR_FAMILIES[fid], m, fid)
+        return not reason, reason
 
     if fid in ("F1", "F2"):
         k = p["k"]
@@ -393,11 +457,6 @@ def check_family_conditions(tower: TowerCtx, inst: FamilyInstance) -> tuple[bool
             return False, "F7 (second branch) needs b^2 + a^2*b^(2^m-1) + a = 0"
         return True, ""
 
-    if fid == "F8":
-        if m % 3 == 0:
-            return False, f"F8 needs m != 0 mod 3, got m={m}"
-        return True, ""
-
     if fid == "F9":
         if m % 2 == 0:
             return False, f"F9 needs odd m, got m={m}"
@@ -409,7 +468,8 @@ def check_family_conditions(tower: TowerCtx, inst: FamilyInstance) -> tuple[bool
         return False, f"{fid} needs a positive k"
     if gcd(2 * k + 1, q - 1) != 1:
         return False, f"{fid} needs gcd(2k+1, 2^m-1)=1, fails at k={k}"
-    return _pair_family_condition(m, _SHIFTED_FAMILIES[fid], fid)
+    reason = known_row_failure(PAIR_FAMILIES[_SHIFTED_FAMILIES[fid]], m, fid)
+    return not reason, reason
 
 
 def family_trinomial(
@@ -432,9 +492,7 @@ def family_trinomial(
     q = 1 << m
 
     if fid in PAIR_FAMILIES:
-        (sn, sd), (tn, td) = PAIR_FAMILIES[fid]
-        pair = NihoPair(m, resolve_fraction(sn, sd, m), resolve_fraction(tn, td, m))
-        return pair_to_trinomial(tower, pair)
+        return pair_to_trinomial(tower, parse_pair(PAIR_FAMILIES[fid], m))
 
     if fid == "F1":
         k, a = p["k"], p["a"]
@@ -473,108 +531,12 @@ def family_trinomial(
     if fid == "F7":
         a, b = p["a"], p["b"]
         return TrinomialSpec.make(ctx, [(a, 1), (b, q), (1, 2 * (q - 1) + 1)])
-    if fid == "F8":
-        return TrinomialSpec.make(ctx, [
-            (1, 1), (1, q), (1, (q // 2) * (q - 1) + 1),
-        ])
     if fid == "F9":
         return TrinomialSpec.make(ctx, [
             (1, 1), (1, q + 2), (1, (q // 2) * (q + 1) + 1),
         ])
 
-    # C1..C4: a monomial shift x^((q+1)k+1) with pair-family tail exponents
-    k = p["k"]
-    e0 = (q + 1) * k + 1
-    if fid == "C1":
-        exps = [e0, (q + 1) * k + (2 * q * q - q + 2) // 3,
-                (q + 1) * k + (q * q + 4 * q - 2) // 3]
-    elif fid == "C2":
-        exps = [e0, (q + 1) * k + 3 * q - 2, (q + 1) * k - q + 2]
-    elif fid == "C3":
-        exps = [e0, e0 + (q - 1) ** 2 // 3,
-                (q + 1) * k + (2 * q * q + 5 * q - 4) // 3]
-    else:  # C4
-        ell = resolve_fraction(1, 5, m)
-        exps = [e0, e0 + ell * (q - 1), e0 + 4 * ell * (q - 1)]
-    return TrinomialSpec.make(ctx, [(1, e) for e in exps])
-
-
-# ---------------------------------------------------------------------------
-# the known-pair table
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Table1Row:
-    """One materialized row of the known-pair table at a fixed m."""
-
-    source: str
-    condition: str
-    condition_ok: bool
-    pair: Optional[NihoPair]
-    equivalents: tuple[tuple[str, Optional[NihoPair]], ...]
-
-
-def _try_frac_pair(m, s_frac, t_frac) -> Optional[NihoPair]:
-    try:
-        return NihoPair(
-            m,
-            resolve_fraction(s_frac[0], s_frac[1], m),
-            resolve_fraction(t_frac[0], t_frac[1], m),
-        )
-    except NonInvertibleDenominator:
-        return None
-
-
-_FIXED_ROWS = (
-    # (source, condition text, condition fn, pair fracs, equivalent fracs)
-    ("2,-1", "every positive m", lambda m: True,
-     ((2, 1), (-1, 1)), (("1,1/3", ((1, 1), (1, 3))), ("1,2/3", ((1, 1), (2, 3))))),
-    ("1,-1/2", "m not divisible by 3", lambda m: m % 3 != 0,
-     ((1, 1), (-1, 2)), (("1,3/2", ((1, 1), (3, 2))), ("1/4,3/4", ((1, 4), (3, 4))))),
-    ("-1/3,4/3", "m even", lambda m: m % 2 == 0,
-     ((-1, 3), (4, 3)), (("1,1/5", ((1, 1), (1, 5))), ("1,4/5", ((1, 1), (4, 5))))),
-    ("3,-1", "m even", lambda m: m % 2 == 0,
-     ((3, 1), (-1, 1)), (("3/5,4/5", ((3, 5), (4, 5))), ("1/3,4/3", ((1, 3), (4, 3))))),
-    ("-2/3,5/3", "m even", lambda m: m % 2 == 0,
-     ((-2, 3), (5, 3)), (("1,2/7", ((1, 1), (2, 7))), ("1,5/7", ((1, 1), (5, 7))))),
-    ("1/5,4/5", "gcd(5, 2^m+1) = 1", lambda m: gcd(5, (1 << m) + 1) == 1,
-     ((1, 5), (4, 5)), (("1,-1/3", ((1, 1), (-1, 3))), ("1,4/3", ((1, 1), (4, 3))))),
-)
-
-
-def known_pairs_table1(m: int, k_max: int | None = None) -> list[Table1Row]:
-    """Materialize every known-pair row at the given m.
-
-    The (k,-k) family is expanded over k in [1, k_max] (default 2^m, after
-    which residues repeat). Conditions are evaluated per row; fractional
-    pairs and equivalents that do not resolve mod 2^m+1 are kept as None so
-    callers can render them as undefined.
-    """
-    if k_max is None:
-        k_max = 1 << m
-    rows: list[Table1Row] = []
-    kmk_cond = "m even, or m odd with v3(k) >= v3(2^m+1)"
-    for k in range(1, k_max + 1):
-        rows.append(Table1Row(
-            source=f"k,-k [k={k}]",
-            condition=kmk_cond,
-            condition_ok=k_minus_k_holds(m, k),
-            pair=NihoPair(m, k, -k),
-            equivalents=(
-                (f"{k}/{2*k-1},{2*k}/{2*k-1}",
-                 _try_frac_pair(m, (k, 2 * k - 1), (2 * k, 2 * k - 1))),
-                (f"{k}/{2*k+1},{2*k}/{2*k+1}",
-                 _try_frac_pair(m, (k, 2 * k + 1), (2 * k, 2 * k + 1))),
-            ),
-        ))
-    for source, cond_text, cond_fn, pair_fracs, equiv_fracs in _FIXED_ROWS:
-        rows.append(Table1Row(
-            source=source,
-            condition=cond_text,
-            condition_ok=cond_fn(m),
-            pair=_try_frac_pair(m, pair_fracs[0], pair_fracs[1]),
-            equivalents=tuple(
-                (label, _try_frac_pair(m, fr[0], fr[1])) for label, fr in equiv_fracs
-            ),
-        ))
-    return rows
+    # C1..C4: (q+1)k added to every exponent of T3..T6
+    shift = (q + 1) * p["k"]
+    base = pair_to_trinomial(tower, parse_pair(PAIR_FAMILIES[_SHIFTED_FAMILIES[fid]], m))
+    return TrinomialSpec.make(ctx, [(c, e + shift) for c, e in base.terms])

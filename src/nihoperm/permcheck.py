@@ -221,11 +221,10 @@ def _log_window(ctx: FieldCtx, strands, blocks, k0: int, size: int) -> np.ndarra
 
 
 def _bitmask_windows(ctx: FieldCtx, terms, stop: int, start: int = 0):
-    """(x0, images of x0, x0+1, ...) for the elements from start below stop.
-    From 0 the windows double from 2^_WITNESS_FIRST_BITS up to the chunk;
-    from a later start every window is a chunk."""
+    """(x0, images of x0, x0+1, ...) for the elements from start below stop,
+    in windows that double from 2^_WITNESS_FIRST_BITS up to the chunk."""
     chunk = 1 << min(ctx.n, _CHUNK_BITS)
-    width = chunk if start else min(1 << _WITNESS_FIRST_BITS, chunk)
+    width = min(1 << _WITNESS_FIRST_BITS, chunk)
     while start < stop:
         end = min(start + width, stop)
         yield start, _images(ctx, terms, np.arange(start, end, dtype=np.int64))

@@ -365,6 +365,19 @@ def test_threads_option_is_gone(capsys, cmd):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--m", "3", "--pair", "2,-1"],
+    ["family", "--family", "F8", "--m", "4"],
+    ["lemmas", "--which", "eq4", "--m", "4"],
+])
+def test_single_result_commands_refuse_csv(capsys, argv):
+    # only the dataset commands write CSV; the others take text or json
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'csv'" in err
+    assert run(capsys, *argv, "--format", "json")[0] == 0
+
+
 @pytest.mark.parametrize("argv, code", [
     (["verify", "--m", "3"], 2),  # --pair is required
     (["verify", "--m", "3", "--pair", "2,-1", "--bogus"], 2),

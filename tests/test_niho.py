@@ -437,6 +437,71 @@ def test_shifted_family_and_lemma_preconditions_keep_their_messages(m):
             assert str(err.value) == expected[1].format(who)
 
 
+def test_pair_families_name_their_table_rows():
+    # F8 and T3-T6 are fixed rows of the table, and the eq4/eq6/eq8 lemma
+    # batches underpin the rows of T4-T6
+    assert niho.PAIR_FAMILIES == {"F8": "1,-1/2", "T3": "-1/3,4/3", "T4": "3,-1",
+                                  "T5": "-2/3,5/3", "T6": "1/5,4/5"}
+    assert loweq.QUARTIC_FAMILY_PAIRS == {"eq4": "3,-1", "eq6": "-2/3,5/3", "eq8": "1/5,4/5"}
+    sources = [r.source for r in niho.known_pairs_table1(4, k_max=0)]
+    assert all(label in sources for label in niho.PAIR_FAMILIES.values())
+
+
+def _paper_exponents(fid, m, k=0):
+    """The exponents the paper writes out for F8, T3-T6 (k = 0) and
+    C1-C4 = x^((q+1)k) T3-T6."""
+    q = 1 << m
+    base = (q + 1) * k
+    if fid == "F8":
+        return [1, q, (q // 2) * (q - 1) + 1]
+    if fid in ("T3", "C1"):
+        return [base + 1, base + (2 * q * q - q + 2) // 3, base + (q * q + 4 * q - 2) // 3]
+    if fid in ("T4", "C2"):
+        return [base + 1, base + 3 * q - 2, base - q + 2]
+    if fid in ("T5", "C3"):
+        return [base + 1, base + 1 + (q - 1) ** 2 // 3, base + (2 * q * q + 5 * q - 4) // 3]
+    ell = pow(5, -1, q + 1)  # T6, C4
+    return [base + 1, base + 1 + ell * (q - 1), base + 1 + 4 * ell * (q - 1)]
+
+
+@pytest.mark.parametrize("fid", ["F8", "T3", "T4", "T5", "T6", "C1", "C2", "C3", "C4"])
+def test_table_built_families_match_the_paper_exponents(fid):
+    # the families built from table rows (and C1-C4 from T3-T6) against the
+    # exponents written out in closed form, at every admissible m in 2..12
+    built = 0
+    for m in range(2, 13):
+        tower = tw.make_tower(m)
+        for k in (range(1, 6) if fid[0] == "C" else [0]):
+            inst = FamilyInstance(fid, {"k": k} if fid[0] == "C" else {})
+            if not niho.check_family_conditions(tower, inst)[0]:
+                continue
+            expected = TrinomialSpec.make(tower.field, [(1, e) for e in _paper_exponents(fid, m, k)])
+            assert niho.family_trinomial(tower, inst) == expected, (m, k)
+            built += 1
+    assert built >= 3
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7])
+def test_unchecked_shifted_families_at_odd_m_have_no_pair(m):
+    # -1/3 and -2/3 do not resolve mod 2^m+1 at odd m (3 divides it), so C1
+    # and C3, like T3 and T5, have no member there even with check=False
+    tower = tw.make_tower(m)
+    for fid, params in (("T3", {}), ("T5", {}), ("C1", {"k": 1}), ("C3", {"k": 1})):
+        with pytest.raises(NonInvertibleDenominator):
+            niho.family_trinomial(tower, FamilyInstance(fid, params), check=False)
+
+
+@pytest.mark.parametrize("m", [3, 6])
+def test_f8_message_reads_its_table_row(m):
+    tower = tw.make_tower(m)
+    reason = f"F8 needs m != 0 mod 3, got m={m}"
+    assert niho.check_family_conditions(tower, FamilyInstance("F8", {})) == (False, reason)
+    with pytest.raises(ConditionViolated) as err:
+        niho.family_trinomial(tower, FamilyInstance("F8", {}))
+    assert str(err.value) == reason
+    assert niho.known_row_failure("1,-1/2", m, "F8") == reason
+
+
 def test_table_equivalents_match_transforms_when_defined():
     for m in (4, 5):
         for row in niho.known_pairs_table1(m):

@@ -396,11 +396,16 @@ def test_witness_partner_in_the_failing_window(monkeypatch):
     assert walks == [(1 << 16, 0)]
 
 
+#: the window starts of the second walk over [held, 62), by chunk bits:
+#: its windows again double from 2 up to the chunk
+_SECOND_WALK_STARTS = {2: [2] + list(range(4, 62, 4)), 3: [6, 8] + list(range(12, 62, 8))}
+
+
 @pytest.mark.parametrize("chunk_bits, held", [(2, 2), (3, 6)])
 def test_witness_partner_past_the_kept_windows(monkeypatch, chunk_bits, held):
     # windows of 2, 4, 8 ... up to the chunk: only [0, held) fits one chunk,
     # so the partner 20 of y = 64 (failing window from 62) comes from a
-    # second walk over [held, 62) in chunk-sized windows
+    # second walk over [held, 62)
     monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
     monkeypatch.setattr(pc, "_WITNESS_FIRST_BITS", 1)
     ctx = gf.make_field(7)
@@ -409,7 +414,7 @@ def test_witness_partner_past_the_kept_windows(monkeypatch, chunk_bits, held):
     assert rep.counterexample == (20, 64)
     assert walks == [(128, 0), (62, held)]
     starts = [x0 for x0, _ in pc._bitmask_windows(ctx, spec.terms, 62, held)]
-    assert starts == list(range(held, 62, 1 << chunk_bits))
+    assert starts == _SECOND_WALK_STARTS[chunk_bits]
     rng = random.Random(chunk_bits)
     for _ in range(40):  # every position of y against the kept range
         c = rng.randrange(2, 128)
@@ -730,13 +735,10 @@ def test_verify_pairs_builds_no_tables():
 
 def _predicted_pairs(m):
     """Pairs the paper proves are permutation pairs at m."""
-    fractions = [((2, 1), (-1, 1))]
-    if m % 2 == 0:
-        fractions += [niho.PAIR_FAMILIES[f] for f in ("T3", "T4", "T5")]
+    families = ["T3", "T4", "T5"] if m % 2 == 0 else []
     if gcd(5, (1 << m) + 1) == 1:
-        fractions.append(niho.PAIR_FAMILIES["T6"])
-    return [NihoPair(m, *(niho.resolve_fraction(a, b, m) for a, b in fr))
-            for fr in fractions]
+        families.append("T6")
+    return [NihoPair(m, 2, -1)] + [niho.parse_pair(niho.PAIR_FAMILIES[f], m) for f in families]
 
 
 @pytest.mark.parametrize("m", range(11, 17))
