@@ -47,11 +47,15 @@ from .niho import NihoPair, TrinomialSpec, pair_to_trinomial
 from .tower import TowerCtx, conjugate
 
 #: exhaustive verification bound: the occupancy bitset is 32 MiB at n = 28,
-#: and a full pass there takes about 30 s (timings in the README).
+#: and a full pass there takes 11-15 s in a fresh process (timings in the
+#: README).
 EXHAUSTIVE_MAX_N = 28
 
 #: elements per chunk of every exhaustive pass: 2^min(n, _CHUNK_BITS)
 _CHUNK_BITS = 20
+
+#: uint64 words per slice of a bitset's popcount (512 KiB of the bitset)
+_COUNT_WORDS = 1 << 16
 
 #: exponents in the first window of the log-order verdict pass (rounded up
 #: to a multiple of the period in :func:`_log_windows`); windows double from
@@ -129,36 +133,59 @@ def _images(ctx: FieldCtx, terms, xs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _bitset(ctx: FieldCtx) -> np.ndarray:
+@dataclass
+class _Bitset:
+    """An occupancy bitset of the 2^n field elements: the value v is bit
+    v & 31 of words[v >> 5], and count is the number of values it holds."""
+
+    words: np.ndarray
+    count: int = 0
+
+
+def _bitset(ctx: FieldCtx) -> _Bitset:
     """An empty occupancy bitset of the 2^n field elements."""
-    return np.zeros(max((1 << ctx.n) >> 6, 1), dtype=np.uint64)
+    # an even number of words, for the uint64 view that _occupy popcounts
+    return _Bitset(np.zeros(max((1 << ctx.n) >> 5, 2), dtype=np.uint32))
 
 
-def _repeats(bits: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _word_bit(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(word index, bit) of each of the values v in a bitset, the bit as a
+    uint32 shift, which numpy computes faster than a 32-entry table gather."""
+    return v >> 5, np.uint32(1) << (v & 31).astype(np.uint32, copy=False)
+
+
+def _repeats(bits: _Bitset, v: np.ndarray) -> np.ndarray:
     """Mask of the entries of v equal to an earlier entry of v or already in
     the occupancy bitset, which is left as it is."""
     order = np.argsort(v, kind="stable")
     sv = v[order]
     repeat = np.zeros(v.size, dtype=bool)
     repeat[order[1:][sv[1:] == sv[:-1]]] = True  # non-first occurrences within v
-    return repeat | ((bits[v >> 6] >> (v & 63).astype(np.uint64)) & 1).astype(bool)
+    word, bit = _word_bit(v)
+    return repeat | ((bits.words[word] & bit) != 0)
 
 
-def _occupy(bits: np.ndarray, v: np.ndarray) -> bool:
+def _occupy(bits: _Bitset, v: np.ndarray) -> bool:
     """Add the values v to the occupancy bitset and return True, or return
-    False, with the bitset unchanged, if any of them repeats an earlier one."""
-    sv = np.sort(v)
-    if (sv[1:] == sv[:-1]).any():
+    False, with the bitset unchanged, if any of them repeats an earlier one.
+
+    Each value adds its bit to its word. Adding 2^b to a word raises its
+    popcount by 1 if bit b is clear; otherwise the carry clears bit b and
+    at least as many bits as it sets (bits carried out of the word's 32 are
+    lost), so the popcount does not rise. Hence the bitset's popcount grows
+    by exactly v.size iff no value repeats. On a repeat, subtracting the
+    same bits restores every word, the arithmetic being mod 2^32.
+    """
+    word, bit = _word_bit(v)
+    np.add.at(bits.words, word, bit)
+    # in slices, so that the temporary stays small beside the bitset
+    view = bits.words.view(np.uint64)
+    count = sum(int(np.bitwise_count(view[i : i + _COUNT_WORDS]).sum())
+                for i in range(0, view.size, _COUNT_WORDS))
+    if count != bits.count + v.size:
+        np.subtract.at(bits.words, word, bit)
         return False
-    word = sv >> 6
-    first = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
-    word = word[first]
-    hit = np.bitwise_or.reduceat(
-        np.left_shift(np.uint64(1), (sv & 63).astype(np.uint64)), first
-    )
-    if (bits[word] & hit).any():
-        return False
-    bits[word] |= hit
+    bits.count = count
     return True
 
 
@@ -328,8 +355,11 @@ def zieve_check(ctx: FieldCtx, r: int, s_div: int, h: TrinomialSpec) -> bool:
     The roots x = z^k, z = g^s, come from :func:`_log_windows` in chunks of
     2^min(n, _CHUNK_BITS), with h and x^r h(x)^s evaluated on each chunk as
     arrays. Roots that fit one chunk are tested for repeats by one sort and
-    need no bitset; with more chunks, images go into an occupancy bitset of
-    2^n bits (32 MiB at n = 28).
+    need no bitset, whose 2^n bits would outweigh a small d: at n = 28 with
+    d = 16383 a bitset raised a fresh process's peak RSS from 32 to 46-47
+    MB. With more chunks, images go through :func:`_occupy`: with h = 1 and
+    s = 3 a call took 0.2-0.3 s at n = 22 and 0.8-1.1 s at n = 24 (76 and
+    90 MB peak), mostly in the element-wise powers.
     """
     order = ctx.group_order
     if s_div <= 0 or order % s_div != 0:

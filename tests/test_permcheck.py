@@ -362,6 +362,67 @@ def test_late_first_repeat_above_table_max():
     assert rep.evaluations == 3 << 20
 
 
+def _checked_occupy(ctx, bits, seen, v):
+    """_occupy(bits, v), checked against the set of values seen so far;
+    returns the set after the call."""
+    words, count = bits.words.copy(), bits.count
+    vals = v.tolist()
+    fresh = len(set(vals)) == len(vals) and seen.isdisjoint(vals)
+    assert pc._occupy(bits, v) == fresh
+    if fresh:
+        seen = seen | set(vals)
+        assert bits.count == len(seen)
+    else:  # the bitset is as it was before the call
+        assert np.array_equal(bits.words, words) and bits.count == count
+    # the bitset holds exactly the values seen, read through _repeats
+    held = pc._repeats(bits, np.arange(1 << ctx.n, dtype=v.dtype))
+    assert np.flatnonzero(held).tolist() == sorted(seen)
+    return seen
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_occupy_matches_a_set_reference(n):
+    ctx = gf.make_field(n)
+    size = 1 << n
+    rng = np.random.default_rng(n)
+    bits, seen = pc._bitset(ctx), set()
+    for i in range(60):
+        dtype = (np.uint32, np.int64)[i % 2]  # the verdict's and the witness's
+        if i % 3:  # distinct values, most of them unseen
+            pool = np.setdiff1d(np.arange(size), sorted(seen))
+            v = rng.permutation(pool)[: rng.integers(1, max(2, pool.size // 8))]
+            if i % 3 == 2 and seen:  # ... and one already held
+                v = np.r_[v, rng.choice(sorted(seen))]
+        else:  # values drawn with replacement
+            v = rng.integers(0, size, rng.integers(1, size // 4))
+        seen = _checked_occupy(ctx, bits, seen, rng.permutation(v).astype(dtype))
+
+
+#: windows with a repeat inside one word, as offsets into the word. In the
+#: first two each value's bit is still set after the adds: 3 * 2^3 leaves
+#: bit 3 set, and 3 * 2^31 wraps to 2^31 mod 2^32. In the others the carry
+#: of 2^4 + 2^4 meets the add of 2^5
+_CARRY_WINDOWS = [[3, 3, 3], [31, 31, 31], [4, 4, 5], [4, 5, 4]]
+
+
+@pytest.mark.parametrize("n", [5, 8, 12])
+@pytest.mark.parametrize("offsets", _CARRY_WINDOWS)
+def test_occupy_sees_repeats_that_carry(n, offsets):
+    ctx = gf.make_field(n)
+    rng = np.random.default_rng(n)
+    base = 32 * int(rng.integers(0, max(1, (1 << n) >> 5)))
+    others = np.setdiff1d(np.arange(1 << n), np.arange(base, base + 32))
+    bits = pc._bitset(ctx)
+    # an earlier window elsewhere, then the carry window among fresh values
+    seen = _checked_occupy(ctx, bits, set(), rng.permutation(others)[:40].astype(np.uint32))
+    fresh = np.array(sorted(set(others.tolist()) - seen)[:20])
+    window = rng.permutation(np.r_[np.array(offsets) + base, fresh]).astype(np.uint32)
+    assert _checked_occupy(ctx, bits, seen, window) == seen
+    # a value set by an earlier window repeats in a later one
+    seen = _checked_occupy(ctx, bits, seen, np.array([base + 31], dtype=np.uint32))
+    assert _checked_occupy(ctx, bits, seen, np.array([base + 30, base + 31], dtype=np.uint32)) == seen
+
+
 def _witness_walks(monkeypatch, ctx, spec):
     """The engine's report on spec, checked against reference_scan, and the
     (stop, start) of each bitmask walk it made."""
