@@ -7,13 +7,7 @@ table, and exhaustive pair surveys. See the README for the CLI.
 
 from .errors import NihopermError
 from .field import FieldCtx, make_field, smallest_irreducible
-from .loweq import (
-    LWVerdict,
-    QuarticLW,
-    quartic_no_root_lw,
-    quartic_roots_brute,
-    verify_lemma_quartics,
-)
+from .loweq import verify_lemma_quartics
 from .niho import (
     FamilyInstance,
     NihoPair,
@@ -27,7 +21,6 @@ from .niho import (
 )
 from .permcheck import (
     PermReport,
-    cross_validate,
     is_permutation_exhaustive,
     unit_circle_check,
     verify_pairs,
@@ -41,17 +34,14 @@ __version__ = "0.1.0"
 __all__ = [
     "FamilyInstance",
     "FieldCtx",
-    "LWVerdict",
     "NihoPair",
     "NihopermError",
     "PermReport",
-    "QuarticLW",
     "SearchRow",
     "TowerCtx",
     "TrinomialSpec",
     "canonical_orbit",
     "cayley_param",
-    "cross_validate",
     "equivalent_pairs",
     "family_trinomial",
     "in_unit_circle",
@@ -61,8 +51,6 @@ __all__ = [
     "make_field",
     "make_tower",
     "pair_to_trinomial",
-    "quartic_no_root_lw",
-    "quartic_roots_brute",
     "resolve_fraction",
     "search_pairs",
     "smallest_irreducible",

@@ -18,10 +18,6 @@ class DivisionByZero(NihopermError):
     """Multiplicative inverse of zero requested."""
 
 
-class NotADivisor(NihopermError):
-    """Relative trace requested for a subfield degree not dividing n."""
-
-
 class NotDivisible(NihopermError):
     """Cube coset index requested in a field where 3 does not divide 2^n-1."""
 
@@ -40,10 +36,6 @@ class ZNotInSubfield(NihopermError):
 
 
 # low-degree equations
-class ZeroLinearCoefficient(NihopermError):
-    """Trace criterion for x^2+ax+b requires a != 0."""
-
-
 class NotInSubfield(NihopermError):
     """Coefficient expected in the subfield is not fixed by x -> x^(2^m)."""
 

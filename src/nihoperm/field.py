@@ -21,7 +21,6 @@ from . import _kernels
 from .errors import (
     DegreeMismatch,
     DivisionByZero,
-    NotADivisor,
     NotDivisible,
     ReducibleModulus,
     ZeroArgument,
@@ -220,11 +219,6 @@ def make_field(n: int, modulus: int | None = None) -> FieldCtx:
     return FieldCtx(n=n, modulus=modulus)
 
 
-def field_from_hex(n: int, hex_modulus: str) -> FieldCtx:
-    """Build a context from a hexadecimal modulus string such as "0x13"."""
-    return make_field(n, int(hex_modulus, 16))
-
-
 # ---------------------------------------------------------------------------
 # element operations (pure functions of (ctx, inputs))
 # ---------------------------------------------------------------------------
@@ -296,41 +290,9 @@ def sqrt(ctx: FieldCtx, x: int) -> int:
     return power(ctx, x, 1 << (ctx.n - 1))
 
 
-def frobenius(ctx: FieldCtx, x: int, j: int) -> int:
-    """x^(2^j); j is taken mod n, so frobenius(x, n) = x."""
-    return power(ctx, x, 1 << (j % ctx.n))
-
-
 def trace_abs(ctx: FieldCtx, x: int) -> int:
     """Absolute trace Tr(x) = sum of x^(2^i) for 0 <= i < n, in {0, 1}."""
     return (x & ctx.trace_mask).bit_count() & 1
-
-
-def trace_rel(ctx: FieldCtx, x: int, k: int) -> int:
-    """Relative trace into GF(2^k): sum of x^(2^(k*i)) for 0 <= i < n/k.
-
-    Requires k to divide n (:class:`NotADivisor`). The result lies in the
-    degree-k subfield.
-    """
-    if k <= 0 or ctx.n % k != 0:
-        raise NotADivisor(f"{k} does not divide {ctx.n}")
-    acc = 0
-    y = x
-    for _ in range(ctx.n // k):
-        acc ^= y
-        y = frobenius(ctx, y, k)
-    return acc
-
-
-def multiplicative_order(ctx: FieldCtx, x: int) -> int:
-    """Order of x in the multiplicative group; ZeroArgument on 0."""
-    if x == 0:
-        raise ZeroArgument("0 is not in the multiplicative group")
-    order = ctx.group_order
-    for p in _factorize(order):
-        while order % p == 0 and power(ctx, x, order // p) == 1:
-            order //= p
-    return order
 
 
 def cube_coset_index(ctx: FieldCtx, x: int) -> int:

@@ -2,14 +2,15 @@
 
 Covers, over GF(2^n) and its index-2 subfield:
 
-* the trace criterion for x^2 + ax + b (solvable iff Tr(b/a^2) = 0) plus an
-  explicit Artin-Schreier solver, so root sets are constructed, not searched,
-  and a brute-force sweep of the criterion over every (a, b);
+* the trace criterion for x^2 + ax + b (solvable iff Tr(b/a^2) = 0, a != 0),
+  checked by a brute-force sweep over every (a, b), plus an explicit
+  Artin-Schreier solver, so root sets are constructed, not searched;
 * subfield roots of depressed cubics y^3 + a2*y + a1 and of quartics, for
   many polynomials at once: with z = b^k (b = g^(q+1)) every term is a
   gather from the subfield in log order;
 * the resolvent-cubic no-root certificate for quartics
-  h(z) = z^4 + a2*z^2 + a1*z + a0 with a0*a1 != 0: with r_i the subfield
+  h(z) = z^4 + a2*z^2 + a1*z + a0 with a0*a1 != 0, for many quartics at
+  once (:func:`_no_root_cases`): with r_i the subfield
   roots of y^3 + a2*y + a1 and w_i = a0*r_i^2/a1^2, h has no subfield root
   if either exactly one r_1 exists with Tr(w_1) = 1 ("case 1") or three
   exist with trace multiset {0, 1, 1} ("case 2");
@@ -23,7 +24,6 @@ Coefficients are handled by their subfield logs (:meth:`TowerCtx.subfield_log`).
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
 
@@ -32,13 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from . import field as gf
-from .errors import (
-    DivisionByZero,
-    NotInSubfield,
-    PreconditionViolated,
-    ZeroCoefficient,
-    ZeroLinearCoefficient,
-)
+from .errors import DivisionByZero, NotInSubfield, PreconditionViolated, ZeroCoefficient
 from .field import FieldCtx
 from .niho import PAIR_FAMILIES, known_row_failure
 from .tower import TowerCtx
@@ -47,17 +41,6 @@ from .tower import TowerCtx
 # ---------------------------------------------------------------------------
 # quadratics
 # ---------------------------------------------------------------------------
-
-def quadratic_solvable(ctx: FieldCtx, a: int, b: int) -> bool:
-    """True iff x^2 + ax + b has a root in GF(2^n); requires a != 0.
-
-    The a = 0 case is a perfect square and always solvable; use
-    :func:`quadratic_roots` for it.
-    """
-    if a == 0:
-        raise ZeroLinearCoefficient("criterion needs a != 0")
-    return gf.trace_abs(ctx, gf.div(ctx, b, gf.square(ctx, a))) == 0
-
 
 def quadratic_criterion_disagreements(ctx: FieldCtx) -> int:
     """Count pairs (a != 0, b) where the trace criterion and brute-force
@@ -197,70 +180,6 @@ def _zeros(tower: TowerCtx, terms) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(found_rows), np.concatenate(found_idx)
 
 
-def _root_list(tower: TowerCtx, terms) -> list[int]:
-    """The subfield roots of a one-row :func:`_zeros` call, sorted by bitmask."""
-    _, idx = _zeros(tower, terms)
-    return sorted(tower.subfield[idx].tolist())
-
-
-def _monic(rows: int) -> np.ndarray:
-    return np.zeros(rows, dtype=np.intp)  # log of 1
-
-
-def cubic_roots_subfield(tower: TowerCtx, a2: int, a1: int) -> list[int]:
-    """Subfield roots of y^3 + a2*y + a1, sorted by bitmask.
-
-    Coefficients must lie in the subfield. Separable cubics have 0, 1 or 3
-    roots; the inseparable case (a1 = 0, a2 != 0) yields 2.
-    """
-    l2, l1 = _logs(tower, "a2", [a2]), _logs(tower, "a1", [a1])
-    return _root_list(tower, [(_monic(1), 3), (l2, 1), (l1, 0)])
-
-
-@dataclass(frozen=True)
-class QuarticLW:
-    """h(z) = z^4 + a2*z^2 + a1*z + a0 with subfield coefficients, a0*a1 != 0."""
-
-    a2: int
-    a1: int
-    a0: int
-
-
-class LWVerdict(enum.Enum):
-    NO_ROOT_CASE1 = "no_root_case1"  # one resolvent root, Tr(w1) = 1
-    NO_ROOT_CASE2 = "no_root_case2"  # three resolvent roots, traces {0,1,1}
-    SILENT = "silent"  # the certificate does not apply
-
-
-@dataclass(frozen=True)
-class LWReport:
-    verdict: LWVerdict
-    resolvent_roots: tuple[int, ...]
-    w_traces: tuple[int, ...]
-
-    @property
-    def certifies_no_root(self) -> bool:
-        return self.verdict is not LWVerdict.SILENT
-
-
-#: certificate verdict by case number: 0 silent, 1 and 2 the no-root cases
-_VERDICTS = (LWVerdict.SILENT, LWVerdict.NO_ROOT_CASE1, LWVerdict.NO_ROOT_CASE2)
-
-
-def _quartic_terms(l2, l1, l0):
-    return [(_monic(l0.size), 4), (l2, 2), (l1, 1), (l0, 0)]
-
-
-def _resolvent(tower: TowerCtx, l2, l1, l0):
-    """(row, root log, Tr_m(w)) for every subfield root r = b^k of the
-    resolvent cubic y^3 + a2*y + a1, with w = a0*r^2/a1^2. Needs a1 != 0,
-    so that no root is 0."""
-    rows, idx = _zeros(tower, [(_monic(l1.size), 3), (l2, 1), (l1, 0)])
-    k = idx - 1
-    lw = (l0[rows] + 2 * (k - l1[rows])) % (tower.subfield_order - 1)
-    return rows, k, tower.subfield_trace_bits[lw]
-
-
 def _cases(count, trace_sum):
     """Certificate case per polynomial from its resolvent root count and
     trace sum: 1 for one root of trace 1, 2 for three roots with traces
@@ -269,34 +188,29 @@ def _cases(count, trace_sum):
                     np.where((count == 3) & (trace_sum == 2), 2, 0))
 
 
-def quartic_roots_brute(tower: TowerCtx, q: QuarticLW) -> list[int]:
-    """All subfield roots of h, by direct evaluation over the subfield.
+def _no_root_cases(tower: TowerCtx, a2, a1, a0) -> tuple[np.ndarray, np.ndarray]:
+    """(rooted, cases) for the quartics z^4 + a2*z^2 + a1*z + a0, one per
+    entry of the coefficient arrays: the sorted rows that have a subfield
+    root, by brute evaluation, and each row's certificate case (see the
+    module docstring; 0 where it does not apply).
 
-    Coefficients must lie in the subfield (:class:`NotInSubfield`).
+    The case comes from the subfield roots r = b^k of the resolvent cubic
+    y^3 + a2*y + a1 and the traces of w = a0*r^2/a1^2. Coefficients must be
+    nonzero in a0 and a1 (:class:`ZeroCoefficient`) and lie in the subfield
+    (:class:`NotInSubfield`).
     """
-    logs = [_logs(tower, name, [v]) for name, v in (("a2", q.a2), ("a1", q.a1), ("a0", q.a0))]
-    return _root_list(tower, _quartic_terms(*logs))
-
-
-def quartic_no_root_lw(tower: TowerCtx, q: QuarticLW) -> LWReport:
-    """Resolvent-cubic no-root certificate for h (see module docstring).
-
-    Returns the verdict together with the resolvent roots r_i and the
-    traces of w_i = a0*r_i^2/a1^2 so callers can audit the certificate.
-    SILENT carries no information: the criterion only ever certifies the
-    two no-root patterns, never the presence of a root.
-    """
-    if q.a0 == 0 or q.a1 == 0:
+    if not (np.all(a0) and np.all(a1)):
         raise ZeroCoefficient("certificate requires a0 != 0 and a1 != 0")
-    l0, l1, l2 = (_logs(tower, name, [v])
-                  for name, v in (("a0", q.a0), ("a1", q.a1), ("a2", q.a2)))
-    _, k, traces = _resolvent(tower, l2, l1, l0)
-    roots = tower.subfield[1:][k]
-    order = np.argsort(roots)
-    roots, traces = roots[order], traces[order]
-    verdict = _VERDICTS[int(_cases(roots.size, traces.sum()))]
-    return LWReport(verdict=verdict, resolvent_roots=tuple(roots.tolist()),
-                    w_traces=tuple(traces.tolist()))
+    l2, l1, l0 = (_logs(tower, name, v) for name, v in (("a2", a2), ("a1", a1), ("a0", a0)))
+    one = np.zeros(l0.size, dtype=np.intp)  # log of 1
+    rooted, _ = _zeros(tower, [(one, 4), (l2, 2), (l1, 1), (l0, 0)])
+    rows, idx = _zeros(tower, [(one, 3), (l2, 1), (l1, 0)])
+    # log w for r = subfield[idx] = b^(idx-1)
+    lw = (l0[rows] + 2 * (idx - 1 - l1[rows])) % (tower.subfield_order - 1)
+    traces = tower.subfield_trace_bits[lw]
+    cases = _cases(np.bincount(rows, minlength=l0.size),
+                   np.bincount(rows, weights=traces, minlength=l0.size))
+    return np.unique(rooted), cases
 
 
 # ---------------------------------------------------------------------------
@@ -306,43 +220,6 @@ def quartic_no_root_lw(tower: TowerCtx, q: QuarticLW) -> LWReport:
 #: quartic family id -> the Niho pair whose verification it underpins
 QUARTIC_FAMILY_PAIRS = {"eq4": PAIR_FAMILIES["T4"], "eq6": PAIR_FAMILIES["T5"],
                         "eq8": PAIR_FAMILIES["T6"]}
-
-
-def lemma_quartic_coeffs(tower: TowerCtx, which: str, x: int) -> QuarticLW:
-    """Quartic coefficients at a unit-circle point x for family eq4/eq6/eq8.
-
-    eq4: a2 = (x^6+x^2)/(x^8+x^4+1), a1 = (x^8+1)/(x^8+x^4+1), a0 = 1
-    eq6: a2 = (x^8+x^6+x^2+1)/x^4,   a1 = (x^8+1)/x^4,         a0 = 1
-    eq8: a2 = 0, a1 = ((x^2+1)/(x^2+x+1))^3,
-         a0 = (x^8+x^6+x^4+x^2+1)/(x^8+x^4+1)
-
-    All three land in the subfield because they are invariant under
-    x -> 1/x, which is conjugation on the unit circle.
-    """
-    ctx = tower.field
-    p = [gf.power(ctx, x, i) for i in range(9)]
-    if which == "eq4":
-        den = gf.inv(ctx, p[8] ^ p[4] ^ 1)
-        return QuarticLW(
-            a2=gf.mul(ctx, p[6] ^ p[2], den),
-            a1=gf.mul(ctx, p[8] ^ 1, den),
-            a0=1,
-        )
-    if which == "eq6":
-        den = gf.inv(ctx, p[4])
-        return QuarticLW(
-            a2=gf.mul(ctx, p[8] ^ p[6] ^ p[2] ^ 1, den),
-            a1=gf.mul(ctx, p[8] ^ 1, den),
-            a0=1,
-        )
-    if which == "eq8":
-        t = gf.div(ctx, p[2] ^ 1, p[2] ^ x ^ 1)
-        return QuarticLW(
-            a2=0,
-            a1=gf.power(ctx, t, 3),
-            a0=gf.div(ctx, p[8] ^ p[6] ^ p[4] ^ p[2] ^ 1, p[8] ^ p[4] ^ 1),
-        )
-    raise ValueError(f"unknown quartic family {which!r}")
 
 
 @dataclass(frozen=True)
@@ -369,12 +246,6 @@ class QuarticFamilyReport:
         )
 
 
-def _expected_verdict(which: str, m: int) -> LWVerdict:
-    if which in ("eq4", "eq6"):
-        return LWVerdict.NO_ROOT_CASE1
-    return LWVerdict.NO_ROOT_CASE1 if m % 2 == 1 else LWVerdict.NO_ROOT_CASE2
-
-
 def _quotient_log(tower: TowerCtx, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """log(num/den) per entry for subfield arrays (-1 where num is 0)."""
     ln, ld = _logs(tower, "numerator", num), _logs(tower, "denominator", den)
@@ -389,8 +260,15 @@ def _from_logs(tower: TowerCtx, lg: np.ndarray) -> np.ndarray:
 
 def family_coefficients(tower: TowerCtx, which: str):
     """(ks, a2, a1, a0): the points x = unit_circle[ks] that a family's
-    check visits, and :func:`lemma_quartic_coeffs` at each, as arrays.
+    check visits, and the family's quartic coefficients at each, as arrays:
 
+    eq4: a2 = (x^6+x^2)/(x^8+x^4+1), a1 = (x^8+1)/(x^8+x^4+1), a0 = 1
+    eq6: a2 = (x^8+x^6+x^2+1)/x^4,   a1 = (x^8+1)/x^4,         a0 = 1
+    eq8: a2 = 0, a1 = t^3 with t = (x^2+1)/(x^2+x+1),
+         a0 = (x^8+x^6+x^4+x^2+1)/(x^8+x^4+1)
+
+    All of them lie in the subfield because they are invariant under
+    x -> 1/x, which is conjugation on the unit circle.
     ks runs over U \\ {1} in order; eq8 skips the points with x^2+x+1 = 0.
     Divided by x^4 (eq8's t by x), every numerator and denominator is a sum
     of the subfield elements x^i + x^-i = U[ik] + U[-ik], so each quotient
@@ -426,10 +304,10 @@ def verify_lemma_quartics(tower: TowerCtx, which: str) -> QuarticFamilyReport:
     For every x in U \\ {1} (eq8 additionally skips the two points with
     x^2+x+1 = 0, which reduce to the trivial branch) the quartic is built
     from x, brute evaluation over the subfield confirms it has no root,
-    and the certificate of :func:`quartic_no_root_lw` is required to fire
-    with the verdict the family predicts (case 1 for eq4/eq6 and for eq8
-    at odd m; case 2 for eq8 at m = 0 mod 4). Every step is one array pass
-    over all the points (:func:`family_coefficients`, :func:`_zeros`).
+    and the certificate is required to fire with the case the family
+    predicts (case 1 for eq4/eq6 and for eq8 at odd m; case 2 for eq8 at
+    m = 0 mod 4). Every step is one array pass over all the points
+    (:func:`family_coefficients`, :func:`_no_root_cases`).
 
     Preconditions: the condition of the family's known-pair row
     (:data:`QUARTIC_FAMILY_PAIRS`), m even for eq4/eq6 and gcd(5, 2^m+1) = 1
@@ -443,15 +321,9 @@ def verify_lemma_quartics(tower: TowerCtx, which: str) -> QuarticFamilyReport:
     if reason:
         raise PreconditionViolated(reason)
     ks, a2, a1, a0 = family_coefficients(tower, which)
-    if not (a0.all() and a1.all()):
-        raise ZeroCoefficient("certificate requires a0 != 0 and a1 != 0")
-    l2, l1, l0 = (_logs(tower, name, v) for name, v in (("a2", a2), ("a1", a1), ("a0", a0)))
-    rooted, _ = _zeros(tower, _quartic_terms(l2, l1, l0))
-    failures = tower.unit_circle[ks[np.unique(rooted)]].tolist()
-    rows, _, traces = _resolvent(tower, l2, l1, l0)
-    cases = _cases(np.bincount(rows, minlength=ks.size),
-                   np.bincount(rows, weights=traces, minlength=ks.size))
-    expected = _VERDICTS.index(_expected_verdict(which, m))
+    rooted, cases = _no_root_cases(tower, a2, a1, a0)
+    failures = tower.unit_circle[ks[rooted]].tolist()
+    expected = 2 if which == "eq8" and m % 2 == 0 else 1
     return QuarticFamilyReport(
         lemma=which,
         m=m,

@@ -161,12 +161,6 @@ class TrinomialSpec:
     def exponents(self) -> tuple[int, ...]:
         return tuple(e for _, e in self.terms)
 
-    def compose_power(self, e: int) -> "TrinomialSpec":
-        """The polynomial p(x^e)."""
-        return TrinomialSpec.make(
-            self.ctx, [(c, exp * e) for c, exp in self.terms]
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "modulus": self.ctx.to_hex(),

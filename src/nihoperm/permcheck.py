@@ -26,7 +26,6 @@ The subgroup reduction is also exposed in its general form
 (:func:`zieve_check`): x^r h(x^s) permutes the field iff gcd(r, s) = 1 and
 x^r h(x)^s permutes the d-th roots of unity, where d*s = 2^n-1. Its roots
 come from the log-order walk, and its repeat test is the exhaustive one.
-cross_validate runs both engines on a pair and reports agreement.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from . import _kernels
 from . import field as gf
 from .errors import BadFactorization, FieldTooLarge
 from .field import FieldCtx
-from .niho import NihoPair, TrinomialSpec, pair_to_trinomial
+from .niho import NihoPair, TrinomialSpec
 from .tower import TowerCtx, conjugate
 
 #: exhaustive verification bound: the occupancy bitset is 32 MiB at n = 28,
@@ -558,9 +557,3 @@ def unit_circle_check(tower: TowerCtx, pair: NihoPair) -> PermReport:
     of the one pair."""
     return verify_pairs(tower, [pair])[0]
 
-
-def cross_validate(tower: TowerCtx, pair: NihoPair) -> bool:
-    """True iff the exhaustive and unit-circle engines agree on the pair."""
-    ex = is_permutation_exhaustive(tower.field, pair_to_trinomial(tower, pair))
-    uc = unit_circle_check(tower, pair)
-    return ex.is_permutation == uc.is_permutation

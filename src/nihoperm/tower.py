@@ -126,15 +126,10 @@ class TowerCtx:
 
 def make_tower(m: int, modulus: int | None = None) -> TowerCtx:
     """Tower context for GF(2^(2m)) over GF(2^m), 1 <= m <= 16."""
+    if not 1 <= m <= gf.DEGREE_MAX // 2:
+        raise ValueError(f"tower degree m must be in [1, {gf.DEGREE_MAX // 2}], got m={m}")
     ctx = gf.make_field(2 * m, modulus)
     return TowerCtx(field=ctx, m=m)
-
-
-def tower_over(ctx: FieldCtx) -> TowerCtx:
-    """Wrap an existing even-degree field context."""
-    if ctx.n % 2 != 0:
-        raise ValueError(f"tower needs even extension degree, got n={ctx.n}")
-    return TowerCtx(field=ctx, m=ctx.n // 2)
 
 
 def conjugate(tower: TowerCtx, x: int) -> int:
@@ -159,11 +154,6 @@ def in_unit_circle(tower: TowerCtx, x: int) -> bool:
 def unit_circle_iter(tower: TowerCtx) -> Iterator[int]:
     """All 2^m+1 norm-1 elements, in the order of ``tower.unit_circle``."""
     yield from tower.unit_circle.tolist()
-
-
-def subfield_iter(tower: TowerCtx) -> Iterator[int]:
-    """All 2^m elements fixed by conjugation, in the order of ``tower.subfield``."""
-    yield from tower.subfield.tolist()
 
 
 def canonical_gamma(tower: TowerCtx) -> int:

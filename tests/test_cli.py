@@ -62,6 +62,14 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, m", [("--m 17", 17), ("--n 34", 17), ("--m 0", 0)])
+def test_verify_past_the_tower_bound_names_m(capsys, argv, m):
+    # the bound is on m (1 <= m <= 16), not on the field degree 2m
+    code, out, err = run(capsys, "verify", *argv.split(), "--pair", "2,-1")
+    assert code == 2 and out == ""
+    assert err == f"error: tower degree m must be in [1, 16], got m={m}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--pair", "2,-1", "--m", "3", "--n", "6"],
     ["verify", "--pair", "2,-1", "--m", "3", "--n", "8"],
@@ -237,8 +245,8 @@ def test_table1_modulus_checked(capsys):
 @pytest.mark.parametrize("argv, message", [
     ("search --m 12", "capped at m=11"),
     ("table1 --m 15", "capped at m=14"),
-    ("open1 --m 17", "[2, 32]"),
-    ("open2 --m 17", "[2, 32]"),
+    ("open1 --m 17", "got m=17"),
+    ("open2 --m 17", "got m=17"),
     ("lemmas --which eq4 --m 17", "capped at n=32"),
     ("lemmas --which eq6 --m 17", "capped at n=32"),
     ("lemmas --which eq8 --m 17", "capped at n=32"),

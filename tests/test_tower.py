@@ -12,7 +12,7 @@ from nihoperm.errors import GammaInSubfield, ZNotInSubfield
 
 
 def test_conjugate_fixes_subfield(tower4):
-    for c in tw.subfield_iter(tower4):
+    for c in tower4.subfield.tolist():
         assert tw.conjugate(tower4, c) == c
 
 
@@ -30,7 +30,7 @@ def test_subfield_size(tower3):
     # x^(2^m) = x picks out exactly 2^m elements
     fixed = [x for x in gf.elements(tower3.field) if tw.in_subfield(tower3, x)]
     assert len(fixed) == 8
-    assert sorted(tw.subfield_iter(tower3)) == sorted(fixed)
+    assert sorted(tower3.subfield.tolist()) == sorted(fixed)
 
 
 def test_unit_circle_membership_and_count(tower3):
@@ -66,7 +66,7 @@ def test_enumeration_orders_are_the_generator_walks(m):
     w = gf.power(ctx, ctx.generator, q - 1)
     b = gf.power(ctx, ctx.generator, q + 1)
     assert list(tw.unit_circle_iter(tower)) == _walk(ctx, w, q + 1)
-    assert list(tw.subfield_iter(tower)) == [0, *_walk(ctx, b, q - 1)]
+    assert list(tower.subfield.tolist()) == [0, *_walk(ctx, b, q - 1)]
 
 
 def test_enumerations_build_no_exp_log_tables():
@@ -98,7 +98,7 @@ def test_conjugation_is_inversion_on_unit_circle(m):
 
 def test_cayley_never_one_and_in_circle(tower4):
     gamma = tw.canonical_gamma(tower4)
-    for z in tw.subfield_iter(tower4):
+    for z in tower4.subfield.tolist():
         u = tw.cayley_param(tower4, gamma, z)
         assert u != 1
         assert tw.in_unit_circle(tower4, u)
@@ -106,7 +106,7 @@ def test_cayley_never_one_and_in_circle(tower4):
 
 def test_cayley_m2_enumeration(tower2):
     gamma = tw.canonical_gamma(tower2)
-    values = [tw.cayley_param(tower2, gamma, z) for z in tw.subfield_iter(tower2)]
+    values = [tw.cayley_param(tower2, gamma, z) for z in tower2.subfield.tolist()]
     assert len(values) == 4
     assert len(set(values)) == 4  # pairwise distinct
     circle = set(tw.unit_circle_iter(tower2))
@@ -140,7 +140,7 @@ def test_cayley_random_z_in_circle():
     tower = tw.make_tower(3)  # GF(64) over GF(8)
     gamma = tw.canonical_gamma(tower)
     rng = random.Random(42)
-    subfield = list(tw.subfield_iter(tower))
+    subfield = list(tower.subfield.tolist())
     for _ in range(50):
         z = rng.choice(subfield)
         assert tw.in_unit_circle(tower, tw.cayley_param(tower, gamma, z))
@@ -154,10 +154,31 @@ def test_cayley_preconditions(tower2):
         tw.cayley_param(tower2, gamma, gamma)
 
 
+def test_relative_trace_folds_to_the_absolute_trace(tower4):
+    # x + x^(2^m), the trace of GF(2^(2m)) down to GF(2^m), lies in the
+    # subfield, and its subfield trace is the absolute trace of x
+    ctx = tower4.field
+    for x in gf.elements(ctx):
+        y = x ^ tw.conjugate(tower4, x)
+        assert tw.in_subfield(tower4, y)
+        assert tw.subfield_trace(tower4, y) == gf.trace_abs(ctx, x)
+
+
+@pytest.mark.parametrize("m", [0, 17, -1])
+def test_make_tower_rejects_m_out_of_range(m):
+    with pytest.raises(ValueError, match=rf"m must be in \[1, 16\], got m={m}$"):
+        tw.make_tower(m)
+
+
+def test_make_tower_accepts_its_bounds():
+    assert tw.make_tower(1).field.n == 2
+    assert tw.make_tower(16).field.n == 32
+
+
 def test_subfield_trace_values(tower4):
     # onto GF(2): both values occur; and it is the m-fold Frobenius sum
     seen = set()
-    for y in tw.subfield_iter(tower4):
+    for y in tower4.subfield.tolist():
         t = tw.subfield_trace(tower4, y)
         acc, s = 0, y
         for _ in range(tower4.m):
@@ -196,7 +217,7 @@ def test_cayley_image_matches_the_scalar_map(m):
     tower = tw.make_tower(m)
     gamma = tw.canonical_gamma(tower)
     image = tw.cayley_image(tower, gamma).tolist()
-    assert image == [tw.cayley_param(tower, gamma, z) for z in tw.subfield_iter(tower)]
+    assert image == [tw.cayley_param(tower, gamma, z) for z in tower.subfield.tolist()]
 
 
 def test_cayley_bijection_rejects_subfield_gamma(tower4):
