@@ -43,19 +43,6 @@ def poly_degree(p: int) -> int:
     return p.bit_length() - 1
 
 
-def _poly_mulmod(a: int, b: int, mod: int) -> int:
-    d = poly_degree(mod)
-    res = 0
-    while b:
-        if b & 1:
-            res ^= a
-        b >>= 1
-        a <<= 1
-        if (a >> d) & 1:
-            a ^= mod
-    return res
-
-
 def _poly_gcd(a: int, b: int) -> int:
     while b:
         while a.bit_length() >= b.bit_length() and a:
@@ -95,10 +82,11 @@ def is_irreducible(p: int) -> bool:
     if not (p & 1):
         return False  # divisible by x
     # x^(2^d) == x mod p, and gcd(x^(2^(d/q)) - x, p) == 1 for prime q | d
+    ctx = FieldCtx(d, p)
     t = 2
     powers = {}
     for i in range(1, d + 1):
-        t = _poly_mulmod(t, t, p)
+        t = mul(ctx, t, t)
         powers[i] = t
     if powers[d] != 2:
         return False
@@ -202,14 +190,17 @@ def make_field(n: int, modulus: int | None = None) -> FieldCtx:
 
     With ``modulus=None`` the lexicographically smallest irreducible
     polynomial of degree n is selected, so contexts are reproducible
-    across runs. A supplied modulus must have degree exactly n
-    (:class:`DegreeMismatch`) and be irreducible (:class:`ReducibleModulus`).
+    across runs. A supplied modulus must be nonnegative (ValueError), have
+    degree exactly n (:class:`DegreeMismatch`) and be irreducible
+    (:class:`ReducibleModulus`).
     """
     if not 2 <= n <= DEGREE_MAX:
         raise ValueError(f"extension degree must be in [2, {DEGREE_MAX}], got {n}")
     if modulus is None:
         modulus = smallest_irreducible(n)
     else:
+        if modulus < 0:
+            raise ValueError(f"modulus {hex(modulus)} is negative")
         if poly_degree(modulus) != n:
             raise DegreeMismatch(
                 f"modulus {hex(modulus)} has degree {poly_degree(modulus)}, expected {n}"
@@ -222,11 +213,6 @@ def make_field(n: int, modulus: int | None = None) -> FieldCtx:
 # ---------------------------------------------------------------------------
 # element operations (pure functions of (ctx, inputs))
 # ---------------------------------------------------------------------------
-
-def add(ctx: FieldCtx, a: int, b: int) -> int:
-    """Field addition (= subtraction): XOR of coefficient masks."""
-    return a ^ b
-
 
 def mul(ctx: FieldCtx, a: int, b: int) -> int:
     """a*b: the carry-less product, a shifted by each set bit of b, then

@@ -15,9 +15,9 @@ Besides raw pairs the module materializes:
   permutation pairs (closing these out gives the pair's orbit);
 * the known-pair table with per-m conditions and equivalent pairs, each
   fixed row written once, as labels that are parsed at m;
-* the trinomial families F1-F9 (previously published shapes with their
-  hypotheses), T3-T6 and C1-C4: F8 and T3-T6 are table rows
-  (:data:`PAIR_FAMILIES`), and C1-C4 are x^((2^m+1)k) times T3-T6.
+* one table of the families F1-F9 (published shapes with their hypotheses),
+  T3-T6 and C1-C4: F8 and T3-T6 are known-pair rows (:data:`PAIR_FAMILIES`),
+  and C1-C4 are x^((2^m+1)k) times T3-T6.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import field as gf
 from . import tower as tw
@@ -317,27 +317,180 @@ def known_pairs_table1(m: int, k_max: int | None = None) -> list[Table1Row]:
 # construction families
 # ---------------------------------------------------------------------------
 
-FAMILY_IDS = (
-    "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9",
-    "T3", "T4", "T5", "T6",
-    "C1", "C2", "C3", "C4",
-)
-
 #: the known-pair row of each pair family, the fixed rows after (2,-1):
 #: F8 = x + x^q + x^((q/2)(q-1)+1) is (1,-1/2), T3-T6 the paper's new pairs
 PAIR_FAMILIES = dict(zip(("F8", "T3", "T4", "T5", "T6"), (row[0] for row in _FIXED_ROWS[1:])))
 
-#: C1-C4 are x^((q+1)k) times T3-T6: by the subgroup criterion this only
-#: changes r in x^r h(x^(q-1)), so they permute iff T3-T6 do and
-#: gcd(2k+1, q-1) = 1
-_SHIFTED_FAMILIES = {"C1": "T3", "C2": "T4", "C3": "T5", "C4": "T6"}
+#: the family parameters that are elements of GF(2^n); the others are integers
+_ELEMENT_PARAMS = ("a", "b", "c", "v")
 
 
-#: the parameters each family reads; the others take none
-FAMILY_PARAMS = {
-    "F1": ("k", "a"), "F2": ("k", "v"), "F3": ("r", "a", "b", "c"), "F4": ("k",),
-    "F5": ("a",), "F6": ("k",), "F7": ("a", "b"),
-    "C1": ("k",), "C2": ("k",), "C3": ("k",), "C4": ("k",),
+@dataclass(frozen=True)
+class _Family:
+    """One construction family. ``fails(tower, *args)`` names its first
+    failed hypothesis ("" when all hold) and ``terms(tower, *args)`` gives
+    its (coefficient, exponent) terms; args are the values of ``params``."""
+
+    params: tuple[str, ...]
+    fails: Callable[..., str]
+    terms: Callable[..., list[tuple[int, int]]]
+
+
+def _f1_fails(tower: TowerCtx, k: int, a: int) -> str:
+    if tower.field.n != 3 * k:
+        return f"F1 needs n = 3k, got n={tower.field.n}, k={k}"
+    if a == 0 or gf.power(tower.field, a, (1 << (2 * k)) + (1 << k) + 1) == 1:
+        return "F1 needs a^(2^(2k)+2^k+1) != 1"
+    return ""
+
+
+def _f1_terms(tower: TowerCtx, k: int, a: int) -> list[tuple[int, int]]:
+    a_pow = gf.power(tower.field, a, (1 << k) + 1)
+    return [(1, (1 << (2 * k)) + 1), (a_pow, (1 << k) + 1), (a, 2)]
+
+
+def _f2_fails(tower: TowerCtx, k: int, v: int) -> str:
+    if tower.field.n != 3 * k:
+        return f"F2 needs n = 3k, got n={tower.field.n}, k={k}"
+    if v == 0:
+        return "F2 needs v != 0"
+    if gf.power(tower.field, v, 1 << k) != v:
+        return "F2 needs v in GF(2^k)"
+    return ""
+
+
+def _f2_terms(tower: TowerCtx, k: int, v: int) -> list[tuple[int, int]]:
+    return [(1, (1 << (2 * k)) + 1), (1, (1 << k) + 1), (v, 1)]
+
+
+def _f3_fails(tower: TowerCtx, r: int, a: int, b: int, c: int) -> str:
+    # n = 2m is even, so 3 divides 2^n-1
+    ctx = tower.field
+    s = ctx.group_order // 3
+    if gcd(r, s) != 1:
+        return f"F3 needs gcd(r, s)=1 with s={s}"
+    w = gf.power(ctx, ctx.generator, s)
+    h = [c ^ gf.mul(ctx, b, wi) ^ gf.mul(ctx, a, gf.square(ctx, wi))
+         for wi in (1, w, gf.square(ctx, w))]
+    if 0 in h:
+        return "F3 needs h(w^i) != 0 for i = 0, 1, 2"
+    i1 = gf.cube_coset_index(ctx, gf.div(ctx, h[0], h[1]))
+    i2 = gf.cube_coset_index(ctx, gf.div(ctx, h[1], h[2]))
+    if i1 != i2 or i1 == r % 3:
+        return "F3 needs idx(h(1)/h(w)) = idx(h(w)/h(w^2)) != r mod 3"
+    return ""
+
+
+def _f3_terms(tower: TowerCtx, r: int, a: int, b: int, c: int) -> list[tuple[int, int]]:
+    s = tower.field.group_order // 3
+    return [(a, 2 * s + r), (b, s + r), (c, r)]
+
+
+def _f4_fails(tower: TowerCtx, k: int) -> str:
+    if k < 0:
+        return "F4 needs k >= 0"
+    if gcd(2 * k + 3, (1 << tower.m) - 1) != 1:
+        return f"F4 needs gcd(2k+3, 2^m-1)=1, fails at k={k}"
+    return ""
+
+
+def _f4_terms(tower: TowerCtx, k: int) -> list[tuple[int, int]]:
+    q = 1 << tower.m
+    base = k * (q + 1)
+    return [(1, base + 3), (1, base + q + 2), (1, base + 3 * q)]
+
+
+def _f5_fails(tower: TowerCtx, a: int) -> str:
+    if a == 0 or gf.power(tower.field, a, (1 << tower.m) + 1) != 1:
+        return "F5 needs a^(2^m+1) = 1"
+    return ""
+
+
+def _f5_terms(tower: TowerCtx, a: int) -> list[tuple[int, int]]:
+    m, q = tower.m, 1 << tower.m
+    a_root = gf.power(tower.field, a, 1 << (m - 1))
+    return [(1, 1), (a, 2 * (q - 1) + 1), (a_root, q * (q - 1) + 1)]
+
+
+def _f6_fails(tower: TowerCtx, k: int) -> str:
+    if k < 1:
+        return "F6 needs a positive k"
+    if not k_minus_k_holds(tower.m, k):
+        return "F6 at odd m needs v3(k) >= v3(2^m+1)"
+    return ""
+
+
+def _f6_terms(tower: TowerCtx, k: int) -> list[tuple[int, int]]:
+    return list(pair_to_trinomial(tower, NihoPair(tower.m, k, -k)).terms)
+
+
+def _f7_fails(tower: TowerCtx, a: int, b: int) -> str:
+    ctx, q = tower.field, 1 << tower.m
+    if a == 0 or b == 0:
+        return "F7 needs ab != 0"
+    if a == gf.power(ctx, b, 1 - q):
+        if tw.subfield_trace(tower, gf.power(ctx, b, -1 - q)) != 0:
+            return "F7 (first branch) needs Tr_m(b^(-1-2^m)) = 0"
+        return ""
+    u = gf.mul(ctx, a, gf.inv(ctx, gf.square(ctx, b)))
+    if not tw.in_subfield(tower, u):
+        return "F7 (second branch) needs a*b^(-2) in GF(2^m)"
+    if tw.subfield_trace(tower, u) != 0:
+        return "F7 (second branch) needs Tr_m(a*b^(-2)) = 0"
+    if gf.square(ctx, b) ^ gf.mul(ctx, gf.square(ctx, a), gf.power(ctx, b, q - 1)) ^ a != 0:
+        return "F7 (second branch) needs b^2 + a^2*b^(2^m-1) + a = 0"
+    return ""
+
+
+def _f7_terms(tower: TowerCtx, a: int, b: int) -> list[tuple[int, int]]:
+    q = 1 << tower.m
+    return [(a, 1), (b, q), (1, 2 * (q - 1) + 1)]
+
+
+def _f9_fails(tower: TowerCtx) -> str:
+    return f"F9 needs odd m, got m={tower.m}" if tower.m % 2 == 0 else ""
+
+
+def _f9_terms(tower: TowerCtx) -> list[tuple[int, int]]:
+    q = 1 << tower.m
+    return [(1, 1), (1, q + 2), (1, (q // 2) * (q + 1) + 1)]
+
+
+def _row_family(fid: str, label: str, shifted: bool) -> _Family:
+    """The family of the known-pair row ``label``: its pair's trinomial, or
+    with ``shifted`` (C1-C4) that trinomial times x^((2^m+1)k). By the
+    subgroup criterion the shift only changes r in x^r h(x^(2^m-1)), so the
+    shifted family permutes iff the row does and gcd(2k+1, 2^m-1) = 1."""
+
+    def fails(tower: TowerCtx, k: int = 0) -> str:
+        if shifted and k < 1:
+            return f"{fid} needs a positive k"
+        if shifted and gcd(2 * k + 1, (1 << tower.m) - 1) != 1:
+            return f"{fid} needs gcd(2k+1, 2^m-1)=1, fails at k={k}"
+        return known_row_failure(label, tower.m, fid)
+
+    def terms(tower: TowerCtx, k: int = 0) -> list[tuple[int, int]]:
+        shift = ((1 << tower.m) + 1) * k
+        pair = pair_to_trinomial(tower, parse_pair(label, tower.m))
+        return [(c, e + shift) for c, e in pair.terms]
+
+    return _Family(("k",) if shifted else (), fails, terms)
+
+
+#: every construction family by id: F1-F9 with their stated hypotheses, F8
+#: and T3-T6 from their known-pair rows, C1-C4 from the rows of T3-T6
+_FAMILIES = {
+    "F1": _Family(("k", "a"), _f1_fails, _f1_terms),
+    "F2": _Family(("k", "v"), _f2_fails, _f2_terms),
+    "F3": _Family(("r", "a", "b", "c"), _f3_fails, _f3_terms),
+    "F4": _Family(("k",), _f4_fails, _f4_terms),
+    "F5": _Family(("a",), _f5_fails, _f5_terms),
+    "F6": _Family(("k",), _f6_fails, _f6_terms),
+    "F7": _Family(("a", "b"), _f7_fails, _f7_terms),
+    "F9": _Family((), _f9_fails, _f9_terms),
+    **{fid: _row_family(fid, label, False) for fid, label in PAIR_FAMILIES.items()},
+    **{cid: _row_family(cid, PAIR_FAMILIES[tid], True)
+       for cid, tid in zip(("C1", "C2", "C3", "C4"), ("T3", "T4", "T5", "T6"))},
 }
 
 
@@ -352,9 +505,9 @@ class FamilyInstance:
 
     def __post_init__(self):
         fid = self.family_id.upper()
-        if fid not in FAMILY_IDS:
+        if fid not in _FAMILIES:
             raise ValueError(f"unknown family {self.family_id!r}")
-        missing = [k for k in FAMILY_PARAMS.get(fid, ()) if k not in self.params]
+        missing = [k for k in _FAMILIES[fid].params if k not in self.params]
         if missing:
             raise ValueError(f"family {fid} is missing parameters {', '.join(missing)}")
         object.__setattr__(self, "family_id", fid)
@@ -364,105 +517,17 @@ def check_family_conditions(tower: TowerCtx, inst: FamilyInstance) -> tuple[bool
     """Evaluate the stated hypotheses of a family instance.
 
     Returns (ok, reason); reason names the first failing hypothesis.
-    Never cached: always recomputed from the parameters.
+    Never cached: always recomputed from the parameters. Raises ValueError
+    first if a field-element parameter is outside [0, 2^n).
     """
-    fid = inst.family_id
-    p = inst.params
-    ctx = tower.field
-    m = tower.m
-    n = ctx.n
-    q = 1 << m
-
-    if fid in PAIR_FAMILIES:
-        reason = known_row_failure(PAIR_FAMILIES[fid], m, fid)
-        return not reason, reason
-
-    if fid in ("F1", "F2"):
-        k = p["k"]
-        if n != 3 * k:
-            return False, f"{fid} needs n = 3k, got n={n}, k={k}"
-        if fid == "F1":
-            a = p["a"]
-            if a == 0 or gf.power(ctx, a, (1 << (2 * k)) + (1 << k) + 1) == 1:
-                return False, "F1 needs a^(2^(2k)+2^k+1) != 1"
-        else:
-            v = p["v"]
-            if v == 0:
-                return False, "F2 needs v != 0"
-            if gf.power(ctx, v, 1 << k) != v:
-                return False, "F2 needs v in GF(2^k)"
-        return True, ""
-
-    if fid == "F3":
-        if ctx.group_order % 3 != 0:
-            return False, "F3 needs 3 | 2^n-1 (even n)"
-        s = ctx.group_order // 3
-        r, a, b, c = p["r"], p["a"], p["b"], p["c"]
-        if gcd(r, s) != 1:
-            return False, f"F3 needs gcd(r, s)=1 with s={s}"
-        w = gf.power(ctx, ctx.generator, s)
-        h = [c ^ gf.mul(ctx, b, wi) ^ gf.mul(ctx, a, gf.square(ctx, wi))
-             for wi in (1, w, gf.square(ctx, w))]
-        if 0 in h:
-            return False, "F3 needs h(w^i) != 0 for i = 0, 1, 2"
-        i1 = gf.cube_coset_index(ctx, gf.div(ctx, h[0], h[1]))
-        i2 = gf.cube_coset_index(ctx, gf.div(ctx, h[1], h[2]))
-        if i1 != i2 or i1 == r % 3:
-            return False, "F3 needs idx(h(1)/h(w)) = idx(h(w)/h(w^2)) != r mod 3"
-        return True, ""
-
-    if fid == "F4":
-        k = p["k"]
-        if k < 0:
-            return False, "F4 needs k >= 0"
-        if gcd(2 * k + 3, q - 1) != 1:
-            return False, f"F4 needs gcd(2k+3, 2^m-1)=1, fails at k={k}"
-        return True, ""
-
-    if fid == "F5":
-        a = p["a"]
-        if a == 0 or gf.power(ctx, a, q + 1) != 1:
-            return False, "F5 needs a^(2^m+1) = 1"
-        return True, ""
-
-    if fid == "F6":
-        k = p["k"]
-        if k < 1:
-            return False, "F6 needs a positive k"
-        if not k_minus_k_holds(m, k):
-            return False, "F6 at odd m needs v3(k) >= v3(2^m+1)"
-        return True, ""
-
-    if fid == "F7":
-        a, b = p["a"], p["b"]
-        if a == 0 or b == 0:
-            return False, "F7 needs ab != 0"
-        b_pow = gf.power(ctx, b, 1 - q)
-        if a == b_pow:
-            if tw.subfield_trace(tower, gf.power(ctx, b, -1 - q)) != 0:
-                return False, "F7 (first branch) needs Tr_m(b^(-1-2^m)) = 0"
-            return True, ""
-        u = gf.mul(ctx, a, gf.inv(ctx, gf.square(ctx, b)))
-        if not tw.in_subfield(tower, u):
-            return False, "F7 (second branch) needs a*b^(-2) in GF(2^m)"
-        if tw.subfield_trace(tower, u) != 0:
-            return False, "F7 (second branch) needs Tr_m(a*b^(-2)) = 0"
-        if gf.square(ctx, b) ^ gf.mul(ctx, gf.square(ctx, a), gf.power(ctx, b, q - 1)) ^ a != 0:
-            return False, "F7 (second branch) needs b^2 + a^2*b^(2^m-1) + a = 0"
-        return True, ""
-
-    if fid == "F9":
-        if m % 2 == 0:
-            return False, f"F9 needs odd m, got m={m}"
-        return True, ""
-
-    # C1..C4
-    k = p["k"]
-    if k < 1:
-        return False, f"{fid} needs a positive k"
-    if gcd(2 * k + 1, q - 1) != 1:
-        return False, f"{fid} needs gcd(2k+1, 2^m-1)=1, fails at k={k}"
-    reason = known_row_failure(PAIR_FAMILIES[_SHIFTED_FAMILIES[fid]], m, fid)
+    family = _FAMILIES[inst.family_id]
+    args = [inst.params[name] for name in family.params]
+    n = tower.field.n
+    for name, value in zip(family.params, args):
+        if name in _ELEMENT_PARAMS and not 0 <= value < 1 << n:
+            raise ValueError(f"family {inst.family_id} parameter {name}={value} "
+                             f"is not an element of GF(2^{n})")
+    reason = family.fails(tower, *args)
     return not reason, reason
 
 
@@ -479,58 +544,6 @@ def family_trinomial(
     ok, reason = check_family_conditions(tower, inst)
     if check and not ok:
         raise ConditionViolated(reason)
-    fid = inst.family_id
-    p = inst.params
-    ctx = tower.field
-    m = tower.m
-    q = 1 << m
-
-    if fid in PAIR_FAMILIES:
-        return pair_to_trinomial(tower, parse_pair(PAIR_FAMILIES[fid], m))
-
-    if fid == "F1":
-        k, a = p["k"], p["a"]
-        return TrinomialSpec.make(ctx, [
-            (1, (1 << (2 * k)) + 1),
-            (gf.power(ctx, a, (1 << k) + 1), (1 << k) + 1),
-            (a, 2),
-        ])
-    if fid == "F2":
-        k, v = p["k"], p["v"]
-        return TrinomialSpec.make(ctx, [
-            (1, (1 << (2 * k)) + 1),
-            (1, (1 << k) + 1),
-            (v, 1),
-        ])
-    if fid == "F3":
-        s = ctx.group_order // 3
-        r, a, b, c = p["r"], p["a"], p["b"], p["c"]
-        return TrinomialSpec.make(ctx, [(a, 2 * s + r), (b, s + r), (c, r)])
-    if fid == "F4":
-        k = p["k"]
-        base = k * (q + 1)
-        return TrinomialSpec.make(ctx, [
-            (1, base + 3), (1, base + q + 2), (1, base + 3 * q),
-        ])
-    if fid == "F5":
-        a = p["a"]
-        return TrinomialSpec.make(ctx, [
-            (1, 1),
-            (a, 2 * (q - 1) + 1),
-            (gf.power(ctx, a, 1 << (m - 1)), q * (q - 1) + 1),
-        ])
-    if fid == "F6":
-        k = p["k"]
-        return pair_to_trinomial(tower, NihoPair(m, k, -k))
-    if fid == "F7":
-        a, b = p["a"], p["b"]
-        return TrinomialSpec.make(ctx, [(a, 1), (b, q), (1, 2 * (q - 1) + 1)])
-    if fid == "F9":
-        return TrinomialSpec.make(ctx, [
-            (1, 1), (1, q + 2), (1, (q // 2) * (q + 1) + 1),
-        ])
-
-    # C1..C4: (q+1)k added to every exponent of T3..T6
-    shift = (q + 1) * p["k"]
-    base = pair_to_trinomial(tower, parse_pair(PAIR_FAMILIES[_SHIFTED_FAMILIES[fid]], m))
-    return TrinomialSpec.make(ctx, [(c, e + shift) for c, e in base.terms])
+    family = _FAMILIES[inst.family_id]
+    args = [inst.params[name] for name in family.params]
+    return TrinomialSpec.make(tower.field, family.terms(tower, *args))

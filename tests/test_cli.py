@@ -154,6 +154,22 @@ def test_family_builds_no_exp_log_tables(monkeypatch, capsys, argv):
     assert json.loads(out)["report"]["is_permutation"] is True
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("family --family F1 --m 3 --param k=2 --param a=-2",
+     "family F1 parameter a=-2 is not an element of GF(2^6)"),
+    ("family --family F1 --m 3 --param k=2 --param a=0x41",
+     "family F1 parameter a=65 is not an element of GF(2^6)"),
+    ("verify --m 2 --modulus=-0x13 --pair 2,-1",
+     "modulus -0x13 is negative"),
+])
+def test_out_of_range_field_inputs_exit_2(capsys, argv, message):
+    # a negative int never ends scalar multiplication or the irreducibility
+    # test, and an element past 2^n indexes past the engine's tables
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_family_above_exhaustive_cap_exits_2(capsys):
     m = permcheck.EXHAUSTIVE_MAX_N // 2 + 1
     code, _, err = run(capsys, "family", "--family", "F8", "--m", str(m))

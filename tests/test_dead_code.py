@@ -16,23 +16,39 @@ ALLOWED = {
 }
 
 
+def _module_aliases(tree: ast.Module) -> dict[str, str]:
+    """Local name -> module for `import numpy as np` and `from . import field as gf`."""
+    return {alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or (isinstance(node, ast.ImportFrom) and node.module is None)
+            for alias in node.names}
+
+
 def _uncalled() -> set[str]:
     """module.name of every top-level definition that no other top-level
-    statement of the package mentions (as a name or an attribute)."""
+    statement of the package mentions. A name counts for every module; an
+    attribute counts only through a module alias, and only for that module
+    (``gf.mul`` is a use of field.mul, ``np.add`` and ``seen.add`` are not
+    uses of field.add)."""
     defs, users = [], {}
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        aliases = _module_aliases(tree)
+        for node in tree.body:
             owner = (path.stem, getattr(node, "name", None))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append(owner)
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
                     users.setdefault(sub.id, set()).add(owner)
-                elif isinstance(sub, ast.Attribute):
-                    users.setdefault(sub.attr, set()).add(owner)
+                elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                      and sub.value.id in aliases):
+                    users.setdefault((aliases[sub.value.id], sub.attr), set()).add(owner)
     public = set(nihoperm.__all__)
     return {f"{mod}.{name}" for mod, name in defs
-            if name not in public and not users.get(name, set()) - {(mod, name)}}
+            if name not in public
+            and not (users.get(name, set()) | users.get((mod, name), set())) - {(mod, name)}}
 
 
 def test_every_private_definition_has_a_caller_in_the_package():

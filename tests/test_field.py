@@ -96,6 +96,13 @@ def test_degree_mismatch():
         gf.make_field(4, 0b111)
 
 
+def test_negative_modulus_rejected():
+    # poly_degree(-0x13) is 4, so only the sign check stops -0x13 at n = 4
+    assert gf.poly_degree(-0x13) == 4
+    with pytest.raises(ValueError, match="modulus -0x13 is negative"):
+        gf.make_field(4, -0x13)
+
+
 def test_degree_bounds():
     with pytest.raises(ValueError):
         gf.make_field(1)

@@ -317,6 +317,150 @@ def test_c4_exponents_match_worked_example(tower3):
     assert spec.exponents() == (3, 10, 24)
 
 
+#: (family, m, params, first failed hypothesis, terms with check=False, or
+#: the error building them raises): one admissible instance of every family
+#: and one violating instance per stated hypothesis, with the values the
+#: per-family if-ladders gave before the family table replaced them
+FAMILY_PINS = [
+    ('F1', 3, {'k': 2, 'a': 2}, '',
+     ((2, 2), (32, 5), (1, 17))),
+    ('F1', 4, {'k': 2, 'a': 2}, 'F1 needs n = 3k, got n=8, k=2',
+     ((2, 2), (32, 5), (1, 17))),
+    ('F1', 3, {'k': 2, 'a': 1}, 'F1 needs a^(2^(2k)+2^k+1) != 1',
+     ((1, 2), (1, 5), (1, 17))),
+    ('F2', 3, {'k': 2, 'v': 1}, '',
+     ((1, 1), (1, 5), (1, 17))),
+    ('F2', 2, {'k': 2, 'v': 1}, 'F2 needs n = 3k, got n=4, k=2',
+     ((1, 1), (1, 2), (1, 5))),
+    ('F2', 3, {'k': 2, 'v': 0}, 'F2 needs v != 0',
+     ((1, 5), (1, 17))),
+    ('F2', 3, {'k': 2, 'v': 2}, 'F2 needs v in GF(2^k)',
+     ((2, 1), (1, 5), (1, 17))),
+    ('F3', 2, {'r': 1, 'a': 1, 'b': 1, 'c': 2}, '',
+     ((2, 1), (1, 6), (1, 11))),
+    ('F3', 2, {'r': 5, 'a': 1, 'b': 1, 'c': 2}, 'F3 needs gcd(r, s)=1 with s=5',
+     ((2, 5), (1, 10), (1, 15))),
+    ('F3', 2, {'r': 1, 'a': 1, 'b': 1, 'c': 1}, 'F3 needs h(w^i) != 0 for i = 0, 1, 2',
+     ((1, 1), (1, 6), (1, 11))),
+    ('F3', 2, {'r': 1, 'a': 0, 'b': 1, 'c': 0},
+     'F3 needs idx(h(1)/h(w)) = idx(h(w)/h(w^2)) != r mod 3',
+     ((1, 6),)),
+    ('F4', 2, {'k': 1}, '',
+     ((1, 2), (1, 8), (1, 11))),
+    ('F4', 2, {'k': -1}, 'F4 needs k >= 0',
+     ((1, 1), (1, 7), (1, 13))),
+    ('F4', 2, {'k': 0}, 'F4 needs gcd(2k+3, 2^m-1)=1, fails at k=0',
+     ((1, 3), (1, 6), (1, 12))),
+    ('F5', 4, {'a': 1}, '',
+     ((1, 1), (1, 31), (1, 241))),
+    ('F5', 4, {'a': 3}, 'F5 needs a^(2^m+1) = 1',
+     ((1, 1), (3, 31), (26, 241))),
+    ('F6', 2, {'k': 1}, '',
+     ((1, 1), (1, 4), (1, 13))),
+    ('F6', 2, {'k': 0}, 'F6 needs a positive k',
+     ((1, 1),)),
+    ('F6', 3, {'k': 1}, 'F6 at odd m needs v3(k) >= v3(2^m+1)',
+     ((1, 1), (1, 8), (1, 57))),
+    ('F7', 2, {'a': 1, 'b': 1}, '',
+     ((1, 1), (1, 4), (1, 7))),
+    ('F7', 2, {'a': 0, 'b': 1}, 'F7 needs ab != 0',
+     ((1, 4), (1, 7))),
+    ('F7', 2, {'a': 1, 'b': 6}, 'F7 (first branch) needs Tr_m(b^(-1-2^m)) = 0',
+     ((1, 1), (6, 4), (1, 7))),
+    ('F7', 2, {'a': 1, 'b': 2}, 'F7 (second branch) needs a*b^(-2) in GF(2^m)',
+     ((1, 1), (2, 4), (1, 7))),
+    ('F7', 2, {'a': 2, 'b': 8}, 'F7 (second branch) needs Tr_m(a*b^(-2)) = 0',
+     ((2, 1), (8, 4), (1, 7))),
+    ('F7', 2, {'a': 2, 'b': 5}, 'F7 (second branch) needs b^2 + a^2*b^(2^m-1) + a = 0',
+     ((2, 1), (5, 4), (1, 7))),
+    ('F8', 4, {}, '',
+     ((1, 1), (1, 16), (1, 121))),
+    ('F8', 3, {}, 'F8 needs m != 0 mod 3, got m=3',
+     ((1, 1), (1, 8), (1, 29))),
+    ('F9', 3, {}, '',
+     ((1, 1), (1, 10), (1, 37))),
+    ('F9', 4, {}, 'F9 needs odd m, got m=4',
+     ((1, 1), (1, 18), (1, 137))),
+    ('T3', 4, {}, '',
+     ((1, 1), (1, 106), (1, 166))),
+    ('T3', 3, {}, 'T3 needs even m, got m=3',
+     'NonInvertibleDenominator'),
+    ('T4', 4, {}, '',
+     ((1, 1), (1, 46), (1, 241))),
+    ('T4', 3, {}, 'T4 needs even m, got m=3',
+     ((1, 1), (1, 22), (1, 57))),
+    ('T5', 4, {}, '',
+     ((1, 1), (1, 76), (1, 196))),
+    ('T5', 3, {}, 'T5 needs even m, got m=3',
+     'NonInvertibleDenominator'),
+    ('T6', 3, {}, '',
+     ((1, 1), (1, 15), (1, 57))),
+    ('T6', 2, {}, 'T6 needs gcd(5, 2^m+1)=1, fails at m=2',
+     'NonInvertibleDenominator'),
+    ('C1', 4, {'k': 3}, '',
+     ((1, 52), (1, 157), (1, 217))),
+    ('C1', 4, {'k': 0}, 'C1 needs a positive k',
+     ((1, 1), (1, 106), (1, 166))),
+    ('C1', 4, {'k': 1}, 'C1 needs gcd(2k+1, 2^m-1)=1, fails at k=1',
+     ((1, 18), (1, 123), (1, 183))),
+    ('C1', 3, {'k': 1}, 'C1 needs even m, got m=3',
+     'NonInvertibleDenominator'),
+    ('C2', 4, {'k': 3}, '',
+     ((1, 37), (1, 52), (1, 97))),
+    ('C2', 3, {'k': 1}, 'C2 needs even m, got m=3',
+     ((1, 3), (1, 10), (1, 31))),
+    ('C3', 4, {'k': 3}, '',
+     ((1, 52), (1, 127), (1, 247))),
+    ('C3', 3, {'k': 1}, 'C3 needs even m, got m=3',
+     'NonInvertibleDenominator'),
+    ('C4', 3, {'k': 1}, '',
+     ((1, 3), (1, 10), (1, 24))),
+    ('C4', 6, {'k': 2}, 'C4 needs gcd(5, 2^m+1)=1, fails at m=6',
+     'NonInvertibleDenominator'),
+    ('C4', 3, {'k': -1}, 'C4 needs a positive k',
+     ((1, 6), (1, 48), (1, 55))),
+]
+
+
+def test_family_pins_cover_every_family_both_ways():
+    ids = {"F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9",
+           "T3", "T4", "T5", "T6", "C1", "C2", "C3", "C4"}
+    assert {fid for fid, _, _, reason, _ in FAMILY_PINS if not reason} == ids
+    assert {fid for fid, _, _, reason, _ in FAMILY_PINS if reason} == ids
+
+
+@pytest.mark.parametrize("fid,m,params,reason,terms", FAMILY_PINS)
+def test_family_terms_and_reasons_are_pinned(fid, m, params, reason, terms):
+    tower = tw.make_tower(m)
+    inst = FamilyInstance(fid, params)
+    assert niho.check_family_conditions(tower, inst) == (not reason, reason)
+    if isinstance(terms, str):
+        with pytest.raises(NonInvertibleDenominator):
+            niho.family_trinomial(tower, inst, check=False)
+    else:
+        assert niho.family_trinomial(tower, inst, check=False).terms == terms
+
+
+@pytest.mark.parametrize("fid,params", [("F1", {"k": 2, "a": -2}), ("F1", {"k": 2, "a": 64}),
+                                        ("F2", {"k": 2, "v": 1 << 70}),
+                                        ("F3", {"r": 1, "a": 1, "b": 1, "c": -1}),
+                                        ("F5", {"a": 64}), ("F7", {"a": 1, "b": -1})])
+def test_family_field_elements_outside_the_field_are_rejected(fid, params):
+    # scalar multiplication never ends on a negative int, and a value past
+    # 2^n indexes past the exhaustive engine's tables: both are refused
+    # before any hypothesis runs, with or without check
+    tower = tw.make_tower(3)
+    name, value = next((k, v) for k, v in params.items() if not 0 <= v < 64)
+    inst = FamilyInstance(fid, params)
+    message = f"family {fid} parameter {name}={value} is not an element of GF(2^6)"
+    with pytest.raises(ValueError) as err:
+        niho.check_family_conditions(tower, inst)
+    assert str(err.value) == message
+    for check in (True, False):
+        with pytest.raises(ValueError, match="is not an element"):
+            niho.family_trinomial(tower, inst, check=check)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         FamilyInstance("F10", {})
