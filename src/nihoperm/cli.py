@@ -470,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     try:
         return args.fn(args)
-    except (NihopermError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # a refusal, a bad int, an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,13 +18,7 @@ from math import isqrt
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    DegreeMismatch,
-    DivisionByZero,
-    NotDivisible,
-    ReducibleModulus,
-    ZeroArgument,
-)
+from .errors import NihopermError
 
 #: largest degree for which :attr:`FieldCtx.exp_log` builds its tables
 #: (8 MiB per table).
@@ -190,23 +184,22 @@ def make_field(n: int, modulus: int | None = None) -> FieldCtx:
 
     With ``modulus=None`` the lexicographically smallest irreducible
     polynomial of degree n is selected, so contexts are reproducible
-    across runs. A supplied modulus must be nonnegative (ValueError), have
-    degree exactly n (:class:`DegreeMismatch`) and be irreducible
-    (:class:`ReducibleModulus`).
+    across runs. A supplied modulus must be nonnegative, have degree
+    exactly n and be irreducible; else NihopermError names the failure.
     """
     if not 2 <= n <= DEGREE_MAX:
-        raise ValueError(f"extension degree must be in [2, {DEGREE_MAX}], got {n}")
+        raise NihopermError(f"extension degree must be in [2, {DEGREE_MAX}], got {n}")
     if modulus is None:
         modulus = smallest_irreducible(n)
     else:
         if modulus < 0:
-            raise ValueError(f"modulus {hex(modulus)} is negative")
+            raise NihopermError(f"modulus {hex(modulus)} is negative")
         if poly_degree(modulus) != n:
-            raise DegreeMismatch(
+            raise NihopermError(
                 f"modulus {hex(modulus)} has degree {poly_degree(modulus)}, expected {n}"
             )
         if not is_irreducible(modulus):
-            raise ReducibleModulus(f"modulus {hex(modulus)} factors over GF(2)")
+            raise NihopermError(f"modulus {hex(modulus)} factors over GF(2)")
     return FieldCtx(n=n, modulus=modulus)
 
 
@@ -236,9 +229,9 @@ def square(ctx: FieldCtx, a: int) -> int:
 
 
 def inv(ctx: FieldCtx, a: int) -> int:
-    """Multiplicative inverse; raises DivisionByZero on 0."""
+    """Multiplicative inverse; raises NihopermError on 0."""
     if a == 0:
-        raise DivisionByZero("0 has no multiplicative inverse")
+        raise NihopermError("0 has no multiplicative inverse")
     return power(ctx, a, -1)
 
 
@@ -251,7 +244,7 @@ def power(ctx: FieldCtx, x: int, e: int) -> int:
 
     For nonzero x the exponent is reduced mod 2^n-1 (negative exponents go
     through the inverse). For x = 0: 0^0 = 1, 0^e = 0 for e > 0, and e < 0
-    raises DivisionByZero. The x=0 rules keep polynomial evaluation total.
+    raises NihopermError. The x=0 rules keep polynomial evaluation total.
     Square-and-multiply over the bits of the reduced exponent.
     """
     if x == 0:
@@ -259,7 +252,7 @@ def power(ctx: FieldCtx, x: int, e: int) -> int:
             return 1
         if e > 0:
             return 0
-        raise DivisionByZero("0 cannot be raised to a negative power")
+        raise NihopermError("0 cannot be raised to a negative power")
     e %= ctx.group_order
     res = 1
     while e:
@@ -287,9 +280,9 @@ def cube_coset_index(ctx: FieldCtx, x: int) -> int:
     Defined when 3 divides 2^n-1 (every even n); 0 exactly on the cubes.
     """
     if ctx.group_order % 3 != 0:
-        raise NotDivisible(f"3 does not divide 2^{ctx.n}-1")
+        raise NihopermError(f"3 does not divide 2^{ctx.n}-1")
     if x == 0:
-        raise ZeroArgument("0 has no discrete log")
+        raise NihopermError("0 has no discrete log")
     third = ctx.group_order // 3
     y = power(ctx, x, third)
     if y == 1:

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from . import field as gf
-from .errors import DivisionByZero, NotInSubfield, PreconditionViolated, ZeroCoefficient
+from .errors import NihopermError
 from .field import FieldCtx
 from .niho import PAIR_FAMILIES, known_row_failure
 from .tower import TowerCtx
@@ -127,13 +127,13 @@ _WINDOW_ELEMS = 1 << 18
 
 def _logs(tower: TowerCtx, name: str, values) -> np.ndarray:
     """Subfield logs of the coefficients in values (-1 for 0), as intp;
-    NotInSubfield names the first entry outside the subfield."""
+    a NihopermError names the first entry outside the subfield."""
     values = np.asarray(values, dtype=np.uint32)
     lg = tower.subfield_log(values)
     outside = np.flatnonzero((lg < 0) & (values != 0))
     if outside.size:
         v = int(values[outside[0]])
-        raise NotInSubfield(f"{name}={hex(v)} is not in the index-2 subfield")
+        raise NihopermError(f"{name}={hex(v)} is not in the index-2 subfield")
     return lg
 
 
@@ -196,11 +196,10 @@ def _no_root_cases(tower: TowerCtx, a2, a1, a0) -> tuple[np.ndarray, np.ndarray]
 
     The case comes from the subfield roots r = b^k of the resolvent cubic
     y^3 + a2*y + a1 and the traces of w = a0*r^2/a1^2. Coefficients must be
-    nonzero in a0 and a1 (:class:`ZeroCoefficient`) and lie in the subfield
-    (:class:`NotInSubfield`).
+    nonzero in a0 and a1 and lie in the subfield, else NihopermError.
     """
     if not (np.all(a0) and np.all(a1)):
-        raise ZeroCoefficient("certificate requires a0 != 0 and a1 != 0")
+        raise NihopermError("certificate requires a0 != 0 and a1 != 0")
     l2, l1, l0 = (_logs(tower, name, v) for name, v in (("a2", a2), ("a1", a1), ("a0", a0)))
     one = np.zeros(l0.size, dtype=np.intp)  # log of 1
     rooted, _ = _zeros(tower, [(one, 4), (l2, 2), (l1, 1), (l0, 0)])
@@ -250,7 +249,7 @@ def _quotient_log(tower: TowerCtx, num: np.ndarray, den: np.ndarray) -> np.ndarr
     """log(num/den) per entry for subfield arrays (-1 where num is 0)."""
     ln, ld = _logs(tower, "numerator", num), _logs(tower, "denominator", den)
     if (ld < 0).any():
-        raise DivisionByZero("a family coefficient has a zero denominator")
+        raise NihopermError("a family coefficient has a zero denominator")
     return np.where(ln < 0, -1, (ln - ld) % (tower.subfield_order - 1))
 
 
@@ -295,7 +294,7 @@ def family_coefficients(tower: TowerCtx, which: str):
         a1 = _from_logs(tower, np.where(lt < 0, -1, 3 * lt % q1))
         a0 = _from_logs(tower, _quotient_log(tower, s4 ^ s2 ^ 1, s4 ^ 1))
         return ks, np.zeros_like(ones), a1, a0
-    raise ValueError(f"unknown quartic family {which!r}")
+    raise NihopermError(f"unknown quartic family {which!r}")
 
 
 def verify_lemma_quartics(tower: TowerCtx, which: str) -> QuarticFamilyReport:
@@ -315,11 +314,11 @@ def verify_lemma_quartics(tower: TowerCtx, which: str) -> QuarticFamilyReport:
     """
     which = which.lower()
     if which not in QUARTIC_FAMILY_PAIRS:
-        raise ValueError(f"unknown quartic family {which!r}")
+        raise NihopermError(f"unknown quartic family {which!r}")
     m = tower.m
     reason = known_row_failure(QUARTIC_FAMILY_PAIRS[which], m, which)
     if reason:
-        raise PreconditionViolated(reason)
+        raise NihopermError(reason)
     ks, a2, a1, a0 = family_coefficients(tower, which)
     rooted, cases = _no_root_cases(tower, a2, a1, a0)
     failures = tower.unit_circle[ks[rooted]].tolist()

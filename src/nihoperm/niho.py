@@ -29,7 +29,7 @@ from typing import Any, Callable, Optional
 
 from . import field as gf
 from . import tower as tw
-from .errors import ConditionViolated, NonInvertibleDenominator
+from .errors import NihopermError
 from .field import FieldCtx
 from .tower import TowerCtx
 
@@ -37,7 +37,7 @@ from .tower import TowerCtx
 def exp3(k: int) -> int:
     """3-adic valuation of a positive integer."""
     if k <= 0:
-        raise ValueError("3-adic valuation needs a positive integer")
+        raise NihopermError("3-adic valuation needs a positive integer")
     v = 0
     while k % 3 == 0:
         k //= 3
@@ -54,29 +54,26 @@ def k_minus_k_holds(m: int, k: int) -> bool:
 def resolve_fraction(num: int, den: int, m: int) -> int:
     """num/den as a residue mod 2^m+1.
 
-    Raises NonInvertibleDenominator when gcd(den, 2^m+1) != 1.
+    Raises NihopermError when gcd(den, 2^m+1) != 1.
     """
     if den == 0:
-        raise NonInvertibleDenominator("denominator is zero")
+        raise NihopermError("denominator is zero")
     mod = (1 << m) + 1
     d = den % mod
     if gcd(d, mod) != 1:
-        raise NonInvertibleDenominator(
-            f"gcd({den}, 2^{m}+1={mod}) = {gcd(d, mod)} != 1"
-        )
+        raise NihopermError(f"gcd({den}, 2^{m}+1={mod}) = {gcd(d, mod)} != 1")
     return (num * pow(d, -1, mod)) % mod
 
 
 def parse_ratio(token: str, m: int) -> int:
     """Parse an integer or fraction token ("3", "-1", "4/3") to a residue."""
     token = token.strip()
+    a, slash, b = token.partition("/")
     try:
-        if "/" in token:
-            a, b = token.split("/", 1)
-            return resolve_fraction(int(a), int(b), m)
-        return int(token) % ((1 << m) + 1)
+        num, den = int(a), int(b) if slash else 1
     except ValueError as exc:
-        raise ValueError(f"bad pair component {token!r}") from exc
+        raise NihopermError(f"bad pair component {token!r}") from exc
+    return resolve_fraction(num, den, m)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ def parse_pair(text: str, m: int) -> NihoPair:
     """Parse "S,T" where each component is an integer or fraction."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"pair must be 'S,T', got {text!r}")
+        raise NihopermError(f"pair must be 'S,T', got {text!r}")
     return NihoPair(m, parse_ratio(parts[0], m), parse_ratio(parts[1], m))
 
 
@@ -187,7 +184,7 @@ def is_niho_exponent(d: int, m: int) -> Optional[int]:
     pair_to_trinomial is normalized.
     """
     if d <= 0:
-        raise ValueError("exponent must be positive")
+        raise NihopermError("exponent must be positive")
     mod = (1 << m) - 1
     if mod == 1:
         return 0
@@ -267,7 +264,7 @@ def _try_pair(label: str, m: int) -> Optional[NihoPair]:
     """The pair of a table label at m; None if a denominator is not invertible."""
     try:
         return parse_pair(label, m)
-    except NonInvertibleDenominator:
+    except NihopermError:
         return None
 
 
@@ -498,7 +495,8 @@ _FAMILIES = {
 class FamilyInstance:
     """A family id plus its parameters; hypotheses are re-checked on use.
 
-    Raises ValueError for an unknown id or a missing parameter."""
+    Raises NihopermError for an unknown id, a missing parameter or one the
+    family does not take."""
 
     family_id: str
     params: dict[str, Any]
@@ -506,10 +504,14 @@ class FamilyInstance:
     def __post_init__(self):
         fid = self.family_id.upper()
         if fid not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family_id!r}")
-        missing = [k for k in _FAMILIES[fid].params if k not in self.params]
+            raise NihopermError(f"unknown family {self.family_id!r}")
+        names = _FAMILIES[fid].params
+        missing = [k for k in names if k not in self.params]
         if missing:
-            raise ValueError(f"family {fid} is missing parameters {', '.join(missing)}")
+            raise NihopermError(f"family {fid} is missing parameters {', '.join(missing)}")
+        extra = [k for k in self.params if k not in names]
+        if extra:
+            raise NihopermError(f"family {fid} does not take parameters {', '.join(extra)}")
         object.__setattr__(self, "family_id", fid)
 
 
@@ -517,7 +519,7 @@ def check_family_conditions(tower: TowerCtx, inst: FamilyInstance) -> tuple[bool
     """Evaluate the stated hypotheses of a family instance.
 
     Returns (ok, reason); reason names the first failing hypothesis.
-    Never cached: always recomputed from the parameters. Raises ValueError
+    Never cached: always recomputed from the parameters. Raises NihopermError
     first if a field-element parameter is outside [0, 2^n).
     """
     family = _FAMILIES[inst.family_id]
@@ -525,8 +527,8 @@ def check_family_conditions(tower: TowerCtx, inst: FamilyInstance) -> tuple[bool
     n = tower.field.n
     for name, value in zip(family.params, args):
         if name in _ELEMENT_PARAMS and not 0 <= value < 1 << n:
-            raise ValueError(f"family {inst.family_id} parameter {name}={value} "
-                             f"is not an element of GF(2^{n})")
+            raise NihopermError(f"family {inst.family_id} parameter {name}={value} "
+                                f"is not an element of GF(2^{n})")
     reason = family.fails(tower, *args)
     return not reason, reason
 
@@ -537,13 +539,13 @@ def family_trinomial(
     """Expand a family instance into its sparse polynomial.
 
     With check=True (the default) a failed hypothesis raises
-    ConditionViolated naming it; check=False builds the polynomial anyway,
+    NihopermError naming it; check=False builds the polynomial anyway,
     which is how hypothesis-violating instances are produced for
     falsification runs.
     """
     ok, reason = check_family_conditions(tower, inst)
     if check and not ok:
-        raise ConditionViolated(reason)
+        raise NihopermError(reason)
     family = _FAMILIES[inst.family_id]
     args = [inst.params[name] for name in family.params]
     return TrinomialSpec.make(tower.field, family.terms(tower, *args))

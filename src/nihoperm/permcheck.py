@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _kernels
 from . import field as gf
-from .errors import BadFactorization, FieldTooLarge
+from .errors import NihopermError
 from .field import FieldCtx
 from .niho import NihoPair, TrinomialSpec
 from .tower import TowerCtx, conjugate
@@ -314,10 +314,10 @@ def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
     and on failure the elements a scan in chunks of 2^min(n, 20) evaluates
     up to the chunk holding y, ((y >> c) + 1) * 2^c with c = min(n, 20).
     It is a fixed function of the polynomial, not a count of the work done.
-    Raises FieldTooLarge above n = EXHAUSTIVE_MAX_N.
+    Raises NihopermError above n = EXHAUSTIVE_MAX_N.
     """
     if ctx.n > EXHAUSTIVE_MAX_N:
-        raise FieldTooLarge(f"exhaustive check capped at n={EXHAUSTIVE_MAX_N}, got n={ctx.n}")
+        raise NihopermError(f"exhaustive check capped at n={EXHAUSTIVE_MAX_N}, got n={ctx.n}")
     t0 = time.perf_counter()
     terms = poly.terms
     bits = _bitset(ctx)
@@ -349,7 +349,7 @@ def zieve_check(ctx: FieldCtx, r: int, s_div: int, h: TrinomialSpec) -> bool:
     injective (hence a permutation) on the d-th roots of unity, d*s = 2^n-1.
 
     Any zero of h on the roots of unity fails the check. Raises
-    BadFactorization unless s_div divides 2^n-1.
+    NihopermError unless s_div divides 2^n-1.
 
     The roots x = z^k, z = g^s, come from :func:`_log_windows` in chunks of
     2^min(n, _CHUNK_BITS), with h and x^r h(x)^s evaluated on each chunk as
@@ -362,7 +362,7 @@ def zieve_check(ctx: FieldCtx, r: int, s_div: int, h: TrinomialSpec) -> bool:
     """
     order = ctx.group_order
     if s_div <= 0 or order % s_div != 0:
-        raise BadFactorization(f"{s_div} does not divide 2^{ctx.n}-1")
+        raise NihopermError(f"{s_div} does not divide 2^{ctx.n}-1")
     if gcd(r, s_div) != 1:
         return False
     n, red = ctx.n, ctx.red

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import RangeTooLarge
+from .errors import NihopermError
 from .niho import NihoPair, equivalent_pairs, known_pairs_table1
 from .permcheck import _verdicts
 from .tower import TowerCtx
@@ -193,7 +193,7 @@ def search_pairs(tower: TowerCtx) -> PairSweep:
     """
     m = tower.m
     if m > SURVEY_MAX_M:
-        raise RangeTooLarge(f"pair survey capped at m={SURVEY_MAX_M}, got m={m}")
+        raise NihopermError(f"pair survey capped at m={SURVEY_MAX_M}, got m={m}")
     s, t, label = orbit_labels(m)
     pp = _verdicts(tower, s, t)
     mixed = np.flatnonzero(pp != pp[label])

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from . import field as gf
-from .errors import GammaInSubfield, ZNotInSubfield
+from .errors import NihopermError
 from .field import FieldCtx
 
 
@@ -127,7 +127,7 @@ class TowerCtx:
 def make_tower(m: int, modulus: int | None = None) -> TowerCtx:
     """Tower context for GF(2^(2m)) over GF(2^m), 1 <= m <= 16."""
     if not 1 <= m <= gf.DEGREE_MAX // 2:
-        raise ValueError(f"tower degree m must be in [1, {gf.DEGREE_MAX // 2}], got m={m}")
+        raise NihopermError(f"tower degree m must be in [1, {gf.DEGREE_MAX // 2}], got m={m}")
     ctx = gf.make_field(2 * m, modulus)
     return TowerCtx(field=ctx, m=m)
 
@@ -178,7 +178,7 @@ def cayley_image(tower: TowerCtx, gamma: int) -> np.ndarray:
     a gather on the subfield log.
     """
     if in_subfield(tower, gamma):
-        raise GammaInSubfield(f"gamma={hex(gamma)} lies in the subfield")
+        raise NihopermError(f"gamma={hex(gamma)} lies in the subfield")
     ctx = tower.field
     z = tower.subfield.astype(np.int64)
     shifted = z ^ gamma
@@ -199,11 +199,11 @@ def subfield_trace(tower: TowerCtx, y: int) -> int:
     """Trace of a subfield element down to GF(2): sum of y^(2^i), i < m.
 
     Distinct from the absolute trace of the big field, which vanishes
-    identically on the subfield. Raises ZNotInSubfield for arguments
+    identically on the subfield. Raises NihopermError for arguments
     outside the subfield.
     """
     if not in_subfield(tower, y):
-        raise ZNotInSubfield(f"{hex(y)} is not fixed by x -> x^(2^{tower.m})")
+        raise NihopermError(f"{hex(y)} is not fixed by x -> x^(2^{tower.m})")
     acc = 0
     t = y
     for _ in range(tower.m):
@@ -221,8 +221,8 @@ def cayley_param(tower: TowerCtx, gamma: int, z: int) -> int:
     preconditions.
     """
     if in_subfield(tower, gamma):
-        raise GammaInSubfield(f"gamma={hex(gamma)} lies in the subfield")
+        raise NihopermError(f"gamma={hex(gamma)} lies in the subfield")
     if not in_subfield(tower, z):
-        raise ZNotInSubfield(f"z={hex(z)} is not in the subfield")
+        raise NihopermError(f"z={hex(z)} is not in the subfield")
     ctx = tower.field
     return gf.div(ctx, z ^ gamma, z ^ conjugate(tower, gamma))

@@ -17,7 +17,7 @@ from nihoperm import field as gf
 from nihoperm import loweq, niho, survey
 from nihoperm import permcheck as pc
 from nihoperm import tower as tw
-from nihoperm.errors import NonInvertibleDenominator
+from nihoperm.errors import NihopermError
 from nihoperm.niho import FamilyInstance, NihoPair
 
 
@@ -101,7 +101,8 @@ def test_criterion_4_pair_fifth_family(towers):
                     ).is_permutation, m
             else:
                 assert m % 4 == 2
-                with pytest.raises(NonInvertibleDenominator):
+                mod = (1 << m) + 1
+                with pytest.raises(NihopermError, match=rf"^gcd\(5, 2\^{m}\+1={mod}\) = 5 != 1$"):
                     niho.resolve_fraction(1, 5, m)
 
 

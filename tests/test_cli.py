@@ -136,6 +136,17 @@ def test_family_missing_params_exit_2(capsys, argv, missing):
     assert f"missing parameters {missing}" in err
 
 
+@pytest.mark.parametrize("argv, extra", [
+    ("--family F1 --m 3 --param k=2 --param a=2 --param b=7", "b"),
+    ("--family F8 --m 4 --param k=1 --param v=2", "k, v"),
+])
+def test_family_unknown_params_exit_2(capsys, argv, extra):
+    # a parameter the family does not read is refused, not echoed in params
+    code, out, err = run(capsys, "family", *argv.split(), "--format", "json")
+    assert code == 2 and out == ""
+    assert err == f"error: family {argv.split()[1]} does not take parameters {extra}\n"
+
+
 @pytest.mark.parametrize("argv", [
     "F1 --m 9 --param k=6 --param a=2",
     "F2 --m 9 --param k=6 --param v=1",
@@ -365,6 +376,23 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["rows"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--m", "4", "--pair", "1,2"],
+    ["search", "--m", "2"],
+    ["table1", "--m", "3"],
+])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/report.json", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, target, reason):
+    # exit 1 is a verdict (not a permutation), so a failed write is a usage error
+    path = tmp_path / target
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: [Errno ") and f"{reason}: '{path}'" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

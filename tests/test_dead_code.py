@@ -1,9 +1,12 @@
 """No dead code in the package: every top-level function or class of
 src/nihoperm is public (in ``nihoperm.__all__``), has a caller elsewhere in
 the package, or is on the allowlist below with its reason. A use only in
-tests is not a use: a test's reference implementation lives in the test."""
+tests is not a use: a test's reference implementation lives in the test.
+Nor dead error types: every refusal raises NihopermError, and an exception
+class that no except clause in the package names does not exist."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import nihoperm
@@ -54,3 +57,44 @@ def _uncalled() -> set[str]:
 def test_every_private_definition_has_a_caller_in_the_package():
     # an allowlisted name that gains a caller must leave the allowlist too
     assert _uncalled() == set(ALLOWED)
+
+
+def _name(node: ast.expr | None) -> str | None:
+    """The class a raise or an except clause names: `X`, `mod.X` or `X(...)`."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _error_classes() -> tuple[set[str], set[str], set[str]]:
+    """The exception classes src/nihoperm defines, the names its except
+    clauses catch, and the names its raise statements raise."""
+    classes, caught, raised = [], set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                classes.append(node)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(_name(t) for t in types)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                raised.add(_name(node.exc))
+    errors = {name for name in dir(builtins)
+              if isinstance(getattr(builtins, name), type)
+              and issubclass(getattr(builtins, name), BaseException)}
+    defined = set()
+    while True:  # a class is an exception when one of its bases is
+        new = {c.name for c in classes if {_name(b) for b in c.bases} & (errors | defined)}
+        if new == defined:
+            return defined, caught, raised
+        defined = new
+
+
+def test_every_exception_class_is_caught_and_every_refusal_is_nihoperm_error():
+    # one error type: a subclass that no except clause names only renames
+    # a NihopermError, and a refusal of another type escapes `except NihopermError`
+    defined, caught, raised = _error_classes()
+    assert defined - caught - {"NihopermError"} == set()
+    assert raised - {"NihopermError", "AssertionError"} == set()

@@ -5,13 +5,7 @@ import random
 import pytest
 
 from nihoperm import field as gf
-from nihoperm.errors import (
-    DegreeMismatch,
-    DivisionByZero,
-    NotDivisible,
-    ReducibleModulus,
-    ZeroArgument,
-)
+from nihoperm.errors import NihopermError
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +74,7 @@ def test_f4_unique_quadratic():
 def test_reducible_modulus_rejected():
     # x^4 + x^2 + 1 = (x^2+x+1)^2
     assert not irreducible_by_trial_division(0b10101)
-    with pytest.raises(ReducibleModulus):
+    with pytest.raises(NihopermError, match=r"^modulus 0x15 factors over GF\(2\)$"):
         gf.make_field(4, 0b10101)
 
 
@@ -92,7 +86,7 @@ def test_quartic_cyclotomic_is_accepted():
 
 
 def test_degree_mismatch():
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(NihopermError, match="^modulus 0x7 has degree 2, expected 4$"):
         gf.make_field(4, 0b111)
 
 
@@ -136,7 +130,7 @@ def test_inverses_match_brute_force_everywhere(f16):
 
 
 def test_inv_zero_raises(f16):
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(NihopermError, match="^0 has no multiplicative inverse$"):
         gf.inv(f16, 0)
 
 
@@ -148,7 +142,7 @@ def test_pow_group_order(f256):
 def test_pow_zero_base_conventions(f16):
     assert gf.power(f16, 0, 0) == 1
     assert gf.power(f16, 0, 5) == 0
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(NihopermError, match="^0 cannot be raised to a negative power$"):
         gf.power(f16, 0, -1)
 
 
@@ -314,8 +308,8 @@ def test_cube_coset_homomorphism(f256):
 
 
 def test_cube_coset_errors(f16):
-    with pytest.raises(ZeroArgument):
+    with pytest.raises(NihopermError, match="^0 has no discrete log$"):
         gf.cube_coset_index(f16, 0)
     odd = gf.make_field(3)
-    with pytest.raises(NotDivisible):
+    with pytest.raises(NihopermError, match=r"^3 does not divide 2\^3-1$"):
         gf.cube_coset_index(odd, 1)

@@ -1,6 +1,7 @@
 """Pairs, fractions, trinomial construction, families, known-pair table."""
 
 import json
+import re
 from math import gcd
 
 import pytest
@@ -12,7 +13,7 @@ from nihoperm import field as gf
 from nihoperm import loweq, niho
 from nihoperm import permcheck as pc
 from nihoperm import tower as tw
-from nihoperm.errors import ConditionViolated, NonInvertibleDenominator, PreconditionViolated
+from nihoperm.errors import NihopermError
 from nihoperm.niho import FamilyInstance, NihoPair, TrinomialSpec
 
 
@@ -41,11 +42,11 @@ def test_resolve_small_case_via_extended_gcd():
 
 
 def test_non_invertible_denominator():
-    with pytest.raises(NonInvertibleDenominator):
+    with pytest.raises(NihopermError, match=r"^gcd\(5, 2\^2\+1=5\) = 5 != 1$"):
         niho.resolve_fraction(1, 5, 2)  # gcd(5, 5) = 5
-    with pytest.raises(NonInvertibleDenominator):
+    with pytest.raises(NihopermError, match=r"^gcd\(3, 2\^3\+1=9\) = 3 != 1$"):
         niho.resolve_fraction(1, 3, 3)  # gcd(3, 9) = 3
-    with pytest.raises(NonInvertibleDenominator):
+    with pytest.raises(NihopermError, match="^denominator is zero$"):
         niho.resolve_fraction(1, 0, 4)
 
 
@@ -54,7 +55,7 @@ def test_fraction_roundtrip(num, den, m):
     mod = (1 << m) + 1
     try:
         r = niho.resolve_fraction(num, den, m)
-    except NonInvertibleDenominator:
+    except NihopermError:
         assert gcd(den % mod, mod) != 1 or den == 0
         return
     assert (r * den - num) % mod == 0
@@ -66,6 +67,18 @@ def test_parse_ratio():
     assert niho.parse_ratio("-1/3", 4) == 11
     with pytest.raises(ValueError):
         niho.parse_ratio("x", 4)
+
+
+@pytest.mark.parametrize("token", ["1/", "/3", "1/2/3", "", "x"])
+def test_parse_ratio_rejects_malformed_tokens(token):
+    with pytest.raises(NihopermError, match=f"^bad pair component {re.escape(repr(token))}$"):
+        niho.parse_ratio(token, 4)
+
+
+def test_parse_ratio_keeps_the_gcd_message():
+    # the refusal of a non-invertible denominator is not a malformed token
+    with pytest.raises(NihopermError, match=r"^gcd\(5, 2\^2\+1=5\) = 5 != 1$"):
+        niho.parse_ratio("1/5", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +268,12 @@ def test_f8_verdicts_past_the_exhaustive_cap():
 
 def test_f8_condition_violation():
     t3 = tw.make_tower(3)
-    with pytest.raises(ConditionViolated, match="m != 0 mod 3"):
+    with pytest.raises(NihopermError, match="^F8 needs m != 0 mod 3, got m=3$"):
         niho.family_trinomial(t3, FamilyInstance("F8", {}))
 
 
 def test_f9_needs_odd_m(tower4):
-    with pytest.raises(ConditionViolated, match="odd m"):
+    with pytest.raises(NihopermError, match="^F9 needs odd m, got m=4$"):
         niho.family_trinomial(tower4, FamilyInstance("F9", {}))
 
 
@@ -272,7 +285,7 @@ def test_f6_reduction_semantics(tower2):
 
 def test_f2_zero_v_rejected_but_buildable(tower3):
     inst = FamilyInstance("F2", {"k": 2, "v": 0})
-    with pytest.raises(ConditionViolated, match="v != 0"):
+    with pytest.raises(NihopermError, match="^F2 needs v != 0$"):
         niho.family_trinomial(tower3, inst)
     spec = niho.family_trinomial(tower3, inst, check=False)
     assert spec.exponents() == (5, 17)  # the v-term vanished
@@ -384,7 +397,7 @@ FAMILY_PINS = [
     ('T3', 4, {}, '',
      ((1, 1), (1, 106), (1, 166))),
     ('T3', 3, {}, 'T3 needs even m, got m=3',
-     'NonInvertibleDenominator'),
+     'Non-invertible denominator'),
     ('T4', 4, {}, '',
      ((1, 1), (1, 46), (1, 241))),
     ('T4', 3, {}, 'T4 needs even m, got m=3',
@@ -392,11 +405,11 @@ FAMILY_PINS = [
     ('T5', 4, {}, '',
      ((1, 1), (1, 76), (1, 196))),
     ('T5', 3, {}, 'T5 needs even m, got m=3',
-     'NonInvertibleDenominator'),
+     'Non-invertible denominator'),
     ('T6', 3, {}, '',
      ((1, 1), (1, 15), (1, 57))),
     ('T6', 2, {}, 'T6 needs gcd(5, 2^m+1)=1, fails at m=2',
-     'NonInvertibleDenominator'),
+     'Non-invertible denominator'),
     ('C1', 4, {'k': 3}, '',
      ((1, 52), (1, 157), (1, 217))),
     ('C1', 4, {'k': 0}, 'C1 needs a positive k',
@@ -404,7 +417,7 @@ FAMILY_PINS = [
     ('C1', 4, {'k': 1}, 'C1 needs gcd(2k+1, 2^m-1)=1, fails at k=1',
      ((1, 18), (1, 123), (1, 183))),
     ('C1', 3, {'k': 1}, 'C1 needs even m, got m=3',
-     'NonInvertibleDenominator'),
+     'Non-invertible denominator'),
     ('C2', 4, {'k': 3}, '',
      ((1, 37), (1, 52), (1, 97))),
     ('C2', 3, {'k': 1}, 'C2 needs even m, got m=3',
@@ -412,11 +425,11 @@ FAMILY_PINS = [
     ('C3', 4, {'k': 3}, '',
      ((1, 52), (1, 127), (1, 247))),
     ('C3', 3, {'k': 1}, 'C3 needs even m, got m=3',
-     'NonInvertibleDenominator'),
+     'Non-invertible denominator'),
     ('C4', 3, {'k': 1}, '',
      ((1, 3), (1, 10), (1, 24))),
     ('C4', 6, {'k': 2}, 'C4 needs gcd(5, 2^m+1)=1, fails at m=6',
-     'NonInvertibleDenominator'),
+     'Non-invertible denominator'),
     ('C4', 3, {'k': -1}, 'C4 needs a positive k',
      ((1, 6), (1, 48), (1, 55))),
 ]
@@ -434,8 +447,8 @@ def test_family_terms_and_reasons_are_pinned(fid, m, params, reason, terms):
     tower = tw.make_tower(m)
     inst = FamilyInstance(fid, params)
     assert niho.check_family_conditions(tower, inst) == (not reason, reason)
-    if isinstance(terms, str):
-        with pytest.raises(NonInvertibleDenominator):
+    if isinstance(terms, str):  # a denominator that does not resolve mod 2^m+1
+        with pytest.raises(NihopermError, match=r"^gcd\(\d+, 2\^\d+\+1=\d+\) = \d+ != 1$"):
             niho.family_trinomial(tower, inst, check=False)
     else:
         assert niho.family_trinomial(tower, inst, check=False).terms == terms
@@ -472,11 +485,18 @@ def test_missing_family_params_rejected():
     assert FamilyInstance("f8", {}).family_id == "F8"  # F8 takes no parameters
 
 
+def test_unknown_family_params_rejected():
+    with pytest.raises(NihopermError, match="^family F1 does not take parameters b$"):
+        FamilyInstance("F1", {"k": 2, "a": 2, "b": 7})
+    with pytest.raises(NihopermError, match="^family F8 does not take parameters k$"):
+        FamilyInstance("f8", {"k": 1})
+
+
 def test_pair_families_resolve(tower4):
     spec_t3 = niho.family_trinomial(tower4, FamilyInstance("T3", {}))
     pair = NihoPair(4, 11, 7)
     assert spec_t3.terms == niho.pair_to_trinomial(tower4, pair).terms
-    with pytest.raises(ConditionViolated):
+    with pytest.raises(NihopermError, match="^T3 needs even m, got m=3$"):
         niho.family_trinomial(tw.make_tower(3), FamilyInstance("T3", {}))
 
 
@@ -577,9 +597,10 @@ def test_shifted_family_and_lemma_preconditions_keep_their_messages(m):
         if expected[0]:
             assert loweq.verify_lemma_quartics(tower, who).all_pass
         else:
-            with pytest.raises(PreconditionViolated) as err:
+            message = expected[1].format(who)
+            with pytest.raises(NihopermError, match=f"^{re.escape(message)}$") as err:
                 loweq.verify_lemma_quartics(tower, who)
-            assert str(err.value) == expected[1].format(who)
+            assert str(err.value) == message
 
 
 def test_pair_families_name_their_table_rows():
@@ -632,7 +653,8 @@ def test_unchecked_shifted_families_at_odd_m_have_no_pair(m):
     # and C3, like T3 and T5, have no member there even with check=False
     tower = tw.make_tower(m)
     for fid, params in (("T3", {}), ("T5", {}), ("C1", {"k": 1}), ("C3", {"k": 1})):
-        with pytest.raises(NonInvertibleDenominator):
+        mod = (1 << m) + 1
+        with pytest.raises(NihopermError, match=rf"^gcd\(3, 2\^{m}\+1={mod}\) = 3 != 1$"):
             niho.family_trinomial(tower, FamilyInstance(fid, params), check=False)
 
 
@@ -641,7 +663,7 @@ def test_f8_message_reads_its_table_row(m):
     tower = tw.make_tower(m)
     reason = f"F8 needs m != 0 mod 3, got m={m}"
     assert niho.check_family_conditions(tower, FamilyInstance("F8", {})) == (False, reason)
-    with pytest.raises(ConditionViolated) as err:
+    with pytest.raises(NihopermError, match=f"^{reason}$") as err:
         niho.family_trinomial(tower, FamilyInstance("F8", {}))
     assert str(err.value) == reason
     assert niho.known_row_failure("1,-1/2", m, "F8") == reason

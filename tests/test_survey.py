@@ -13,7 +13,7 @@ from nihoperm import niho
 from nihoperm import permcheck as pc
 from nihoperm import survey
 from nihoperm import tower as tw
-from nihoperm.errors import RangeTooLarge
+from nihoperm.errors import NihopermError
 from nihoperm.niho import NihoPair
 
 
@@ -155,8 +155,9 @@ def test_survey_agrees_with_exhaustive_engine_m2(tower2):
 
 
 def test_range_guard():
-    with pytest.raises(RangeTooLarge):
-        survey.search_pairs(tw.make_tower(survey.SURVEY_MAX_M + 1))
+    cap = survey.SURVEY_MAX_M
+    with pytest.raises(NihopermError, match=f"^pair survey capped at m={cap}, got m={cap + 1}$"):
+        survey.search_pairs(tw.make_tower(cap + 1))
 
 
 def test_line_scans_run_past_the_square_sweep_cap():
