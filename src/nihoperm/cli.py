@@ -12,17 +12,18 @@ Commands:
 
 Exit codes: 0 verified-true / dataset written, 1 verified-false,
 2 usage or precondition error. Dataset outputs (table1, search, open1,
-open2) carry no timing fields, so reruns are byte-identical.
+open2) carry no timing fields, so reruns are byte-identical. ``--out`` is
+opened before the work, as a shell redirect is: an unwritable path exits 2
+at once, and a refusal after it is opened leaves the file empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
-import io
-import itertools
 import json
 import sys
 from math import gcd
@@ -37,24 +38,6 @@ from .niho import NihoPair
 #: pair, so the table costs about 3 * 4^m points; m=14 took 30 s (README)
 TABLE1_MAX_M = 14
 
-#: largest field degree n (n = 2m for the tower checks) per lemmas check:
-#: the last size that ran within a minute in a fresh process (README); the
-#: tower checks all reach the tower bound m = 16
-LEMMAS_MAX_N = {"eq4": 32, "eq6": 32, "eq8": 32, "lemma1": 32, "lemma2": 16}
-
-
-def _write(text: str, out_path: str | None) -> None:
-    _write_chunks((text,), out_path)
-
-
-def _write_chunks(chunks, out_path: str | None) -> None:
-    """Write the strings of an iterable one by one, to out_path or stdout."""
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
-
 
 def _degree_from(args) -> int:
     """The field degree n: --n, or 2m for --m."""
@@ -67,12 +50,16 @@ def _degree_from(args) -> int:
     return args.n
 
 
+def _modulus_from(args) -> int | None:
+    """The --modulus override, read as hex, or None."""
+    return int(args.modulus, 16) if args.modulus else None
+
+
 def _tower_from(args) -> tw.TowerCtx:
     n = _degree_from(args)
     if n % 2 != 0:
         raise NihopermError(f"tower commands need even n, got {n}")
-    modulus = int(args.modulus, 16) if args.modulus else None
-    return tw.make_tower(n // 2, modulus)
+    return tw.make_tower(n // 2, _modulus_from(args))
 
 
 def _known_row_notes(m: int, pair: NihoPair) -> list[str]:
@@ -95,7 +82,7 @@ def _known_row_notes(m: int, pair: NihoPair) -> list[str]:
     return notes
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     tower = _tower_from(args)
     pair = niho.parse_pair(args.pair, tower.m)
     reports = permcheck.verify_pairs(tower, [pair])
@@ -115,7 +102,7 @@ def cmd_verify(args) -> int:
             "reports": [r.to_json_dict() for r in reports],
             "notes": notes,
         }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
+        out.write(json.dumps(payload, indent=2) + "\n")
     else:
         lines = [
             f"pair ({pair.label()})  m={tower.m}  modulus={tower.field.to_hex()}"
@@ -127,11 +114,11 @@ def cmd_verify(args) -> int:
                 f"evaluations={r.evaluations} elapsed_ms={r.elapsed*1000:.3f}"
             )
         lines.append(f"verdict: {'PERMUTATION' if is_pp else 'NOT a permutation'}")
-        _write("\n".join(lines) + "\n", args.out)
+        out.write("\n".join(lines) + "\n")
     return 0 if is_pp else 1
 
 
-def cmd_family(args) -> int:
+def cmd_family(args, out) -> int:
     tower = _tower_from(args)
     if tower.field.n > permcheck.EXHAUSTIVE_MAX_N:
         raise NihopermError(
@@ -154,14 +141,13 @@ def cmd_family(args) -> int:
             "trinomial": spec.to_json_dict(),
             "report": report.to_json_dict(),
         }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
+        out.write(json.dumps(payload, indent=2) + "\n")
     else:
         terms = " + ".join(f"{hex(c)}*x^{e}" for c, e in spec.terms)
-        _write(
+        out.write(
             f"family {inst.family_id} over n={tower.field.n}: {terms}\n"
             f"is_permutation={report.is_permutation} "
-            f"evaluations={report.evaluations}\n",
-            args.out,
+            f"evaluations={report.evaluations}\n"
         )
     return 0 if report.is_permutation else 1
 
@@ -255,7 +241,7 @@ def _table1_json(rows: list[dict]) -> str:
     ) + "\n  ]\n}\n"
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args, out) -> int:
     if args.all or (args.m is None and args.n is None):
         if args.modulus:
             raise NihopermError("--modulus needs one --m or --n, not the m=2..8 sweep")
@@ -268,10 +254,9 @@ def cmd_table1(args) -> int:
             raise NihopermError(f"table capped at m={TABLE1_MAX_M}")
     rows = _table1_dataset(towers)
     if args.format == "json":
-        _write(_table1_json(rows), args.out)
+        out.write(_table1_json(rows))
     elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
+        w = csv.writer(out, lineterminator="\n")
         w.writerow([
             "m", "source", "condition_ok", "s", "t", "is_pp",
             "equiv1_label", "equiv1_s", "equiv1_t", "equiv1_is_pp",
@@ -284,7 +269,6 @@ def cmd_table1(args) -> int:
                 line += [e["label"], _fmt_cell(e["s"]), _fmt_cell(e["t"]),
                          _fmt_cell(e["is_pp"])]
             w.writerow(line)
-        _write(buf.getvalue(), args.out)
     else:
         lines = []
         for r in rows:
@@ -298,91 +282,91 @@ def cmd_table1(args) -> int:
                 f"pair=({_fmt_cell(r['s'])},{_fmt_cell(r['t'])}) "
                 f"is_pp={_fmt_cell(r['is_pp']):<5} equiv: {eq}"
             )
-        _write("\n".join(lines) + "\n", args.out)
+        out.write("\n".join(lines) + "\n")
     return 1 if _table1_failures(rows) else 0
 
 
-def cmd_lemmas(args) -> int:
+def _quartic_check(args):
     which = args.which.lower()
-    if which not in LEMMAS_MAX_N:
-        raise NihopermError(f"unknown check {args.which!r}")
-    if _degree_from(args) > LEMMAS_MAX_N[which]:
-        raise NihopermError(f"lemmas {which} capped at n={LEMMAS_MAX_N[which]}")
-    if which == "lemma2":
-        modulus = int(args.modulus, 16) if args.modulus else None
-        ctx = gf.make_field(_degree_from(args), modulus)
-        bad = loweq.quadratic_criterion_disagreements(ctx)
-        total = (ctx.group_order) * (1 << ctx.n)
-        if args.format == "json":
-            _write(json.dumps({
-                "check": "quadratic_trace_criterion", "n": ctx.n,
-                "disagreements": bad, "cases": total,
-            }) + "\n", args.out)
-        else:
-            _write(
-                f"quadratic trace criterion over n={ctx.n}: {bad} disagreements "
-                f"in {total} (a,b) cases\n",
-                args.out,
-            )
-        return 0 if bad == 0 else 1
-    tower = _tower_from(args)
-    if which == "lemma1":
-        gamma = tw.canonical_gamma(tower)
-        ok = tw.cayley_is_bijection(tower, gamma)
-        count = tower.subfield_order
-        if args.format == "json":
-            _write(json.dumps({
-                "check": "unit_circle_parametrization", "m": tower.m,
-                "gamma": hex(gamma), "bijection": ok, "values": count,
-            }) + "\n", args.out)
-        else:
-            _write(
-                f"parametrization with gamma={hex(gamma)}: bijection "
-                f"{'confirmed' if ok else 'FAILED'}, {count} = 2^m values "
-                f"cover the unit circle minus 1\n",
-                args.out,
-            )
-        return 0 if ok else 1
-    report = loweq.verify_lemma_quartics(tower, which)
-    ok = report.all_pass and report.certified
-    if args.format == "json":
-        _write(report.to_json() + "\n", args.out)
-    else:
-        _write(
-            f"quartic family {which} (pair {loweq.QUARTIC_FAMILY_PAIRS[which]}) "
+    report = loweq.verify_lemma_quartics(_tower_from(args), which)
+    text = (f"quartic family {which} (pair {loweq.QUARTIC_FAMILY_PAIRS[which]}) "
             f"at m={report.m}: checked={report.checked} "
-            f"all_pass={report.all_pass} certified={report.certified}\n",
-            args.out,
-        )
+            f"all_pass={report.all_pass} certified={report.certified}")
+    return report.all_pass and report.certified, dataclasses.asdict(report), text
+
+
+def _parametrization_check(args):
+    tower = _tower_from(args)
+    gamma = tw.canonical_gamma(tower)
+    ok = tw.cayley_is_bijection(tower, gamma)
+    count = tower.subfield_order
+    payload = {"check": "unit_circle_parametrization", "m": tower.m,
+               "gamma": hex(gamma), "bijection": ok, "values": count}
+    text = (f"parametrization with gamma={hex(gamma)}: bijection "
+            f"{'confirmed' if ok else 'FAILED'}, {count} = 2^m values "
+            "cover the unit circle minus 1")
+    return ok, payload, text
+
+
+def _quadratic_check(args):
+    ctx = gf.make_field(_degree_from(args), _modulus_from(args))
+    bad = loweq.quadratic_criterion_disagreements(ctx)
+    total = ctx.group_order * (1 << ctx.n)
+    payload = {"check": "quadratic_trace_criterion", "n": ctx.n,
+               "disagreements": bad, "cases": total}
+    text = (f"quadratic trace criterion over n={ctx.n}: {bad} disagreements "
+            f"in {total} (a,b) cases")
+    return bad == 0, payload, text
+
+
+#: lemmas check -> (largest field degree n, n = 2m for the tower checks;
+#: the check, which returns (passed, json payload, text line)). The caps are
+#: the last sizes that ran within a minute in a fresh process (README); the
+#: tower checks all reach the tower bound m = 16
+_LEMMAS = {
+    "eq4": (32, _quartic_check),
+    "eq6": (32, _quartic_check),
+    "eq8": (32, _quartic_check),
+    "lemma1": (32, _parametrization_check),
+    "lemma2": (16, _quadratic_check),
+}
+
+
+def cmd_lemmas(args, out) -> int:
+    which = args.which.lower()
+    if which not in _LEMMAS:
+        raise NihopermError(f"unknown check {args.which!r}")
+    max_n, check = _LEMMAS[which]
+    if _degree_from(args) > max_n:
+        raise NihopermError(f"lemmas {which} capped at n={max_n}")
+    ok, payload, text = check(args)
+    out.write((json.dumps(payload) if args.format == "json" else text) + "\n")
     return 0 if ok else 1
 
 
-def cmd_search(args) -> int:
+def cmd_search(args, out) -> int:
     # --format text writes the CSV; both formats go out in row chunks
     tower = _tower_from(args)
     rows = survey.search_pairs(tower)
     emit = survey.rows_to_json if args.format == "json" else survey.rows_to_csv
-    step = survey.EMIT_ROWS
-    chunks = (emit(rows, lo, lo + step) for lo in range(0, len(rows), step))
-    tail = "\n" if args.format == "json" else ""
-    _write_chunks(itertools.chain(chunks, [tail]), args.out)
+    for lo in range(0, len(rows), survey.EMIT_ROWS):
+        out.write(emit(rows, lo, lo + survey.EMIT_ROWS))
+    if args.format == "json":
+        out.write("\n")
     return 0
 
 
-def _cmd_open(args, scan, key: str) -> int:
+def _cmd_open(args, out, scan, key: str) -> int:
     tower = _tower_from(args)
     hits = scan(tower)
     if args.format == "json":
-        _write(json.dumps({"m": tower.m, key: hits}) + "\n", args.out)
+        out.write(json.dumps({"m": tower.m, key: hits}) + "\n")
     elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
+        w = csv.writer(out, lineterminator="\n")
         w.writerow(["m", key])
-        for h in hits:
-            w.writerow([tower.m, h])
-        _write(buf.getvalue(), args.out)
+        w.writerows([tower.m, h] for h in hits)
     else:
-        _write(f"m={tower.m} {key} hits: {' '.join(map(str, hits))}\n", args.out)
+        out.write(f"m={tower.m} {key} hits: {' '.join(map(str, hits))}\n")
     return 0
 
 
@@ -433,11 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("open1", help="sweep the line s+t=1")
     common(p, tabular)
-    p.set_defaults(fn=lambda a: _cmd_open(a, survey.scan_open_problem_1, "s"))
+    p.set_defaults(fn=lambda a, out: _cmd_open(a, out, survey.scan_open_problem_1, "s"))
 
     p = sub.add_parser("open2", help="sweep the family (2k,-k)")
     common(p, tabular)
-    p.set_defaults(fn=lambda a: _cmd_open(a, survey.scan_open_problem_2, "k"))
+    p.set_defaults(fn=lambda a, out: _cmd_open(a, out, survey.scan_open_problem_2, "k"))
 
     return parser
 
@@ -469,7 +453,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help, or a usage error already printed
         return exc.code
     try:
-        return args.fn(args)
+        # open --out before the work, as a shell redirect does
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            return args.fn(args, out)
     except (ValueError, OSError) as exc:  # a refusal, a bad int, an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,6 @@ Coefficients are handled by their subfield logs (:meth:`TowerCtx.subfield_log`).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,19 +229,6 @@ class QuarticFamilyReport:
     failures: tuple[str, ...]
     certified: bool
     checked: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lemma": self.lemma,
-                "m": self.m,
-                "modulus": self.modulus,
-                "all_pass": self.all_pass,
-                "failures": list(self.failures),
-                "certified": self.certified,
-                "checked": self.checked,
-            }
-        )
 
 
 def _quotient_log(tower: TowerCtx, num: np.ndarray, den: np.ndarray) -> np.ndarray:

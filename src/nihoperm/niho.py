@@ -22,7 +22,6 @@ Besides raw pairs the module materializes:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 from typing import Any, Callable, Optional
@@ -163,9 +162,6 @@ class TrinomialSpec:
             "modulus": self.ctx.to_hex(),
             "terms": [{"coef_hex": hex(c), "exp": e} for c, e in self.terms],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def pair_to_trinomial(tower: TowerCtx, pair: NihoPair) -> TrinomialSpec:

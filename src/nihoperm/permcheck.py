@@ -30,7 +30,6 @@ come from the log-order walk, and its repeat test is the exhaustive one.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from math import gcd
@@ -108,9 +107,6 @@ class PermReport:
             "evaluations": self.evaluations,
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 # ---------------------------------------------------------------------------

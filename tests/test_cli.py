@@ -1,12 +1,13 @@
 """CLI contract: commands, exit codes, formats, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
-from nihoperm import _kernels, cli, permcheck
+from nihoperm import _kernels, cli, permcheck, survey
 from nihoperm import tower as tw
 from nihoperm.niho import NihoPair
 
@@ -393,6 +394,74 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv, target, reason):
     code, out, err = run(capsys, *argv, "--out", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: [Errno ") and f"{reason}: '{path}'" in err
+
+
+def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys, monkeypatch):
+    # --out is opened first, as a shell redirect is, so a bad path costs no sweep
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran the work before opening --out")
+
+    monkeypatch.setattr(survey, "search_pairs", no_work)
+    monkeypatch.setattr(permcheck, "verify_pairs", no_work)
+    path = tmp_path / "missing" / "x"
+    for argv in (["search", "--m", "11", "--format", "csv"],
+                 ["verify", "--m", "4", "--pair", "1,2"]):
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_refusal_after_out_is_opened_leaves_it_empty(tmp_path, capsys):
+    path = tmp_path / "x"
+    path.write_text("stale")
+    code, out, err = run(capsys, "table1", "--m", "15", "--out", str(path))
+    assert code == 2 and out == "" and "capped at m=14" in err
+    assert path.read_bytes() == b""
+
+
+#: the text outputs outside golden_datasets.json, captured before the CLI
+#: wrote to one stream opened ahead of the work
+_TEXT_OUTPUTS = {
+    "lemmas --which eq4 --m 4":
+        "quartic family eq4 (pair 3,-1) at m=4: checked=16 all_pass=True certified=True\n",
+    "lemmas --which eq6 --m 4":
+        "quartic family eq6 (pair -2/3,5/3) at m=4: checked=16 all_pass=True certified=True\n",
+    "lemmas --which eq8 --m 4":
+        "quartic family eq8 (pair 1/5,4/5) at m=4: checked=16 all_pass=True certified=True\n",
+    "lemmas --which lemma1 --m 4":
+        "parametrization with gamma=0x2: bijection confirmed, 16 = 2^m values "
+        "cover the unit circle minus 1\n",
+    "lemmas --which lemma2 --n 8":
+        "quadratic trace criterion over n=8: 0 disagreements in 65280 (a,b) cases\n",
+    "open1 --m 5 --format text":
+        "m=5 s hits: 0 1 2 4 6 9 14 15 17 19 20 25 28 30 32\n",
+    "open2 --m 5 --format text":
+        "m=5 k hits: 0 1 2 6 7 9 10 11 12 15 17 18 20 21 22 23 24 27 30 31\n",
+    "family --family F8 --m 4":
+        "family F8 over n=8: 0x1*x^1 + 0x1*x^16 + 0x1*x^121\n"
+        "is_permutation=True evaluations=256\n",
+}
+
+#: sha256 of the table1 --m 3 forms that golden_datasets.json does not cover
+_TABLE1_M3_DIGESTS = {
+    "csv": "d8383ddb5957afce76e3ee4ebe114e1f764a70781c41458eb05a27a1fbca35c0",
+    "text": "62ea4310499a24feb4ae2959b90b97bce1b5f7a2cabcacf47b41e9e9272a1637",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TEXT_OUTPUTS))
+def test_text_output_bytes(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert cli.main([*command.split(), "--out", str(out)]) == 0
+    assert out.read_text() == _TEXT_OUTPUTS[command]
+    assert run(capsys, *command.split()) == (0, _TEXT_OUTPUTS[command], "")
+
+
+@pytest.mark.parametrize("fmt", sorted(_TABLE1_M3_DIGESTS))
+def test_table1_m3_bytes(capsys, fmt):
+    code, out, _ = run(capsys, "table1", "--m", "3", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE1_M3_DIGESTS[fmt]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -1,5 +1,6 @@
 """Low-degree equation machinery against brute-force oracles."""
 
+import json
 import random
 from itertools import combinations
 from math import gcd
@@ -361,11 +362,10 @@ def test_verify_preconditions(tower3):
         loweq.verify_lemma_quartics(tw.make_tower(6), "eq8")  # gcd(5, 65) = 5
 
 
-def test_report_json_schema(tower4):
-    import json
-
-    rep = loweq.verify_lemma_quartics(tower4, "eq4")
-    data = json.loads(rep.to_json())
+def test_report_json_schema(capsys):
+    # the report's json form is the line lemmas --format json writes
+    assert cli.main(["lemmas", "--which", "eq4", "--m", "4", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["lemma"] == "eq4"
     assert data["m"] == 4
     assert data["modulus"] == "0x11b"

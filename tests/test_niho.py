@@ -1,6 +1,5 @@
 """Pairs, fractions, trinomial construction, families, known-pair table."""
 
-import json
 import re
 from math import gcd
 
@@ -162,7 +161,7 @@ def test_exponent_multiple_of_group_order_stays_distinct_from_constant(f16):
 
 def test_spec_json_roundtrip(tower2):
     spec = niho.pair_to_trinomial(tower2, NihoPair(2, 2, 4))
-    data = json.loads(spec.to_json())
+    data = spec.to_json_dict()
     assert data["modulus"] == "0x13"
     assert data["terms"] == [
         {"coef_hex": "0x1", "exp": 1},

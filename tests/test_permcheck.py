@@ -534,7 +534,7 @@ def test_field_too_large():
 
 def test_report_json_schema(tower2):
     rep = pc.unit_circle_check(tower2, NihoPair(2, 2, 4))
-    data = json.loads(rep.to_json())
+    data = rep.to_json_dict()
     assert data["method"] == "unit_circle"
     assert data["is_permutation"] is True
     assert data["evaluations"] == 5
