@@ -12,9 +12,7 @@ from .niho import (
     FamilyInstance,
     NihoPair,
     TrinomialSpec,
-    equivalent_pairs,
     family_trinomial,
-    is_niho_exponent,
     known_pairs_table1,
     pair_to_trinomial,
     resolve_fraction,
@@ -26,8 +24,8 @@ from .permcheck import (
     verify_pairs,
     zieve_check,
 )
-from .survey import SearchRow, canonical_orbit, search_pairs
-from .tower import TowerCtx, cayley_param, in_unit_circle, make_tower, unit_circle_iter
+from .survey import search_pairs
+from .tower import TowerCtx, make_tower
 
 __version__ = "0.1.0"
 
@@ -37,15 +35,9 @@ __all__ = [
     "NihoPair",
     "NihopermError",
     "PermReport",
-    "SearchRow",
     "TowerCtx",
     "TrinomialSpec",
-    "canonical_orbit",
-    "cayley_param",
-    "equivalent_pairs",
     "family_trinomial",
-    "in_unit_circle",
-    "is_niho_exponent",
     "is_permutation_exhaustive",
     "known_pairs_table1",
     "make_field",
@@ -55,7 +47,6 @@ __all__ = [
     "search_pairs",
     "smallest_irreducible",
     "unit_circle_check",
-    "unit_circle_iter",
     "verify_lemma_quartics",
     "verify_pairs",
     "zieve_check",

@@ -130,7 +130,10 @@ def cmd_family(args, out) -> int:
         if "=" not in item:
             raise NihopermError(f"--param expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        params[key.strip()] = int(value, 0)
+        key = key.strip()
+        if key in params:
+            raise NihopermError(f"--param {key} is given more than once")
+        params[key] = int(value, 0)
     inst = niho.FamilyInstance(args.family, params)
     spec = niho.family_trinomial(tower, inst)
     report = permcheck.is_permutation_exhaustive(tower.field, spec)

@@ -92,15 +92,6 @@ class NihoPair:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
 
-    @property
-    def modulus(self) -> int:
-        return (1 << self.m) + 1
-
-    @property
-    def degenerate(self) -> bool:
-        """True when the trinomial collapses: equal entries or a zero entry."""
-        return self.s == self.t or self.s == 0
-
     def label(self) -> str:
         return f"{self.s},{self.t}"
 
@@ -154,9 +145,6 @@ class TrinomialSpec:
             acc ^= gf.mul(self.ctx, coef, gf.power(self.ctx, x, e))
         return acc
 
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(e for _, e in self.terms)
-
     def to_json_dict(self) -> dict:
         return {
             "modulus": self.ctx.to_hex(),
@@ -173,26 +161,6 @@ def pair_to_trinomial(tower: TowerCtx, pair: NihoPair) -> TrinomialSpec:
     )
 
 
-def is_niho_exponent(d: int, m: int) -> Optional[int]:
-    """Smallest j in [0, m) with d = 2^j mod 2^m-1, or None.
-
-    j = 0 flags a normalized exponent; every exponent produced by
-    pair_to_trinomial is normalized.
-    """
-    if d <= 0:
-        raise NihopermError("exponent must be positive")
-    mod = (1 << m) - 1
-    if mod == 1:
-        return 0
-    r = d % mod
-    p = 1
-    for j in range(m):
-        if r == p:
-            return j
-        p = (p * 2) % mod
-    return None
-
-
 # ---------------------------------------------------------------------------
 # inverse-exponent transforms
 # ---------------------------------------------------------------------------
@@ -207,20 +175,6 @@ def _transform(m: int, i: int, j: int) -> Optional[NihoPair]:
         return None
     dinv = pow(den, -1, mod)
     return NihoPair(m, (i * dinv) % mod, ((i - j) * dinv) % mod)
-
-
-def equivalent_pairs(m: int, pair: NihoPair) -> list[NihoPair]:
-    """The 0, 1 or 2 transformed pairs whose denominators are invertible.
-
-    Swaps are already identified by the canonical pair representation, so
-    only the two transform directions are materialized (deduplicated).
-    """
-    out: list[NihoPair] = []
-    for i, j in ((pair.s, pair.t), (pair.t, pair.s)):
-        p = _transform(m, i, j)
-        if p is not None and p not in out:
-            out.append(p)
-    return out
 
 
 # ---------------------------------------------------------------------------

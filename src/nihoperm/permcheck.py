@@ -384,7 +384,7 @@ def _circle_tables(tower: TowerCtx):
     index arithmetic mod q+1, with q = 2^m.
 
     * points[k] = w^k for k = 0..q, with w = g^(q-1): U in the order of
-      :func:`tower.unit_circle_iter`. For x = w^k, x^s = points[ks mod q+1].
+      :attr:`TowerCtx.unit_circle`. For x = w^k, x^s = points[ks mod q+1].
     * Every h is a + b*g with a, b in GF(q), since g lies outside the
       subfield: b = (h + h^q)/(g + g^q) and a = h + b*g. Both are
       GF(2)-linear in h, and so is the code of a subfield element
@@ -522,7 +522,7 @@ def verify_pairs(tower: TowerCtx, pairs: Iterable[NihoPair]) -> list[PermReport]
     for blocks of at most _TABLE_ELEMS / (q+1) pairs, each in windows of at
     most _WINDOW_ELEMS (pair, point) elements, so memory stays O(2^m).
 
-    Each report is the one of a scan of U in :func:`tower.unit_circle_iter`
+    Each report is the one of a scan of U in :attr:`TowerCtx.unit_circle`
     order that stops at the first failing point: a vanishing 1 + x^s + x^t
     (``zero_at``) or a phi collision with the earlier colliding point.
     ``evaluations`` counts the points up to that one, or is q+1 on

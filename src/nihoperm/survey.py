@@ -10,8 +10,7 @@ rather than suppressed so orbit sizes add up to the sweep size.
 
 The sweep works on pair indices (:func:`pair_index`): the transforms are
 integer maps on them and the orbits come from :func:`orbit_labels`, so no
-per-pair object is built until a row is asked for. The scalar
-:func:`canonical_orbit` is the reference the labels are tested against.
+per-pair object is built.
 
 The two open-problem scans sweep the lines s + t = 1 and (s, t) = (2k, -k).
 """
@@ -21,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -30,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NihopermError
-from .niho import NihoPair, equivalent_pairs, known_pairs_table1
+from .niho import known_pairs_table1
 from .permcheck import _verdicts
 from .tower import TowerCtx
 
@@ -43,39 +41,6 @@ SURVEY_MAX_M = 11
 
 #: orbits per chunk of an emitted search dataset
 EMIT_ROWS = 1 << 13
-
-
-@dataclass(frozen=True)
-class SearchRow:
-    """One orbit of the sweep: canonical representative plus members."""
-
-    m: int
-    pair: NihoPair  # canonical orbit representative
-    orbit: tuple[NihoPair, ...]
-    is_pp: bool
-    covered_by: Optional[str]
-    flagged_new: bool
-    degenerate: bool
-
-
-def canonical_orbit(m: int, pair: NihoPair) -> tuple[NihoPair, tuple[NihoPair, ...]]:
-    """Close a pair under the transforms to a fixed point.
-
-    Returns (lexicographically smallest member, sorted orbit). Termination
-    is guaranteed: orbits live inside the finite square [0, 2^m]^2.
-    """
-    seen = {pair}
-    frontier = [pair]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in equivalent_pairs(m, p):
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    orbit = tuple(sorted(seen, key=lambda p: (p.s, p.t)))
-    return orbit[0], orbit
 
 
 def pair_index(m: int, s, t):
@@ -129,9 +94,8 @@ def known_cover_map(m: int, labels: np.ndarray) -> dict[int, str]:
 
 
 @dataclass(frozen=True, eq=False)
-class PairSweep(Sequence):
-    """The orbits of a sweep as columns, in order of their representatives;
-    as a sequence, the :class:`SearchRow` of each orbit, built on demand.
+class PairSweep:
+    """The orbits of a sweep as columns, in order of their representatives.
 
     Orbit i has members (member_s, member_t)[offsets[i]:offsets[i+1]] in
     (s, t) order, the first being its representative. source[i] indexes
@@ -164,24 +128,6 @@ class PairSweep(Sequence):
 
     def __len__(self) -> int:
         return self.offsets.size - 1
-
-    def __getitem__(self, i: int) -> SearchRow:
-        i = range(len(self))[i]
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        orbit = tuple(
-            NihoPair(self.m, a, b)
-            for a, b in zip(self.member_s[lo:hi].tolist(), self.member_t[lo:hi].tolist())
-        )
-        code = int(self.source[i])
-        return SearchRow(
-            m=self.m,
-            pair=orbit[0],
-            orbit=orbit,
-            is_pp=bool(self.is_pp[i]),
-            covered_by=self.sources[code] if code >= 0 else None,
-            flagged_new=bool(self.flagged_new[i]),
-            degenerate=bool(self.degenerate[i]),
-        )
 
 
 def search_pairs(tower: TowerCtx) -> PairSweep:
@@ -269,7 +215,7 @@ def _csv_cell(text: str) -> str:
 
 
 def _columns(rows: PairSweep, lo: int, hi: int, cover: list[str]) -> list[list]:
-    """Per orbit of rows[lo:hi]: s, t, orbit size, is_pp, covered_by (a cell
+    """Per orbit lo..hi-1 of rows: s, t, orbit size, is_pp, covered_by (a cell
     of ``cover``, whose last entry stands for none), flagged_new, degenerate."""
     part = slice(lo, hi)
     return [
@@ -285,7 +231,7 @@ def _columns(rows: PairSweep, lo: int, hi: int, cover: list[str]) -> list[list]:
 
 def rows_to_csv(rows: PairSweep, lo: int = 0, hi: Optional[int] = None) -> str:
     """The sweep as CSV, as :mod:`csv` writes it. With lo/hi, the text that
-    rows[lo:hi] contribute (the header goes with lo = 0), so consecutive
+    orbits lo..hi-1 contribute (the header goes with lo = 0), so consecutive
     slices concatenate to the whole file."""
     hi = len(rows) if hi is None else min(hi, len(rows))
     cover = [_csv_cell(x) for x in rows.sources] + [""]
@@ -297,8 +243,8 @@ def rows_to_csv(rows: PairSweep, lo: int = 0, hi: Optional[int] = None) -> str:
 
 def rows_to_json(rows: PairSweep, lo: int = 0, hi: Optional[int] = None) -> str:
     """The sweep as ``json.dumps(row dicts, indent=2)`` writes it, one
-    string template per row. With lo/hi, the text that rows[lo:hi]
-    contribute, so consecutive slices concatenate to the whole document."""
+    string template per row. With lo/hi, the text that orbits
+    lo..hi-1 contribute, so consecutive slices concatenate to the whole document."""
     hi = len(rows) if hi is None else min(hi, len(rows))
     cover = [json.dumps(x) for x in rows.sources] + ["null"]
     first, last = rows.offsets[lo], rows.offsets[hi]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -137,23 +136,8 @@ def conjugate(tower: TowerCtx, x: int) -> int:
     return gf.power(tower.field, x, tower.subfield_order)
 
 
-def norm(tower: TowerCtx, x: int) -> int:
-    """x * conjugate(x) = x^(2^m+1); always lies in the subfield."""
-    return gf.mul(tower.field, x, conjugate(tower, x))
-
-
 def in_subfield(tower: TowerCtx, x: int) -> bool:
     return conjugate(tower, x) == x
-
-
-def in_unit_circle(tower: TowerCtx, x: int) -> bool:
-    """True iff x^(2^m+1) = 1."""
-    return norm(tower, x) == 1
-
-
-def unit_circle_iter(tower: TowerCtx) -> Iterator[int]:
-    """All 2^m+1 norm-1 elements, in the order of ``tower.unit_circle``."""
-    yield from tower.unit_circle.tolist()
 
 
 def canonical_gamma(tower: TowerCtx) -> int:
@@ -171,7 +155,9 @@ def is_circle_minus_one(tower: TowerCtx, image: np.ndarray) -> bool:
 
 
 def cayley_image(tower: TowerCtx, gamma: int) -> np.ndarray:
-    """:func:`cayley_param` at every z of ``tower.subfield``, as one array.
+    """(z+gamma)/(z+conj(gamma)) at every z of ``tower.subfield``, as one
+    array: a bijection onto U \\ {1} (:func:`cayley_is_bijection`). Raises
+    NihopermError when gamma lies in the subfield.
 
     (z+gamma)/(z+conj(gamma)) = (z+gamma)^2 / N(z+gamma), where the norm
     N(z+gamma) = (z+gamma)(z+conj(gamma)) lies in GF(q)* and is inverted by
@@ -212,17 +198,3 @@ def subfield_trace(tower: TowerCtx, y: int) -> int:
     assert acc in (0, 1)
     return acc
 
-
-def cayley_param(tower: TowerCtx, gamma: int, z: int) -> int:
-    """(z+gamma)/(z+conj(gamma)) for subfield z and non-subfield gamma.
-
-    Over all z in the subfield this is a bijection onto the unit circle
-    minus 1; the denominator is automatically nonzero under the
-    preconditions.
-    """
-    if in_subfield(tower, gamma):
-        raise NihopermError(f"gamma={hex(gamma)} lies in the subfield")
-    if not in_subfield(tower, z):
-        raise NihopermError(f"z={hex(z)} is not in the subfield")
-    ctx = tower.field
-    return gf.div(ctx, z ^ gamma, z ^ conjugate(tower, gamma))

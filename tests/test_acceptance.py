@@ -20,6 +20,8 @@ from nihoperm import tower as tw
 from nihoperm.errors import NihopermError
 from nihoperm.niho import FamilyInstance, NihoPair
 
+from oracles import sweep_rows
+
 
 @contextmanager
 def criterion(cid, desc, budget=None):
@@ -242,7 +244,7 @@ def test_criterion_11_orbit_soundness(towers):
     with criterion("C11", "every orbit in the m <= 5 sweeps is verdict-homogeneous"):
         for m in (2, 3, 4, 5):
             tower = towers[m]
-            for row in survey.search_pairs(tower):
+            for row in sweep_rows(survey.search_pairs(tower)):
                 for member in row.orbit:
                     got = pc.unit_circle_check(tower, member).is_permutation
                     assert got == row.is_pp, (m, row.pair.label(), member.label())

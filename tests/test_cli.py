@@ -149,6 +149,17 @@ def test_family_unknown_params_exit_2(capsys, argv, extra):
 
 
 @pytest.mark.parametrize("argv", [
+    "--family C1 --m 4 --param k=1 --param k=3",  # k=1 alone exits 2, k=3 alone 0
+    "--family C1 --m 4 --param k=3 --param k=3",
+])
+def test_family_repeated_param_exits_2(capsys, argv):
+    # argparse keeps every --param; a key given twice is refused, not overwritten
+    code, out, err = run(capsys, "family", *argv.split())
+    assert code == 2 and out == ""
+    assert err == "error: --param k is given more than once\n"
+
+
+@pytest.mark.parametrize("argv", [
     "F1 --m 9 --param k=6 --param a=2",
     "F2 --m 9 --param k=6 --param v=1",
     "F3 --m 10 --param r=1 --param a=1 --param b=2 --param c=7",

@@ -1,21 +1,27 @@
 """No dead code in the package: every top-level function or class of
-src/nihoperm is public (in ``nihoperm.__all__``), has a caller elsewhere in
-the package, or is on the allowlist below with its reason. A use only in
-tests is not a use: a test's reference implementation lives in the test.
-Nor dead error types: every refusal raises NihopermError, and an exception
-class that no except clause in the package names does not exist."""
+src/nihoperm has a caller elsewhere in the package, and so does every
+method or property of its classes, or it is on the allowlist below with its
+reason. Being public (in ``nihoperm.__all__``) is not a use, and a use only
+in tests is not a use either: a test's reference implementation lives in
+the test. Nor dead error types: every refusal raises NihopermError, and an
+exception class that no except clause in the package names does not exist."""
 
 import ast
 import builtins
+from collections import Counter
 from pathlib import Path
 
 import nihoperm
 
 SRC = Path(nihoperm.__file__).parent
 
-#: module.name -> why it stays without a caller in the package
+#: module.name or module.Class.member -> why it stays without a caller in
+#: the package
 ALLOWED = {
     "loweq.quadratic_roots": "the quadratic step of the Cardano certificate (ROADMAP item 3)",
+    "permcheck.unit_circle_check": "perfbench/ops.py calls it",
+    "permcheck.zieve_check": "the subgroup reduction of `family` (ROADMAP item 4)",
+    "field.FieldCtx.exp_log": "perfbench's setup_s asserts it (ROADMAP item 2)",
 }
 
 
@@ -30,11 +36,13 @@ def _module_aliases(tree: ast.Module) -> dict[str, str]:
 
 def _uncalled() -> set[str]:
     """module.name of every top-level definition that no other top-level
-    statement of the package mentions. A name counts for every module; an
-    attribute counts only through a module alias, and only for that module
-    (``gf.mul`` is a use of field.mul, ``np.add`` and ``seen.add`` are not
-    uses of field.add)."""
-    defs, users = [], {}
+    statement of the package mentions, and module.Class.member of every
+    method or property, dunders aside, that no attribute outside its own
+    body names. A name counts for every module; an attribute counts for
+    every member of that name, but for a top-level definition only through
+    a module alias, and only for that module (``gf.mul`` is a use of
+    field.mul, ``np.add`` and ``seen.add`` are not uses of field.add)."""
+    defs, members, users, attrs = [], [], {}, Counter()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         aliases = _module_aliases(tree)
@@ -42,19 +50,27 @@ def _uncalled() -> set[str]:
             owner = (path.stem, getattr(node, "name", None))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append(owner)
+            if isinstance(node, ast.ClassDef):
+                members += [(path.stem, node.name, sub) for sub in node.body
+                            if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__")]
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
                     users.setdefault(sub.id, set()).add(owner)
-                elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
-                      and sub.value.id in aliases):
-                    users.setdefault((aliases[sub.value.id], sub.attr), set()).add(owner)
-    public = set(nihoperm.__all__)
-    return {f"{mod}.{name}" for mod, name in defs
-            if name not in public
-            and not (users.get(name, set()) | users.get((mod, name), set())) - {(mod, name)}}
+                elif isinstance(sub, ast.Attribute):
+                    attrs[sub.attr] += 1
+                    if isinstance(sub.value, ast.Name) and sub.value.id in aliases:
+                        users.setdefault((aliases[sub.value.id], sub.attr), set()).add(owner)
+    uncalled = {f"{mod}.{name}" for mod, name in defs
+                if not (users.get(name, set()) | users.get((mod, name), set())) - {(mod, name)}}
+    for mod, cls, member in members:
+        own = sum(isinstance(sub, ast.Attribute) and sub.attr == member.name
+                  for sub in ast.walk(member))
+        if attrs[member.name] == own:
+            uncalled.add(f"{mod}.{cls}.{member.name}")
+    return uncalled
 
 
-def test_every_private_definition_has_a_caller_in_the_package():
+def test_every_definition_has_a_caller_in_the_package():
     # an allowlisted name that gains a caller must leave the allowlist too
     assert _uncalled() == set(ALLOWED)
 

@@ -377,7 +377,7 @@ def test_internal_coefficient_identities(tower4):
     # with c = x + 1/x: eq4 has (a2, a1) = (c^2/(c^4+1), c^4/(c^4+1)),
     # eq6 has (c^4+c^2, c^4), and Tr_m(1/c) = 1 in both cases
     ctx = tower4.field
-    for x in tw.unit_circle_iter(tower4):
+    for x in tower4.unit_circle.tolist():
         if x == 1:
             continue
         c = x ^ gf.inv(ctx, x)

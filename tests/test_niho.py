@@ -15,6 +15,8 @@ from nihoperm import tower as tw
 from nihoperm.errors import NihopermError
 from nihoperm.niho import FamilyInstance, NihoPair, TrinomialSpec
 
+from oracles import transforms
+
 
 # ---------------------------------------------------------------------------
 # fractions mod 2^m+1
@@ -109,15 +111,19 @@ def test_exp3():
 # trinomial construction
 # ---------------------------------------------------------------------------
 
+def _exponents(spec):
+    return tuple(e for _, e in spec.terms)
+
+
 def test_pair_to_trinomial_m2(tower2):
     spec = niho.pair_to_trinomial(tower2, NihoPair(2, 2, 4))
-    assert spec.exponents() == (1, 7, 13)  # 2*3+1 = 7, 4*3+1 = 13
+    assert _exponents(spec) == (1, 7, 13)  # 2*3+1 = 7, 4*3+1 = 13
     assert all(c == 1 for c, _ in spec.terms)
 
 
 def test_pair_to_trinomial_m4(tower4):
     spec = niho.pair_to_trinomial(tower4, NihoPair(4, 11, 7))
-    assert spec.exponents() == (1, 106, 166)  # 7*15+1, 11*15+1
+    assert _exponents(spec) == (1, 106, 166)  # 7*15+1, 11*15+1
 
 
 def test_equal_entries_cancel_to_identity(tower2):
@@ -135,8 +141,8 @@ def test_trinomial_exponents_are_normalized(tower4):
     for s in range(0, 17, 3):
         for t in range(s, 17, 2):
             spec = niho.pair_to_trinomial(tower4, NihoPair(4, s, t))
-            for e in spec.exponents():
-                assert niho.is_niho_exponent(e, 4) == 0
+            for e in _exponents(spec):
+                assert e % 15 == 1  # 1 mod 2^m-1
 
 
 def test_spec_canonicalization_and_eval(f16):
@@ -174,32 +180,20 @@ def test_compose_power(f16):
     # p(x^2), built from p's terms: exponents doubled, reduced mod 15, sorted
     spec = TrinomialSpec.make(f16, [(1, 1), (1, 7), (1, 13)])
     comp = TrinomialSpec.make(f16, [(c, e * 2) for c, e in spec.terms])
-    assert comp.exponents() == (2, 11, 14)  # 14, 26 mod 15 = 11
-
-
-# ---------------------------------------------------------------------------
-# normalized exponent recognition
-# ---------------------------------------------------------------------------
-
-def test_is_niho_exponent_examples():
-    for m in range(1, 9):
-        assert niho.is_niho_exponent(1, m) == 0
-    assert niho.is_niho_exponent(7, 2) == 0  # 7 mod 3 = 1
-    assert 166 % 15 == 1
-    assert niho.is_niho_exponent(166, 4) == 0
-    assert niho.is_niho_exponent(2, 3) == 1
-    assert niho.is_niho_exponent(3, 3) is None  # {1,2,4} are the powers mod 7
+    assert _exponents(comp) == (2, 11, 14)  # 14, 26 mod 15 = 11
 
 
 # ---------------------------------------------------------------------------
 # inverse-exponent transforms
 # ---------------------------------------------------------------------------
+# oracles.transforms is the reference that survey.orbit_labels and the
+# table's equivalents are checked against; these pin it to worked values
 
 def test_transforms_of_2_minus1_at_even_m():
     # (2,-1) transforms to (1, 2/3) and (1, 1/3) when 3 is invertible
     for m in (2, 4):
         pair = NihoPair(m, 2, -1)
-        got = set(niho.equivalent_pairs(m, pair))
+        got = transforms(m, pair)
         expect = {
             NihoPair(m, 1, niho.resolve_fraction(2, 3, m)),
             NihoPair(m, 1, niho.resolve_fraction(1, 3, m)),
@@ -210,7 +204,7 @@ def test_transforms_of_2_minus1_at_even_m():
 def test_transforms_of_k_minus_k():
     m, k = 4, 2
     pair = NihoPair(m, k, -k)
-    got = set(niho.equivalent_pairs(m, pair))
+    got = transforms(m, pair)
     expect = {
         NihoPair(m, niho.resolve_fraction(k, 2 * k - 1, m),
                  niho.resolve_fraction(2 * k, 2 * k - 1, m)),
@@ -223,7 +217,7 @@ def test_transforms_of_k_minus_k():
 def test_transforms_of_1_minus_half_m4():
     pair = NihoPair(4, 1, niho.resolve_fraction(-1, 2, 4))
     assert pair == NihoPair(4, 1, 8)  # -1/2 = 2^(m-1)
-    got = set(niho.equivalent_pairs(4, pair))
+    got = transforms(4, pair)
     # 3/2 = 3*9 = 27 = 10 mod 17, and the other direction gives (1/4, 3/4)
     assert NihoPair(4, 1, 10) in got
     assert NihoPair(4, niho.resolve_fraction(1, 4, 4),
@@ -232,7 +226,7 @@ def test_transforms_of_1_minus_half_m4():
 
 def test_transform_failure_drops_pair():
     # at m=3 the transform of (2,-1) needs 1/3 mod 9, which does not exist
-    got = niho.equivalent_pairs(3, NihoPair(3, 2, -1))
+    got = transforms(3, NihoPair(3, 2, -1))
     assert len(got) < 2
 
 
@@ -242,7 +236,7 @@ def test_transform_failure_drops_pair():
 
 def test_f8_exponents_m4(tower4):
     spec = niho.family_trinomial(tower4, FamilyInstance("F8", {}))
-    assert spec.exponents() == (1, 16, 121)  # 2^(m-1)(2^m-1)+1 = 121
+    assert _exponents(spec) == (1, 16, 121)  # 2^(m-1)(2^m-1)+1 = 121
 
 
 def _pair_one_minus_half(m):
@@ -287,7 +281,7 @@ def test_f2_zero_v_rejected_but_buildable(tower3):
     with pytest.raises(NihopermError, match="^F2 needs v != 0$"):
         niho.family_trinomial(tower3, inst)
     spec = niho.family_trinomial(tower3, inst, check=False)
-    assert spec.exponents() == (5, 17)  # the v-term vanished
+    assert _exponents(spec) == (5, 17)  # the v-term vanished
 
 
 def test_f1_condition_and_terms(tower3):
@@ -297,7 +291,7 @@ def test_f1_condition_and_terms(tower3):
     ok, reason = niho.check_family_conditions(tower3, FamilyInstance("F1", {"k": 2, "a": 1}))
     assert not ok and "a^(2^(2k)+2^k+1)" in reason
     spec = niho.family_trinomial(tower3, FamilyInstance("F1", {"k": 2, "a": g}))
-    assert spec.exponents() == (2, 5, 17)
+    assert _exponents(spec) == (2, 5, 17)
     # coefficient of x^(2^k+1) is a^(2^k+1)
     assert dict((e, c) for c, e in spec.terms)[5] == gf.power(tower3.field, g, 5)
 
@@ -305,7 +299,7 @@ def test_f1_condition_and_terms(tower3):
 def test_f5_structure(tower4):
     a = gf.power(tower4.field, tower4.field.generator, 15)  # norm-1 element
     spec = niho.family_trinomial(tower4, FamilyInstance("F5", {"a": a}))
-    assert spec.exponents() == (1, 31, 241)
+    assert _exponents(spec) == (1, 31, 241)
     cond, _ = niho.check_family_conditions(tower4, FamilyInstance("F5", {"a": 3}))
     assert not cond  # 3 = g is not on the unit circle
 
@@ -326,7 +320,7 @@ def test_c4_exponents_match_worked_example(tower3):
     # m=3, k=1: 5l = 1 mod 9 gives l=2; exponents {10, 24, 66 mod 63 = 3}
     assert niho.resolve_fraction(1, 5, 3) == 2
     spec = niho.family_trinomial(tower3, FamilyInstance("C4", {"k": 1}))
-    assert spec.exponents() == (3, 10, 24)
+    assert _exponents(spec) == (3, 10, 24)
 
 
 #: (family, m, params, first failed hypothesis, terms with check=False, or
@@ -673,10 +667,10 @@ def test_table_equivalents_match_transforms_when_defined():
         for row in niho.known_pairs_table1(m):
             if row.pair is None:
                 continue
-            transforms = set(niho.equivalent_pairs(m, row.pair))
+            images = transforms(m, row.pair)
             for _, p in row.equivalents:
                 if p is not None:
-                    assert p in transforms
+                    assert p in images
 
 
 def test_table_row_count():

@@ -678,12 +678,12 @@ def test_unit_circle_collision_counterexample():
 
 
 def reference_unit_circle(tower, pair, elapsed=0.0):
-    """Plain scalar scan of U in unit_circle_iter order: the report the
+    """Plain scalar scan of U in TowerCtx.unit_circle order: the report the
     unit-circle engine must give, with the given elapsed time."""
     ctx = tower.field
     seen = {}
     failure = None
-    for count, x in enumerate(tw.unit_circle_iter(tower), 1):
+    for count, x in enumerate(tower.unit_circle.tolist(), 1):
         h = 1 ^ gf.power(ctx, x, pair.s) ^ gf.power(ctx, x, pair.t)
         if h == 0:
             failure = (None, x, count)

@@ -16,16 +16,18 @@ from nihoperm import tower as tw
 from nihoperm.errors import NihopermError
 from nihoperm.niho import NihoPair
 
+from oracles import canonical_orbit, sweep_rows, transforms
+
 
 def test_orbit_of_origin_is_fixed():
-    rep, orbit = survey.canonical_orbit(3, NihoPair(3, 0, 0))
+    rep, orbit = canonical_orbit(3, NihoPair(3, 0, 0))
     assert rep == NihoPair(3, 0, 0)
     assert orbit == (NihoPair(3, 0, 0),)
 
 
 def test_orbit_of_2_minus1_contains_third_fractions(tower4):
     m = 4
-    _, orbit = survey.canonical_orbit(m, NihoPair(m, 2, 1 << m))
+    _, orbit = canonical_orbit(m, NihoPair(m, 2, 1 << m))
     assert NihoPair(m, 1, niho.resolve_fraction(1, 3, m)) in orbit
     assert NihoPair(m, 1, niho.resolve_fraction(2, 3, m)) in orbit
 
@@ -34,10 +36,10 @@ def test_orbit_closure_under_transforms():
     # applying a transform to any member stays inside the orbit
     for m in (3, 4):
         for seed in (NihoPair(m, 2, -1), NihoPair(m, 3, 5), NihoPair(m, 1, 7)):
-            _, orbit = survey.canonical_orbit(m, seed)
+            _, orbit = canonical_orbit(m, seed)
             members = set(orbit)
             for p in orbit:
-                for q in niho.equivalent_pairs(m, p):
+                for q in transforms(m, p):
                     assert q in members
 
 
@@ -47,9 +49,9 @@ def test_orbit_labels_match_the_scalar_closure(m):
     # and the sweep row of that label holds its sorted members
     s, t, label = survey.orbit_labels(m)
     assert (survey.pair_index(m, s, t) == np.arange(s.size)).all()
-    rows = {r.pair: r for r in survey.search_pairs(tw.make_tower(m))}
+    rows = {r.pair: r for r in sweep_rows(survey.search_pairs(tw.make_tower(m)))}
     for i, (a, b) in enumerate(zip(s.tolist(), t.tolist())):
-        rep, orbit = survey.canonical_orbit(m, NihoPair(m, a, b))
+        rep, orbit = canonical_orbit(m, NihoPair(m, a, b))
         assert (s[label[i]], t[label[i]]) == (rep.s, rep.t)
         assert rows[rep].orbit == orbit
         assert (label == label[i]).sum() == len(orbit)
@@ -71,8 +73,8 @@ def test_flipped_orbit_member_trips_the_homogeneity_check(monkeypatch, tower4):
 
 
 def test_search_m2_finds_known_pair(tower2):
-    rows = survey.search_pairs(tower2)
-    rep, orbit = survey.canonical_orbit(2, NihoPair(2, 2, 4))
+    rows = sweep_rows(survey.search_pairs(tower2))
+    rep, orbit = canonical_orbit(2, NihoPair(2, 2, 4))
     row = next(r for r in rows if r.pair == rep)
     assert NihoPair(2, 2, 4) in orbit
     assert row.is_pp
@@ -85,25 +87,25 @@ def test_search_m2_finds_known_pair(tower2):
 def test_search_m3_uncovered_condition_mismatch_row(tower3):
     # (1, -1/2) = (1, 4) at m=3: condition m % 3 != 0 fails, so the row is
     # not covered; the engine decides the verdict on its own
-    rows = survey.search_pairs(tower3)
-    rep, _ = survey.canonical_orbit(3, NihoPair(3, 1, 4))
+    rows = sweep_rows(survey.search_pairs(tower3))
+    rep, _ = canonical_orbit(3, NihoPair(3, 1, 4))
     row = next(r for r in rows if r.pair == rep)
     assert row.covered_by is None
     assert row.is_pp is False  # frozen from both engines
 
 
 def test_search_m4_covers_all_condition_ok_table_rows(tower4):
-    rows = {r.pair: r for r in survey.search_pairs(tower4)}
+    rows = {r.pair: r for r in sweep_rows(survey.search_pairs(tower4))}
     for trow in niho.known_pairs_table1(4):
         if trow.pair is None or not trow.condition_ok:
             continue
-        rep, _ = survey.canonical_orbit(4, trow.pair)
+        rep, _ = canonical_orbit(4, trow.pair)
         assert rows[rep].is_pp
         assert rows[rep].covered_by is not None
 
 
 def test_search_rows_partition_the_sweep(tower3):
-    rows = survey.search_pairs(tower3)
+    rows = sweep_rows(survey.search_pairs(tower3))
     total = sum(len(r.orbit) for r in rows)
     assert total == 45  # C(10, 2) + 10 unordered pairs at m=3
     all_members = [p for r in rows for p in r.orbit]
@@ -113,13 +115,13 @@ def test_search_rows_partition_the_sweep(tower3):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_orbit_verdict_homogeneity(m):
     tower = tw.make_tower(m)
-    for row in survey.search_pairs(tower):
+    for row in sweep_rows(survey.search_pairs(tower)):
         verdicts = {pc.unit_circle_check(tower, p).is_permutation for p in row.orbit}
         assert verdicts == {row.is_pp}
 
 
 def test_flagged_new_semantics(tower3):
-    for row in survey.search_pairs(tower3):
+    for row in sweep_rows(survey.search_pairs(tower3)):
         if row.flagged_new:
             assert row.is_pp and row.covered_by is None and not row.degenerate
         if row.degenerate:
@@ -133,7 +135,7 @@ def test_coverage_soundness(m):
     sources = {
         r.source: r for r in niho.known_pairs_table1(m) if r.condition_ok
     }
-    for row in survey.search_pairs(tower):
+    for row in sweep_rows(survey.search_pairs(tower)):
         if row.covered_by is not None:
             assert row.covered_by in sources
             assert row.is_pp  # covered rows are known permutation pairs
@@ -143,7 +145,7 @@ def test_survey_agrees_with_exhaustive_engine_m2(tower2):
     # engine-independence: the unit-circle sweep and the full-field engine
     # find the same permutation pairs
     by_pair = {}
-    for row in survey.search_pairs(tower2):
+    for row in sweep_rows(survey.search_pairs(tower2)):
         for p in row.orbit:
             by_pair[p] = row.is_pp
     for s in range(5):
@@ -252,7 +254,7 @@ def _row_dicts(rows):
             "flagged_new": r.flagged_new,
             "degenerate": r.degenerate,
         }
-        for r in rows
+        for r in sweep_rows(rows)
     ]
 
 
@@ -260,7 +262,7 @@ def _csv_reference(rows):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(survey.CSV_COLUMNS)
-    for r in rows:
+    for r in sweep_rows(rows):
         w.writerow([r.m, r.pair.s, r.pair.t, len(r.orbit), str(r.is_pp).lower(),
                     r.covered_by or "", str(r.flagged_new).lower(),
                     str(r.degenerate).lower()])
@@ -280,7 +282,7 @@ def test_template_emitters_escape_covered_by(tower4):
     rows = dataclasses.replace(
         rows, sources=tuple(odd[i % len(odd)] for i in range(len(rows.sources)))
     )
-    assert {r.covered_by for r in rows} >= set(odd)
+    assert {r.covered_by for r in sweep_rows(rows)} >= set(odd)
     assert survey.rows_to_json(rows) == json.dumps(_row_dicts(rows), indent=2)
     assert survey.rows_to_csv(rows) == _csv_reference(rows)
 
