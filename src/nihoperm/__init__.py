@@ -20,8 +20,8 @@ from .niho import (
 from .permcheck import (
     PermReport,
     is_permutation_exhaustive,
+    pair_verdicts,
     unit_circle_check,
-    verify_pairs,
     zieve_check,
 )
 from .survey import search_pairs
@@ -43,11 +43,11 @@ __all__ = [
     "make_field",
     "make_tower",
     "pair_to_trinomial",
+    "pair_verdicts",
     "resolve_fraction",
     "search_pairs",
     "smallest_irreducible",
     "unit_circle_check",
     "verify_lemma_quartics",
-    "verify_pairs",
     "zieve_check",
 ]

@@ -85,7 +85,7 @@ def _known_row_notes(m: int, pair: NihoPair) -> list[str]:
 def cmd_verify(args, out) -> int:
     tower = _tower_from(args)
     pair = niho.parse_pair(args.pair, tower.m)
-    reports = permcheck.verify_pairs(tower, [pair])
+    reports = [permcheck.unit_circle_check(tower, pair)]
     if tower.field.n <= permcheck.EXHAUSTIVE_MAX_N:
         ex = permcheck.is_permutation_exhaustive(
             tower.field, niho.pair_to_trinomial(tower, pair)
@@ -162,7 +162,7 @@ def _table1_dataset(towers: list[tw.TowerCtx]) -> list[dict]:
         pairs = {p for row in rows for p in (row.pair, *(p for _, p in row.equivalents))}
         pairs.discard(None)
         pairs = list(pairs)
-        pp = permcheck._verdicts(tower, [p.s for p in pairs], [p.t for p in pairs])
+        pp = permcheck.pair_verdicts(tower, [p.s for p in pairs], [p.t for p in pairs])
         verdict = dict(zip(pairs, pp.tolist()))
         verdict[None] = None
         for row in rows:

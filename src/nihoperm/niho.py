@@ -139,12 +139,6 @@ class TrinomialSpec:
         )
         return cls(ctx=ctx, terms=canon)
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for coef, e in self.terms:
-            acc ^= gf.mul(self.ctx, coef, gf.power(self.ctx, x, e))
-        return acc
-
     def to_json_dict(self) -> dict:
         return {
             "modulus": self.ctx.to_hex(),

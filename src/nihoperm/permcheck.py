@@ -16,11 +16,12 @@
 
 * unit_circle: for a Niho pair (s, t) the trinomial permutes GF(2^n) iff
   phi(x) = x * (1 + x^s + x^t)^(2^m-1) permutes the norm-1 subgroup U, so
-  only 2^m+1 points are evaluated. :func:`verify_pairs` checks many pairs
-  at once as index arithmetic mod 2^m+1: with x = w^k, h^(2^m-1) = w^C
-  where C depends only on the class of h in P^1(GF(2^m)) and is read from
-  tables of size O(2^m). h = 0 at any point is an immediate failure (phi
-  would map into 0, which is not in U).
+  only 2^m+1 points are evaluated, for many pairs at once, as index
+  arithmetic mod 2^m+1: with x = w^k, h^(2^m-1) = w^C where C depends
+  only on the class of h in P^1(GF(2^m)) and is read from tables of size
+  O(2^m). h = 0 at any point is an immediate failure (phi would map into
+  0, which is not in U). :func:`pair_verdicts` gives the verdicts of many
+  pairs, :func:`unit_circle_check` the report of one.
 
 The subgroup reduction is also exposed in its general form
 (:func:`zieve_check`): x^r h(x^s) permutes the field iff gcd(r, s) = 1 and
@@ -33,7 +34,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -300,8 +301,8 @@ def _witness(ctx: FieldCtx, terms) -> tuple[int, int]:
 def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
     """Full-domain permutation check with occupancy bitset.
 
-    The verdict takes the image of 0 from :meth:`TrinomialSpec.evaluate`,
-    then walks x = g^k, where a term c*x^e is the geometric sequence
+    The verdict takes the image of 0 from the constant term (0 if there is
+    none), then walks x = g^k, where a term c*x^e is the geometric sequence
     c*(g^e)^k (:func:`_log_windows`), and stops at the first window holding
     a repeat. Only then does one walk in bitmask order (:func:`_witness`)
     find the first repeat y and the least x < y with f(x) = f(y).
@@ -310,14 +311,18 @@ def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
     and on failure the elements a scan in chunks of 2^min(n, 20) evaluates
     up to the chunk holding y, ((y >> c) + 1) * 2^c with c = min(n, 20).
     It is a fixed function of the polynomial, not a count of the work done.
-    Raises NihopermError above n = EXHAUSTIVE_MAX_N.
+    Raises NihopermError above n = EXHAUSTIVE_MAX_N or if poly is over
+    another field.
     """
     if ctx.n > EXHAUSTIVE_MAX_N:
         raise NihopermError(f"exhaustive check capped at n={EXHAUSTIVE_MAX_N}, got n={ctx.n}")
+    if poly.ctx != ctx:
+        raise NihopermError(f"polynomial over {poly.ctx.to_hex()}, field {ctx.to_hex()}")
     t0 = time.perf_counter()
     terms = poly.terms
     bits = _bitset(ctx)
-    _occupy(bits, np.array([poly.evaluate(0)], dtype=np.uint32))  # the image of 0
+    f0 = terms[0][0] if terms and terms[0][1] == 0 else 0  # a constant term comes first
+    _occupy(bits, np.array([f0], dtype=np.uint32))
     # the walk is not bound to a name, so its blocks die with the verdict
     if all(_occupy(bits, v) for v in _log_windows(ctx, terms, ctx.group_order,
                                                    _VERDICT_FIRST_WINDOW)):
@@ -345,7 +350,7 @@ def zieve_check(ctx: FieldCtx, r: int, s_div: int, h: TrinomialSpec) -> bool:
     injective (hence a permutation) on the d-th roots of unity, d*s = 2^n-1.
 
     Any zero of h on the roots of unity fails the check. Raises
-    NihopermError unless s_div divides 2^n-1.
+    NihopermError unless s_div divides 2^n-1 and h is over ctx.
 
     The roots x = z^k, z = g^s, come from :func:`_log_windows` in chunks of
     2^min(n, _CHUNK_BITS), with h and x^r h(x)^s evaluated on each chunk as
@@ -359,6 +364,8 @@ def zieve_check(ctx: FieldCtx, r: int, s_div: int, h: TrinomialSpec) -> bool:
     order = ctx.group_order
     if s_div <= 0 or order % s_div != 0:
         raise NihopermError(f"{s_div} does not divide 2^{ctx.n}-1")
+    if h.ctx != ctx:
+        raise NihopermError(f"polynomial over {h.ctx.to_hex()}, field {ctx.to_hex()}")
     if gcd(r, s_div) != 1:
         return False
     n, red = ctx.n, ctx.red
@@ -380,16 +387,15 @@ def zieve_check(ctx: FieldCtx, r: int, s_div: int, h: TrinomialSpec) -> bool:
 
 
 def _circle_tables(tower: TowerCtx):
-    """(points, coords, logs, classes): the tables that turn phi on U into
-    index arithmetic mod q+1, with q = 2^m.
+    """(coords, logs, classes): the tables that turn phi on U into index
+    arithmetic mod q+1, with q = 2^m, on the points w^k, w = g^(q-1), of
+    :attr:`TowerCtx.unit_circle`. For x = w^k, x^s = w^(ks mod q+1).
 
-    * points[k] = w^k for k = 0..q, with w = g^(q-1): U in the order of
-      :attr:`TowerCtx.unit_circle`. For x = w^k, x^s = points[ks mod q+1].
     * Every h is a + b*g with a, b in GF(q), since g lies outside the
       subfield: b = (h + h^q)/(g + g^q) and a = h + b*g. Both are
       GF(2)-linear in h, and so is the code of a subfield element
       (:meth:`TowerCtx.subfield_code`). coords[k] = code(a) | code(b) << m
-      for h = points[k]; by linearity h = 1 + x^s + x^t has
+      for h = w^k; by linearity h = 1 + x^s + x^t has
       coords[0] ^ coords[ks] ^ coords[kt], which is 0 iff h is. The bit
       images come as arrays: h^q from the Frobenius tables, then b and a
       by one constant multiply each.
@@ -424,7 +430,7 @@ def _circle_tables(tower: TowerCtx):
     classes[ratio + 2 * q] = classes[ratio + q + 1] = power[nonzero]
     classes[3 * q + 2 :] = power[~nonzero]  # a = 0: la is the sentinel
     # as intp, so that the gathers of _phi_window index with them uncast
-    return points, coords.astype(np.intp), logs.astype(np.intp), classes.astype(np.intp)
+    return coords.astype(np.intp), logs.astype(np.intp), classes.astype(np.intp)
 
 
 def _mod(x: np.ndarray, size: int) -> np.ndarray:
@@ -440,7 +446,7 @@ def _phi_window(tower, tables, s, t, ks):
     s and t may be negative (open1 has t = 1-s); the products s*k stay
     int64, since they reach 2^32 at m = 16.
     """
-    _, coords, logs, classes = tables
+    coords, logs, classes = tables
     q, size = tower.subfield_order, tower.unit_circle_order
     ab = coords[0] ^ coords[_mod(s[:, None] * ks, size)] ^ coords[_mod(t[:, None] * ks, size)]
     cls = classes[logs[ab & (q - 1)] - logs[ab >> tower.m] + 2 * q]
@@ -504,52 +510,37 @@ def _block_failures(tower, tables, s, t):
     return fail, partner
 
 
-def _verdicts(tower: TowerCtx, s, t) -> np.ndarray:
-    """Permutation verdicts of the pairs (s[i], t[i]) as a bool array: the
-    ``is_permutation`` fields of :func:`verify_pairs`, without its reports.
-    s and t are integer arrays of residues mod 2^m+1, in either order."""
-    s, t = np.asarray(s), np.asarray(t)
-    fail, _ = _block_failures(tower, _circle_tables(tower), s, t)
-    return fail < 0
-
-
-def verify_pairs(tower: TowerCtx, pairs: Iterable[NihoPair]) -> list[PermReport]:
-    """Unit-circle reports for many Niho pairs at one m, in input order.
-
-    The trinomial of (s, t) permutes GF(2^(2m)) iff phi(x) = x(1+x^s+x^t)^(q-1)
-    permutes U (Zieve 2009; Park-Lee 2001). With x = w^k, phi is index
-    arithmetic mod q+1 on the tables of :func:`_circle_tables`, evaluated
-    for blocks of at most _TABLE_ELEMS / (q+1) pairs, each in windows of at
-    most _WINDOW_ELEMS (pair, point) elements, so memory stays O(2^m).
-
-    Each report is the one of a scan of U in :attr:`TowerCtx.unit_circle`
-    order that stops at the first failing point: a vanishing 1 + x^s + x^t
-    (``zero_at``) or a phi collision with the earlier colliding point.
-    ``evaluations`` counts the points up to that one, or is q+1 on
-    success; ``elapsed`` is the wall time of the whole call.
-    """
-    t0 = time.perf_counter()
-    pairs = list(pairs)
-    tables = _circle_tables(tower)
-    s = np.array([p.s for p in pairs], dtype=np.int64)
-    t = np.array([p.t for p in pairs], dtype=np.int64)
-    fail, partner = _block_failures(tower, tables, s, t)
-    elapsed = time.perf_counter() - t0
-    size = tower.unit_circle_order
-    points = tables[0].tolist()
-    return [
-        PermReport(
-            is_permutation=k < 0, method="unit_circle",
-            counterexample=(points[j], points[k]) if j >= 0 else None,
-            zero_at=points[k] if k >= 0 and j < 0 else None,
-            evaluations=k + 1 if k >= 0 else size, elapsed=elapsed, pair=pair,
-        )
-        for pair, k, j in zip(pairs, fail.tolist(), partner.tolist())
-    ]
+def pair_verdicts(tower: TowerCtx, s, t) -> np.ndarray:
+    """Permutation verdicts of the pairs (s[i], t[i]) at the tower's m, as
+    a bool array: the ``is_permutation`` of :func:`unit_circle_check` for
+    each. s and t are integer arrays of residues mod 2^m+1, in either order."""
+    return _block_failures(tower, _circle_tables(tower), np.asarray(s), np.asarray(t))[0] < 0
 
 
 def unit_circle_check(tower: TowerCtx, pair: NihoPair) -> PermReport:
-    """Pair verification on the norm-1 subgroup only: :func:`verify_pairs`
-    of the one pair."""
-    return verify_pairs(tower, [pair])[0]
+    """Unit-circle report of one Niho pair at the tower's m.
 
+    The trinomial of (s, t) permutes GF(2^(2m)) iff phi(x) = x(1+x^s+x^t)^(q-1)
+    permutes U (Zieve 2009; Park-Lee 2001). With x = w^k, phi is index
+    arithmetic mod q+1 (:func:`_circle_tables`, :func:`_first_failures`).
+
+    The report is the one of a scan of U in :attr:`TowerCtx.unit_circle`
+    order that stops at the first failing point: a vanishing 1 + x^s + x^t
+    (``zero_at``) or a phi collision with the earlier colliding point.
+    ``evaluations`` counts the points up to that one, or is q+1 on
+    success. Raises NihopermError if the pair is not at the tower's m.
+    """
+    if pair.m != tower.m:
+        raise NihopermError(f"pair at m={pair.m}, tower at m={tower.m}")
+    t0 = time.perf_counter()
+    fail, partner = _block_failures(tower, _circle_tables(tower),
+                                    np.array([pair.s]), np.array([pair.t]))
+    [k], [j] = fail.tolist(), partner.tolist()
+    points = tower.unit_circle
+    return PermReport(
+        is_permutation=k < 0, method="unit_circle",
+        counterexample=(int(points[j]), int(points[k])) if j >= 0 else None,
+        zero_at=int(points[k]) if k >= 0 and j < 0 else None,
+        evaluations=k + 1 if k >= 0 else tower.unit_circle_order,
+        elapsed=time.perf_counter() - t0, pair=pair,
+    )

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NihopermError
 from .niho import known_pairs_table1
-from .permcheck import _verdicts
+from .permcheck import pair_verdicts
 from .tower import TowerCtx
 
 #: bound of the square sweep (search_pairs), which verifies all
@@ -141,7 +141,7 @@ def search_pairs(tower: TowerCtx) -> PairSweep:
     if m > SURVEY_MAX_M:
         raise NihopermError(f"pair survey capped at m={SURVEY_MAX_M}, got m={m}")
     s, t, label = orbit_labels(m)
-    pp = _verdicts(tower, s, t)
+    pp = pair_verdicts(tower, s, t)
     mixed = np.flatnonzero(pp != pp[label])
     assert mixed.size == 0, (
         f"orbit of {s[label[mixed[0]]]},{t[label[mixed[0]]]} is not homogeneous"
@@ -166,7 +166,7 @@ def _scan_line(tower: TowerCtx, pair_at) -> list[int]:
     """All j in [0, 2^m] for which pair_at(j) = (s, t) is a permutation pair;
     pair_at takes the array of every j."""
     s, t = pair_at(np.arange(tower.unit_circle_order))
-    return np.flatnonzero(_verdicts(tower, s, t)).tolist()
+    return np.flatnonzero(pair_verdicts(tower, s, t)).tolist()
 
 
 def scan_open_problem_1(tower: TowerCtx) -> list[int]:

@@ -1,11 +1,22 @@
 """Reference implementations shared by several test files: the scalar
-orbit closure of a pair and a row view of a sweep's columns."""
+value of a sparse polynomial, the scalar orbit closure of a pair and a row
+view of a sweep's columns."""
 
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from nihoperm.niho import NihoPair
+from nihoperm import field as gf
+from nihoperm.niho import NihoPair, TrinomialSpec
+
+
+def evaluate(spec: TrinomialSpec, x: int) -> int:
+    """spec(x) by the scalar field operations, term by term: the reference
+    for the engines' array evaluation."""
+    acc = 0
+    for coef, e in spec.terms:
+        acc ^= gf.mul(spec.ctx, coef, gf.power(spec.ctx, x, e))
+    return acc
 
 
 def transforms(m: int, pair: NihoPair) -> set[NihoPair]:

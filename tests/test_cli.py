@@ -29,6 +29,23 @@ def test_verify_new_pair_true(capsys):
     assert "unit_circle" in out and "exhaustive" in out
 
 
+def test_verify_reports_through_one_unit_circle_check(capsys, monkeypatch):
+    # verify's unit-circle report is the one-pair entry, called once, at the
+    # tower's m, above the exhaustive cap as below it
+    calls = []
+    check = permcheck.unit_circle_check
+
+    def counted(tower, pair):
+        calls.append((tower.m, pair))
+        return check(tower, pair)
+
+    monkeypatch.setattr(permcheck, "unit_circle_check", counted)
+    for m in (4, 15):
+        calls.clear()
+        assert run(capsys, "verify", "--m", str(m), "--pair", "2,-1")[0] == 0
+        assert calls == [(m, NihoPair(m, 2, -1))]
+
+
 def test_verify_degenerate_identity(capsys):
     code, out, _ = run(capsys, "verify", "--m", "4", "--pair", "0,0")
     assert code == 0
@@ -228,7 +245,7 @@ def test_table1_verdicts_agree_with_verify_pairs():
                 assert item["is_pp"] is None
                 continue
             pair = NihoPair(r["m"], item["s"], item["t"])
-            assert item["is_pp"] is permcheck.verify_pairs(tower, [pair])[0].is_permutation
+            assert item["is_pp"] is permcheck.unit_circle_check(tower, pair).is_permutation
             checked += 1
     assert checked > len(rows)
 
@@ -413,7 +430,7 @@ def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys, monkeypatch
         raise AssertionError("ran the work before opening --out")
 
     monkeypatch.setattr(survey, "search_pairs", no_work)
-    monkeypatch.setattr(permcheck, "verify_pairs", no_work)
+    monkeypatch.setattr(permcheck, "unit_circle_check", no_work)
     path = tmp_path / "missing" / "x"
     for argv in (["search", "--m", "11", "--format", "csv"],
                  ["verify", "--m", "4", "--pair", "1,2"]):

@@ -3,11 +3,15 @@ src/nihoperm has a caller elsewhere in the package, and so does every
 method or property of its classes, or it is on the allowlist below with its
 reason. Being public (in ``nihoperm.__all__``) is not a use, and a use only
 in tests is not a use either: a test's reference implementation lives in
-the test. Nor dead error types: every refusal raises NihopermError, and an
-exception class that no except clause in the package names does not exist."""
+the test. An attribute name is a use of every member of that name, so a
+member whose name another class also has is checked only where it is on
+the reviewed map below. Nor dead error types: every refusal raises
+NihopermError, and an exception class that no except clause in the
+package names does not exist."""
 
 import ast
 import builtins
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -19,9 +23,17 @@ SRC = Path(nihoperm.__file__).parent
 #: the package
 ALLOWED = {
     "loweq.quadratic_roots": "the quadratic step of the Cardano certificate (ROADMAP item 3)",
-    "permcheck.unit_circle_check": "perfbench/ops.py calls it",
     "permcheck.zieve_check": "the subgroup reduction of `family` (ROADMAP item 4)",
     "field.FieldCtx.exp_log": "perfbench's setup_s asserts it (ROADMAP item 2)",
+}
+
+#: method or property name -> every class in the package with a field,
+#: method or property of that name, each member of it reviewed to have a
+#: caller: an attribute of that name cannot tell which class it reads
+SHARED = {
+    "s": {"niho.NihoPair", "survey.PairSweep"},
+    "t": {"niho.NihoPair", "survey.PairSweep"},
+    "to_json_dict": {"niho.NihoPair", "niho.TrinomialSpec", "permcheck.PermReport"},
 }
 
 
@@ -34,16 +46,26 @@ def _module_aliases(tree: ast.Module) -> dict[str, str]:
             for alias in node.names}
 
 
-def _uncalled() -> set[str]:
+def _member_names(cls: ast.ClassDef) -> set[str]:
+    """The fields, methods and properties of a class body."""
+    return {sub.name if isinstance(sub, ast.FunctionDef) else sub.target.id
+            for sub in cls.body
+            if isinstance(sub, ast.FunctionDef)
+            or (isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name))}
+
+
+def _uncalled(src: Path = SRC) -> set[str]:
     """module.name of every top-level definition that no other top-level
     statement of the package mentions, and module.Class.member of every
     method or property, dunders aside, that no attribute outside its own
     body names. A name counts for every module; an attribute counts for
     every member of that name, but for a top-level definition only through
     a module alias, and only for that module (``gf.mul`` is a use of
-    field.mul, ``np.add`` and ``seen.add`` are not uses of field.add)."""
-    defs, members, users, attrs = [], [], {}, Counter()
-    for path in sorted(SRC.glob("*.py")):
+    field.mul, ``np.add`` and ``seen.add`` are not uses of field.add). A
+    member whose name is not its class's alone counts as uncalled unless
+    :data:`SHARED` lists exactly the classes with that name."""
+    defs, members, users, attrs, owners = [], [], {}, Counter(), {}
+    for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
         aliases = _module_aliases(tree)
         for node in tree.body:
@@ -53,6 +75,8 @@ def _uncalled() -> set[str]:
             if isinstance(node, ast.ClassDef):
                 members += [(path.stem, node.name, sub) for sub in node.body
                             if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__")]
+                for name in _member_names(node):
+                    owners.setdefault(name, set()).add(f"{path.stem}.{node.name}")
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
                     users.setdefault(sub.id, set()).add(owner)
@@ -65,7 +89,8 @@ def _uncalled() -> set[str]:
     for mod, cls, member in members:
         own = sum(isinstance(sub, ast.Attribute) and sub.attr == member.name
                   for sub in ast.walk(member))
-        if attrs[member.name] == own:
+        shared = owners[member.name] != SHARED.get(member.name, {f"{mod}.{cls}"})
+        if shared or attrs[member.name] == own:
             uncalled.add(f"{mod}.{cls}.{member.name}")
     return uncalled
 
@@ -73,6 +98,19 @@ def _uncalled() -> set[str]:
 def test_every_definition_has_a_caller_in_the_package():
     # an allowlisted name that gains a caller must leave the allowlist too
     assert _uncalled() == set(ALLOWED)
+
+
+def test_a_member_named_like_another_class_member_is_flagged(tmp_path):
+    # NihoPair.modulus has no caller, but ctx.modulus, which reads
+    # FieldCtx.modulus, is an attribute of the same name
+    copy = tmp_path / "nihoperm"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    niho = copy / "niho.py"
+    label = '        return f"{self.s},{self.t}"\n'
+    assert niho.read_text().count(label) == 1
+    niho.write_text(niho.read_text().replace(label, label + (
+        "\n    @property\n    def modulus(self) -> int:\n        return (1 << self.m) + 1\n")))
+    assert _uncalled(copy) - _uncalled() == {"niho.NihoPair.modulus"}
 
 
 def _name(node: ast.expr | None) -> str | None:

@@ -19,6 +19,7 @@ from nihoperm import permcheck as pc
 from nihoperm import tower as tw
 from nihoperm.errors import NihopermError
 from nihoperm.niho import NihoPair, TrinomialSpec
+from oracles import evaluate
 
 
 def all_images(ctx, spec):
@@ -64,12 +65,12 @@ def test_cube_is_not_permutation_with_valid_counterexample(f16):
     assert not rep.is_permutation
     x, y = rep.counterexample
     assert x < y
-    assert spec.evaluate(x) == spec.evaluate(y)
+    assert evaluate(spec, x) == evaluate(spec, y)
 
 
 def test_counterexample_is_canonical_first_repeat(f16):
     spec = TrinomialSpec.make(f16, [(1, 3)])
-    images = [spec.evaluate(x) for x in gf.elements(f16)]
+    images = [evaluate(spec, x) for x in gf.elements(f16)]
     first_y = next(
         y for y in range(16) if images[y] in images[:y]
     )
@@ -234,7 +235,7 @@ def test_exhaustive_counterexample_above_table_max():
     assert not rep.is_permutation
     assert rep.counterexample == (0x28, 0x6B0)
     assert rep.evaluations == 1048576
-    assert spec.evaluate(0x28) == spec.evaluate(0x6B0)
+    assert evaluate(spec, 0x28) == evaluate(spec, 0x6B0)
 
 
 @pytest.mark.parametrize("n", [8, 22])
@@ -246,7 +247,7 @@ def test_images_range_matches_evaluate(n):
     spec = TrinomialSpec.make(ctx, [(5, 0), (3, 1), (7, order), (1, 3 * order + 5), (9, order - 1)])
     for start, stop in ((0, 70), (200, 256)):
         got = pc._images(ctx, spec.terms, np.arange(start, stop))
-        assert got.tolist() == [spec.evaluate(x) for x in range(start, stop)]
+        assert got.tolist() == [evaluate(spec, x) for x in range(start, stop)]
 
 
 def _check_log_windows(ctx, terms, count, first):
@@ -487,7 +488,7 @@ def test_witness_partner_is_zero_when_f0_repeats(monkeypatch):
     # f(0) in the verdict pass and the partner of y = 2^12 in the witness
     ctx = gf.make_field(16)
     spec = TrinomialSpec.make(ctx, [(1, 2), (1 << 12, 1), (7, 0)])
-    assert spec.evaluate(0) == spec.evaluate(1 << 12) == 7
+    assert evaluate(spec, 0) == evaluate(spec, 1 << 12) == 7
     rep, walks = _witness_walks(monkeypatch, ctx, spec)
     assert rep.counterexample == (0, 1 << 12)
     assert walks == [(1 << 16, 0)]
@@ -577,7 +578,7 @@ def zieve_loop(ctx, r, s_div, h):
     step = gf.power(ctx, ctx.generator, s_div)
     seen, x = set(), 1
     for _ in range(ctx.group_order // s_div):
-        hx = h.evaluate(x)
+        hx = evaluate(h, x)
         if hx == 0:
             return False
         y = gf.mul(ctx, gf.power(ctx, x, r), gf.power(ctx, hx, s_div))
@@ -626,6 +627,20 @@ def test_zieve_bad_factorization(f16):
         pc.zieve_check(f16, 1, 7, TrinomialSpec.make(f16, [(1, 0)]))
 
 
+def test_engines_refuse_a_polynomial_over_another_field():
+    # make() reduced 300 mod 2^8-1 to 45, so over GF(2^10) the spec would
+    # be x + x^45; a field of the same degree with another modulus is
+    # another field too
+    spec = TrinomialSpec.make(gf.make_field(8), [(1, 1), (1, 300)])
+    assert spec.terms == ((1, 1), (1, 45))
+    for ctx in (gf.make_field(10), gf.make_field(8, 0x11D)):
+        refusal = rf"^polynomial over 0x11b, field {ctx.to_hex()}$"
+        with pytest.raises(NihopermError, match=refusal):
+            pc.is_permutation_exhaustive(ctx, spec)
+        with pytest.raises(NihopermError, match=refusal):
+            pc.zieve_check(ctx, 1, 3, spec)
+
+
 # ---------------------------------------------------------------------------
 # unit-circle engine
 # ---------------------------------------------------------------------------
@@ -641,6 +656,13 @@ def test_new_pairs_on_unit_circle():
         rep = pc.unit_circle_check(tower, NihoPair(m, s, t))
         assert rep.is_permutation
         assert rep.evaluations == (1 << m) + 1
+
+
+def test_unit_circle_refuses_a_pair_at_another_m():
+    # (0, 2) does not permute at m = 3, but does at m = 4
+    assert not pc.unit_circle_check(_tower(3), NihoPair(3, 0, 2)).is_permutation
+    with pytest.raises(NihopermError, match=r"^pair at m=3, tower at m=4$"):
+        pc.unit_circle_check(_tower(4), NihoPair(3, 0, 2))
 
 
 def test_unit_circle_zero_hit_reported(tower3):
@@ -712,15 +734,37 @@ def niho_pairs(draw):
     return NihoPair(m, draw(st.integers(0, top)), draw(st.integers(0, top)))
 
 
+def block_failures(tower, pairs):
+    """pc._block_failures of the pairs in one call, as (fail, partner) ints."""
+    s = np.array([p.s for p in pairs], dtype=np.int64)
+    t = np.array([p.t for p in pairs], dtype=np.int64)
+    fail, partner = pc._block_failures(tower, pc._circle_tables(tower), s, t)
+    return list(zip(fail.tolist(), partner.tolist()))
+
+
+def reference_failures(tower, pair):
+    """(fail, partner) of :func:`reference_unit_circle`: the index in U of
+    the first failing point and of the earlier point whose phi it repeats,
+    -1 where there is none."""
+    rep = reference_unit_circle(tower, pair)
+    if rep.is_permutation:
+        return -1, -1
+    partner = tower.unit_circle.tolist().index(rep.counterexample[0]) if rep.counterexample else -1
+    return rep.evaluations - 1, partner
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(niho_pairs(), min_size=1, max_size=6))
 def test_verify_pairs_matches_reference_reports(pairs):
+    # many pairs at one m in one call, and the report of each
     by_m = {}
     for pair in pairs:
         by_m.setdefault(pair.m, []).append(pair)
     for m, group in by_m.items():
         tower = _tower(m)
-        for rep, pair in zip(pc.verify_pairs(tower, group), group, strict=True):
+        assert block_failures(tower, group) == [reference_failures(tower, p) for p in group]
+        for pair in group:
+            rep = pc.unit_circle_check(tower, pair)
             assert rep == reference_unit_circle(tower, pair, rep.elapsed)
             assert type(rep.is_permutation) is bool
 
@@ -736,10 +780,7 @@ def test_verify_pairs_independent_of_blocks_and_windows(monkeypatch, table, wind
     monkeypatch.setattr(pc, "_FIRST_WINDOW", first)
     tower = _tower(5)
     pairs = [NihoPair(5, s, t) for s in range(33) for t in range(s, 33)]
-    reps = pc.verify_pairs(tower, pairs)
-    assert [r.pair for r in reps] == pairs
-    for rep, pair in zip(reps, pairs):
-        assert rep == reference_unit_circle(tower, pair, rep.elapsed)
+    assert block_failures(tower, pairs) == [reference_failures(tower, p) for p in pairs]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -747,13 +788,16 @@ def test_verify_pairs_matches_exhaustive_every_pair(m):
     tower = _tower(m)
     top = 1 << m
     pairs = [NihoPair(m, s, t) for s in range(top + 1) for t in range(s, top + 1)]
-    for rep in pc.verify_pairs(tower, pairs):
-        spec = niho.pair_to_trinomial(tower, rep.pair)
-        assert rep.is_permutation == pc.is_permutation_exhaustive(tower.field, spec).is_permutation
+    verdicts = [fail < 0 for fail, _ in block_failures(tower, pairs)]
+    assert pc.pair_verdicts(tower, [p.s for p in pairs], [p.t for p in pairs]).tolist() == verdicts
+    for pair, verdict in zip(pairs, verdicts):
+        spec = niho.pair_to_trinomial(tower, pair)
+        assert verdict == pc.is_permutation_exhaustive(tower.field, spec).is_permutation
 
 
 def test_verify_pairs_empty_and_other_moduli():
-    assert pc.verify_pairs(_tower(4), []) == []
+    assert block_failures(_tower(4), []) == []
+    assert pc.pair_verdicts(_tower(4), [], []).tolist() == []
     # a non-default modulus changes the generator, hence U's order and the
     # counterexamples, but the reports still follow the reference scan
     tower = tw.make_tower(4, 0x1F5)
@@ -777,7 +821,8 @@ def test_circle_tables_match_scalar_formula(m):
     # and for random nonzero h
     tower = _tower(m)
     ctx, q = tower.field, tower.subfield_order
-    points, coords, logs, classes = pc._circle_tables(tower)
+    coords, logs, classes = pc._circle_tables(tower)
+    points = tower.unit_circle
     assert coords.tolist() == [scalar_coord(tower, x) for x in points.tolist()]
     log_w = {x: k for k, x in enumerate(points.tolist())}
     rng = random.Random(m)
@@ -807,8 +852,9 @@ def test_paper_predicted_pairs_above_table_max(m):
     tower = tw.make_tower(m)
     pairs = _predicted_pairs(m)
     assert len(pairs) == 1 + 3 * (m % 2 == 0) + (m % 4 != 2)
-    for rep in pc.verify_pairs(tower, pairs):
-        assert rep.is_permutation, rep.pair
+    for pair in pairs:
+        rep = pc.unit_circle_check(tower, pair)
+        assert rep.is_permutation, pair
         assert rep.evaluations == (1 << m) + 1
 
 
@@ -848,12 +894,11 @@ def test_verify_pairs_exact_at_sweep_shapes(m):
     pairs[5:5] = triples
     pairs += _predicted_pairs(m) + [NihoPair(m, 1, 2)]  # 1+x+x^2 vanishes on U iff m is odd
     assert len(pairs) >= 40
-    reps = pc.verify_pairs(tower, pairs)
-    assert [r.pair for r in reps] == pairs
-    for rep, pair in zip(reps, pairs):
-        assert rep == reference_unit_circle(tower, pair, rep.elapsed)
-    assert all(r.is_permutation for r in reps[-1 - len(_predicted_pairs(m)) : -1])
-    assert (reps[-1].zero_at is not None) == (m % 2 == 1)
+    got = block_failures(tower, pairs)
+    assert got == [reference_failures(tower, p) for p in pairs]
+    assert all(fail < 0 for fail, _ in got[-1 - len(_predicted_pairs(m)) : -1])
+    fail, partner = got[-1]  # h vanishes at the failing point iff it has no partner
+    assert (fail >= 0 and partner < 0) == (m % 2 == 1)
 
 
 @pytest.mark.parametrize("line", [lambda j: (j, 1 - j), lambda j: (2 * j, -j)],
@@ -863,8 +908,8 @@ def test_verdicts_match_reports_on_open_lines(line):
     # the verdicts of the reduced pairs' reports
     tower = _tower(9)
     s, t = line(np.arange(tower.unit_circle_order))
-    reports = pc.verify_pairs(tower, [NihoPair(9, a, b) for a, b in zip(s.tolist(), t.tolist())])
-    assert pc._verdicts(tower, s, t).tolist() == [r.is_permutation for r in reports]
+    got = block_failures(tower, [NihoPair(9, a, b) for a, b in zip(s.tolist(), t.tolist())])
+    assert pc.pair_verdicts(tower, s, t).tolist() == [fail < 0 for fail, _ in got]
 
 
 def test_phi_window_negative_residues_and_wide_products():

@@ -60,14 +60,14 @@ def test_orbit_labels_match_the_scalar_closure(m):
 def test_flipped_orbit_member_trips_the_homogeneity_check(monkeypatch, tower4):
     _, _, label = survey.orbit_labels(4)
     member = np.flatnonzero(label != np.arange(label.size))[0]  # not its orbit's rep
-    verdicts = survey._verdicts
+    verdicts = survey.pair_verdicts
 
     def flipped(tower, s, t):
         pp = verdicts(tower, s, t)
         pp[member] = ~pp[member]
         return pp
 
-    monkeypatch.setattr(survey, "_verdicts", flipped)
+    monkeypatch.setattr(survey, "pair_verdicts", flipped)
     with pytest.raises(AssertionError, match="not homogeneous"):
         survey.search_pairs(tower4)
 
@@ -178,8 +178,8 @@ def test_line_scans_agree_with_verify_pairs(m):
     for scan, pair_at in ((survey.scan_open_problem_1, lambda j: (j, 1 - j)),
                           (survey.scan_open_problem_2, lambda k: (2 * k, -k))):
         pairs = [NihoPair(m, *pair_at(j)) for j in range((1 << m) + 1)]
-        reports = pc.verify_pairs(tower, pairs)
-        assert scan(tower) == [j for j, r in enumerate(reports) if r.is_permutation]
+        assert scan(tower) == [j for j, p in enumerate(pairs)
+                               if pc.unit_circle_check(tower, p).is_permutation]
 
 
 def test_open1_m3_full_list(tower3):
