@@ -9,7 +9,6 @@ from .errors import NihopermError
 from .field import FieldCtx, make_field, smallest_irreducible
 from .loweq import verify_lemma_quartics
 from .niho import (
-    FamilyInstance,
     NihoPair,
     TrinomialSpec,
     family_trinomial,
@@ -30,7 +29,6 @@ from .tower import TowerCtx, make_tower
 __version__ = "0.1.0"
 
 __all__ = [
-    "FamilyInstance",
     "FieldCtx",
     "NihoPair",
     "NihopermError",

@@ -26,13 +26,11 @@ import dataclasses
 import functools
 import json
 import sys
-from math import gcd
 
 from . import field as gf
 from . import loweq, niho, permcheck, survey
 from . import tower as tw
 from .errors import NihopermError
-from .niho import NihoPair
 
 #: largest single m for table1: at even m every (k,-k) row is a permutation
 #: pair, so the table costs about 3 * 4^m points; m=14 took 30 s (README)
@@ -62,26 +60,6 @@ def _tower_from(args) -> tw.TowerCtx:
     return tw.make_tower(n // 2, _modulus_from(args))
 
 
-def _known_row_notes(m: int, pair: NihoPair) -> list[str]:
-    """Warnings when the pair matches a known row whose condition fails."""
-    notes = []
-    mod = (1 << m) + 1
-    if pair.s != pair.t and (pair.s + pair.t) % mod == 0:
-        k = min(pair.s, pair.t)
-        if not niho.k_minus_k_holds(m, k):
-            notes.append(
-                f"matches row k,-k [k={k}] whose condition fails at m={m}; "
-                "verdict comes from the engine"
-            )
-    for row in niho.known_pairs_table1(m, k_max=0):
-        if row.pair == pair and not row.condition_ok:
-            notes.append(
-                f"matches row {row.source} whose condition ({row.condition}) "
-                f"fails at m={m}; verdict comes from the engine"
-            )
-    return notes
-
-
 def cmd_verify(args, out) -> int:
     tower = _tower_from(args)
     pair = niho.parse_pair(args.pair, tower.m)
@@ -92,7 +70,7 @@ def cmd_verify(args, out) -> int:
         )
         reports.append(dataclasses.replace(ex, pair=pair))
     is_pp = all(r.is_permutation for r in reports)
-    notes = _known_row_notes(tower.m, pair)
+    notes = niho.known_row_notes(pair)
     if args.format == "json":
         payload = {
             "m": tower.m,
@@ -120,26 +98,20 @@ def cmd_verify(args, out) -> int:
 
 def cmd_family(args, out) -> int:
     tower = _tower_from(args)
-    if tower.field.n > permcheck.EXHAUSTIVE_MAX_N:
-        raise NihopermError(
-            f"family verification needs n <= {permcheck.EXHAUSTIVE_MAX_N} "
-            "for the exhaustive engine"
-        )
     params = {}
     for item in args.param or []:
-        if "=" not in item:
-            raise NihopermError(f"--param expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
+        key, eq, value = item.partition("=")
         key = key.strip()
+        if not eq or not key:
+            raise NihopermError(f"--param expects KEY=VALUE, got {item!r}")
         if key in params:
             raise NihopermError(f"--param {key} is given more than once")
         params[key] = int(value, 0)
-    inst = niho.FamilyInstance(args.family, params)
-    spec = niho.family_trinomial(tower, inst)
+    spec = niho.family_trinomial(tower, args.family, params)
     report = permcheck.is_permutation_exhaustive(tower.field, spec)
     if args.format == "json":
         payload = {
-            "family": inst.family_id,
+            "family": args.family.upper(),
             "params": {k: v for k, v in sorted(params.items())},
             "trinomial": spec.to_json_dict(),
             "report": report.to_json_dict(),
@@ -148,7 +120,7 @@ def cmd_family(args, out) -> int:
     else:
         terms = " + ".join(f"{hex(c)}*x^{e}" for c, e in spec.terms)
         out.write(
-            f"family {inst.family_id} over n={tower.field.n}: {terms}\n"
+            f"family {args.family.upper()} over n={tower.field.n}: {terms}\n"
             f"is_permutation={report.is_permutation} "
             f"evaluations={report.evaluations}\n"
         )
@@ -300,7 +272,7 @@ def _quartic_check(args):
 
 def _parametrization_check(args):
     tower = _tower_from(args)
-    gamma = tw.canonical_gamma(tower)
+    gamma = tw.CANONICAL_GAMMA
     ok = tw.cayley_is_bijection(tower, gamma)
     count = tower.subfield_order
     payload = {"check": "unit_circle_parametrization", "m": tower.m,

@@ -14,17 +14,20 @@ Besides raw pairs the module materializes:
 * the inverse-exponent transforms that map a permutation pair to further
   permutation pairs (closing these out gives the pair's orbit);
 * the known-pair table with per-m conditions and equivalent pairs, each
-  fixed row written once, as labels that are parsed at m;
+  fixed row written once, as labels that are parsed at m, and the notes
+  on a pair that matches a row whose condition fails
+  (:func:`known_row_notes`);
 * one table of the families F1-F9 (published shapes with their hypotheses),
   T3-T6 and C1-C4: F8 and T3-T6 are known-pair rows (:data:`PAIR_FAMILIES`),
-  and C1-C4 are x^((2^m+1)k) times T3-T6.
+  and C1-C4 are x^((2^m+1)k) times T3-T6. :func:`family_trinomial` checks
+  an instance and builds its polynomial in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from . import field as gf
 from . import tower as tw
@@ -219,20 +222,30 @@ def known_row_failure(source: str, m: int, who: str) -> str:
     return "" if holds(m) else f"{who} needs {_ROW_NEEDS[text]} m={m}"
 
 
-def known_pairs_table1(m: int, k_max: int | None = None) -> list[Table1Row]:
+def known_row_notes(pair: NihoPair) -> list[str]:
+    """A warning for each known-pair row that the pair matches and whose
+    condition fails at its m: the (k,-k) row with the least k, then the
+    fixed rows in table order."""
+    m = pair.m
+    kmk = pair.s != pair.t and (pair.s + pair.t) % ((1 << m) + 1) == 0
+    rows = [f"k,-k [k={pair.s}] whose condition"] if kmk and not k_minus_k_holds(m, pair.s) else []
+    rows += [f"{source} whose condition ({text})" for source, text, holds, _ in _FIXED_ROWS
+             if not holds(m) and _try_pair(source, m) == pair]
+    return [f"matches row {row} fails at m={m}; verdict comes from the engine" for row in rows]
+
+
+def known_pairs_table1(m: int) -> list[Table1Row]:
     """Materialize every known-pair row at the given m.
 
-    The (k,-k) family is expanded over k in [1, k_max] (default 2^m, after
-    which residues repeat); its equivalents are the two transforms of (k,-k).
-    Conditions are evaluated per row; fractional pairs and equivalents that
-    do not resolve mod 2^m+1 are kept as None so callers can render them as
+    The (k,-k) family is expanded over k in [1, 2^m], after which residues
+    repeat; its equivalents are the two transforms of (k,-k). Conditions
+    are evaluated per row; fractional pairs and equivalents that do not
+    resolve mod 2^m+1 are kept as None so callers can render them as
     undefined.
     """
-    if k_max is None:
-        k_max = 1 << m
     rows: list[Table1Row] = []
     kmk_cond = "m even, or m odd with v3(k) >= v3(2^m+1)"
-    for k in range(1, k_max + 1):
+    for k in range(1, (1 << m) + 1):
         rows.append(Table1Row(
             source=f"k,-k [k={k}]",
             condition=kmk_cond,
@@ -435,61 +448,32 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
-    """A family id plus its parameters; hypotheses are re-checked on use.
+def family_trinomial(tower: TowerCtx, family_id: str, params: dict[str, int]) -> TrinomialSpec:
+    """The sparse polynomial of the family ``family_id`` (any case) with
+    ``params``, its parameter values by name.
 
-    Raises NihopermError for an unknown id, a missing parameter or one the
-    family does not take."""
-
-    family_id: str
-    params: dict[str, Any]
-
-    def __post_init__(self):
-        fid = self.family_id.upper()
-        if fid not in _FAMILIES:
-            raise NihopermError(f"unknown family {self.family_id!r}")
-        names = _FAMILIES[fid].params
-        missing = [k for k in names if k not in self.params]
-        if missing:
-            raise NihopermError(f"family {fid} is missing parameters {', '.join(missing)}")
-        extra = [k for k in self.params if k not in names]
-        if extra:
-            raise NihopermError(f"family {fid} does not take parameters {', '.join(extra)}")
-        object.__setattr__(self, "family_id", fid)
-
-
-def check_family_conditions(tower: TowerCtx, inst: FamilyInstance) -> tuple[bool, str]:
-    """Evaluate the stated hypotheses of a family instance.
-
-    Returns (ok, reason); reason names the first failing hypothesis.
-    Never cached: always recomputed from the parameters. Raises NihopermError
-    first if a field-element parameter is outside [0, 2^n).
+    Raises NihopermError, in this order, for an unknown id, a missing
+    parameter, one the family does not take, a field-element parameter
+    outside [0, 2^n) and the first failed hypothesis. Hypotheses are never
+    cached: every call recomputes them from the parameters.
     """
-    family = _FAMILIES[inst.family_id]
-    args = [inst.params[name] for name in family.params]
+    fid = family_id.upper()
+    if fid not in _FAMILIES:
+        raise NihopermError(f"unknown family {family_id!r}")
+    family = _FAMILIES[fid]
+    missing = [k for k in family.params if k not in params]
+    if missing:
+        raise NihopermError(f"family {fid} is missing parameters {', '.join(missing)}")
+    extra = [k for k in params if k not in family.params]
+    if extra:
+        raise NihopermError(f"family {fid} does not take parameters {', '.join(extra)}")
+    args = [params[name] for name in family.params]
     n = tower.field.n
     for name, value in zip(family.params, args):
         if name in _ELEMENT_PARAMS and not 0 <= value < 1 << n:
-            raise NihopermError(f"family {inst.family_id} parameter {name}={value} "
+            raise NihopermError(f"family {fid} parameter {name}={value} "
                                 f"is not an element of GF(2^{n})")
     reason = family.fails(tower, *args)
-    return not reason, reason
-
-
-def family_trinomial(
-    tower: TowerCtx, inst: FamilyInstance, check: bool = True
-) -> TrinomialSpec:
-    """Expand a family instance into its sparse polynomial.
-
-    With check=True (the default) a failed hypothesis raises
-    NihopermError naming it; check=False builds the polynomial anyway,
-    which is how hypothesis-violating instances are produced for
-    falsification runs.
-    """
-    ok, reason = check_family_conditions(tower, inst)
-    if check and not ok:
+    if reason:
         raise NihopermError(reason)
-    family = _FAMILIES[inst.family_id]
-    args = [inst.params[name] for name in family.params]
     return TrinomialSpec.make(tower.field, family.terms(tower, *args))

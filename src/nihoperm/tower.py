@@ -123,6 +123,12 @@ class TowerCtx:
         return bits
 
 
+#: gamma of the parametrization: x (bitmask 0b10), the least bitmask outside
+#: the subfield under every modulus. The degree-2m modulus is the minimal
+#: polynomial of x, so x lies in no proper subfield; 0 and 1 lie in all
+CANONICAL_GAMMA = 2
+
+
 def make_tower(m: int, modulus: int | None = None) -> TowerCtx:
     """Tower context for GF(2^(2m)) over GF(2^m), 1 <= m <= 16."""
     if not 1 <= m <= gf.DEGREE_MAX // 2:
@@ -138,14 +144,6 @@ def conjugate(tower: TowerCtx, x: int) -> int:
 
 def in_subfield(tower: TowerCtx, x: int) -> bool:
     return conjugate(tower, x) == x
-
-
-def canonical_gamma(tower: TowerCtx) -> int:
-    """Smallest-bitmask element outside the subfield (deterministic)."""
-    for x in gf.elements(tower.field):
-        if not in_subfield(tower, x):
-            return x
-    raise AssertionError("unreachable: the subfield is proper")
 
 
 def is_circle_minus_one(tower: TowerCtx, image: np.ndarray) -> bool:

@@ -1,13 +1,15 @@
 """Reference implementations shared by several test files: the scalar
-value of a sparse polynomial, the scalar orbit closure of a pair and a row
-view of a sweep's columns."""
+value of a sparse polynomial, the scalar orbit closure of a pair, a row
+view of a sweep's columns, the verify notes read off the known-pair table
+and a family instance built without its hypotheses."""
 
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
 from nihoperm import field as gf
-from nihoperm.niho import NihoPair, TrinomialSpec
+from nihoperm import niho
+from nihoperm.niho import NihoPair, Table1Row, TrinomialSpec
 
 
 def evaluate(spec: TrinomialSpec, x: int) -> int:
@@ -70,3 +72,24 @@ def sweep_rows(sweep) -> list[Row]:
             flagged_new=bool(sweep.flagged_new[i]), degenerate=bool(sweep.degenerate[i]),
         ))
     return rows
+
+
+def known_row_notes(rows: list[Table1Row], pair: NihoPair) -> list[str]:
+    """The notes of ``verify`` on pair, read off ``rows``, the full
+    known-pair table at the pair's m: the first (k,-k) row whose pair it
+    is, if that row's condition fails, then every fixed row whose pair it
+    is and whose condition fails, in table order."""
+    tail = f"fails at m={pair.m}; verdict comes from the engine"
+    kmk = [r for r in rows if r.source.startswith("k,-k") and r.pair == pair]
+    notes = [f"matches row {r.source} whose condition {tail}" for r in kmk[:1] if not r.condition_ok]
+    return notes + [f"matches row {r.source} whose condition ({r.condition}) {tail}"
+                    for r in rows if not r.source.startswith("k,-k")
+                    and r.pair == pair and not r.condition_ok]
+
+
+def unchecked_family(tower, fid: str, params: dict) -> TrinomialSpec:
+    """The polynomial of a family instance whether or not its hypotheses
+    hold, from the family table's terms function: how hypothesis-violating
+    instances are built for falsification runs."""
+    family = niho._FAMILIES[fid]
+    return TrinomialSpec.make(tower.field, family.terms(tower, *(params[k] for k in family.params)))

@@ -6,6 +6,7 @@ fixture prebuilds the field tables, so the budgets measure the
 verification work itself.
 """
 
+import re
 import time
 from contextlib import contextmanager
 from math import gcd
@@ -18,9 +19,9 @@ from nihoperm import loweq, niho, survey
 from nihoperm import permcheck as pc
 from nihoperm import tower as tw
 from nihoperm.errors import NihopermError
-from nihoperm.niho import FamilyInstance, NihoPair
+from nihoperm.niho import NihoPair
 
-from oracles import sweep_rows
+from oracles import sweep_rows, unchecked_family
 
 
 @contextmanager
@@ -141,11 +142,12 @@ FAMILY_INSTANCES = {
     "F9": [(3, {}), (5, {})],
 }
 
-#: hypothesis-violating instances with a simple condition; each must fail
-#: verification (F1: norm condition a^(2^(2k)+2^k+1) = 1; F2: v = 0)
+#: hypothesis-violating instances with a simple condition and the failed
+#: hypothesis they are refused with; each must fail verification (F1: norm
+#: condition a^(2^(2k)+2^k+1) = 1; F2: v = 0)
 FAMILY_VIOLATIONS = {
-    "F1": (3, {"k": 2, "a": 1}),
-    "F2": (3, {"k": 2, "v": 0}),
+    "F1": (3, {"k": 2, "a": 1}, "F1 needs a^(2^(2k)+2^k+1) != 1"),
+    "F2": (3, {"k": 2, "v": 0}, "F2 needs v != 0"),
 }
 
 
@@ -166,19 +168,17 @@ def test_criterion_6_published_families(towers):
         for fid, cases in FAMILY_INSTANCES.items():
             for m, raw in cases:
                 tower = towers[m]
-                inst = FamilyInstance(fid, _resolve_params(tower.field, raw))
-                ok, reason = niho.check_family_conditions(tower, inst)
-                assert ok, (fid, m, reason)
-                spec = niho.family_trinomial(tower, inst)
+                # an instance whose hypotheses fail raises, naming the first
+                spec = niho.family_trinomial(tower, fid, _resolve_params(tower.field, raw))
                 assert tower.field.n <= 16
                 rep = pc.is_permutation_exhaustive(tower.field, spec)
                 assert rep.is_permutation, (fid, m, raw)
-        for fid, (m, raw) in FAMILY_VIOLATIONS.items():
+        for fid, (m, raw, reason) in FAMILY_VIOLATIONS.items():
             tower = towers[m]
-            inst = FamilyInstance(fid, _resolve_params(tower.field, raw))
-            ok, _ = niho.check_family_conditions(tower, inst)
-            assert not ok, (fid, m)
-            spec = niho.family_trinomial(tower, inst, check=False)
+            params = _resolve_params(tower.field, raw)
+            with pytest.raises(NihopermError, match=f"^{re.escape(reason)}$"):
+                niho.family_trinomial(tower, fid, params)
+            spec = unchecked_family(tower, fid, params)
             rep = pc.is_permutation_exhaustive(tower.field, spec)
             assert not rep.is_permutation, (fid, m, raw)
 
@@ -198,7 +198,7 @@ def test_criterion_7_shifted_families(towers):
                     if gcd(2 * k + 1, q - 1) != 1:
                         continue
                     tower = towers[m]
-                    spec = niho.family_trinomial(tower, FamilyInstance(fid, {"k": k}))
+                    spec = niho.family_trinomial(tower, fid, {"k": k})
                     rep = pc.is_permutation_exhaustive(tower.field, spec)
                     assert rep.is_permutation, (fid, m, k)
                     checked += 1

@@ -176,6 +176,15 @@ def test_family_repeated_param_exits_2(capsys, argv):
     assert err == "error: --param k is given more than once\n"
 
 
+@pytest.mark.parametrize("param", ["=3", " =3", "k3"])
+def test_family_param_not_key_value_exits_2(capsys, param):
+    # an empty key names no parameter and an item without "=" gives no
+    # value: both are refused as they stand
+    code, out, err = run(capsys, "family", "--family", "F9", "--m", "3", "--param", param)
+    assert code == 2 and out == ""
+    assert err == f"error: --param expects KEY=VALUE, got {param!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     "F1 --m 9 --param k=6 --param a=2",
     "F2 --m 9 --param k=6 --param v=1",
@@ -211,10 +220,16 @@ def test_out_of_range_field_inputs_exit_2(capsys, argv, message):
 
 
 def test_family_above_exhaustive_cap_exits_2(capsys):
+    # above the cap the engine refuses an admissible instance; an instance
+    # whose hypothesis fails is refused with that hypothesis first
     m = permcheck.EXHAUSTIVE_MAX_N // 2 + 1
-    code, _, err = run(capsys, "family", "--family", "F8", "--m", str(m))
-    assert code == 2
-    assert f"n <= {permcheck.EXHAUSTIVE_MAX_N}" in err
+    assert m == 15
+    code, out, err = run(capsys, "family", "--family", "F9", "--m", str(m))
+    assert (code, out) == (2, "")
+    assert err == f"error: exhaustive check capped at n={permcheck.EXHAUSTIVE_MAX_N}, got n={2 * m}\n"
+    code, out, err = run(capsys, "family", "--family", "F9", "--m", str(m + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: F9 needs odd m, got m={m + 1}\n"
 
 
 # ---------------------------------------------------------------------------

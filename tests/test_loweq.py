@@ -176,7 +176,7 @@ def test_cubic_inseparable_case(tower2):
 
 
 def test_cubic_rejects_non_subfield_coeff(tower2):
-    gamma = tw.canonical_gamma(tower2)
+    gamma = tw.CANONICAL_GAMMA
     with pytest.raises(NihopermError, match=f"^a2={hex(gamma)} is not in the index-2 subfield$"):
         loweq._no_root_cases(tower2, [gamma], [1], [1])
 
@@ -460,7 +460,7 @@ def test_family_coefficients_match_the_scalar_oracle(which, m):
 
 
 def test_non_subfield_coefficients_raise(tower4):
-    gamma = tw.canonical_gamma(tower4)
+    gamma = tw.CANONICAL_GAMMA
     outside = f"={hex(gamma)} is not in the index-2 subfield$"
     with pytest.raises(NihopermError, match="^a0" + outside):
         loweq._no_root_cases(tower4, [1], [1], [gamma])

@@ -1,5 +1,6 @@
 """Pairs, fractions, trinomial construction, families, known-pair table."""
 
+import dataclasses
 import re
 from math import gcd
 
@@ -7,15 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nihoperm import cli
 from nihoperm import field as gf
 from nihoperm import loweq, niho
 from nihoperm import permcheck as pc
 from nihoperm import tower as tw
 from nihoperm.errors import NihopermError
-from nihoperm.niho import FamilyInstance, NihoPair, TrinomialSpec
+from nihoperm.niho import NihoPair, TrinomialSpec
 
-from oracles import evaluate, transforms
+from oracles import evaluate, known_row_notes, transforms, unchecked_family
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,7 @@ def test_transform_failure_drops_pair():
 # ---------------------------------------------------------------------------
 
 def test_f8_exponents_m4(tower4):
-    spec = niho.family_trinomial(tower4, FamilyInstance("F8", {}))
+    spec = niho.family_trinomial(tower4, "F8", {})
     assert _exponents(spec) == (1, 16, 121)  # 2^(m-1)(2^m-1)+1 = 121
 
 
@@ -246,7 +246,7 @@ def _pair_one_minus_half(m):
 @pytest.mark.parametrize("m", [4, 5, 7, 8])
 def test_f8_is_the_table_pair_one_minus_half(m):
     tower = tw.make_tower(m)
-    f8 = niho.family_trinomial(tower, FamilyInstance("F8", {}))
+    f8 = niho.family_trinomial(tower, "F8", {})
     assert f8.terms == niho.pair_to_trinomial(tower, _pair_one_minus_half(m)).terms
 
 
@@ -262,35 +262,33 @@ def test_f8_verdicts_past_the_exhaustive_cap():
 def test_f8_condition_violation():
     t3 = tw.make_tower(3)
     with pytest.raises(NihopermError, match="^F8 needs m != 0 mod 3, got m=3$"):
-        niho.family_trinomial(t3, FamilyInstance("F8", {}))
+        niho.family_trinomial(t3, "F8", {})
 
 
 def test_f9_needs_odd_m(tower4):
     with pytest.raises(NihopermError, match="^F9 needs odd m, got m=4$"):
-        niho.family_trinomial(tower4, FamilyInstance("F9", {}))
+        niho.family_trinomial(tower4, "F9", {})
 
 
 def test_f6_reduction_semantics(tower2):
     # k = 2^m+1 reduces to k = 0: everything collapses to x
-    spec = niho.family_trinomial(tower2, FamilyInstance("F6", {"k": 5}))
+    spec = niho.family_trinomial(tower2, "F6", {"k": 5})
     assert spec.terms == ((1, 1),)
 
 
 def test_f2_zero_v_rejected_but_buildable(tower3):
-    inst = FamilyInstance("F2", {"k": 2, "v": 0})
+    params = {"k": 2, "v": 0}
     with pytest.raises(NihopermError, match="^F2 needs v != 0$"):
-        niho.family_trinomial(tower3, inst)
-    spec = niho.family_trinomial(tower3, inst, check=False)
+        niho.family_trinomial(tower3, "F2", params)
+    spec = unchecked_family(tower3, "F2", params)
     assert _exponents(spec) == (5, 17)  # the v-term vanished
 
 
 def test_f1_condition_and_terms(tower3):
     g = tower3.field.generator
-    ok, _ = niho.check_family_conditions(tower3, FamilyInstance("F1", {"k": 2, "a": g}))
-    assert ok
-    ok, reason = niho.check_family_conditions(tower3, FamilyInstance("F1", {"k": 2, "a": 1}))
-    assert not ok and "a^(2^(2k)+2^k+1)" in reason
-    spec = niho.family_trinomial(tower3, FamilyInstance("F1", {"k": 2, "a": g}))
+    with pytest.raises(NihopermError, match=r"^F1 needs a\^\(2\^\(2k\)\+2\^k\+1\) != 1$"):
+        niho.family_trinomial(tower3, "F1", {"k": 2, "a": 1})
+    spec = niho.family_trinomial(tower3, "F1", {"k": 2, "a": g})
     assert _exponents(spec) == (2, 5, 17)
     # coefficient of x^(2^k+1) is a^(2^k+1)
     assert dict((e, c) for c, e in spec.terms)[5] == gf.power(tower3.field, g, 5)
@@ -298,10 +296,10 @@ def test_f1_condition_and_terms(tower3):
 
 def test_f5_structure(tower4):
     a = gf.power(tower4.field, tower4.field.generator, 15)  # norm-1 element
-    spec = niho.family_trinomial(tower4, FamilyInstance("F5", {"a": a}))
+    spec = niho.family_trinomial(tower4, "F5", {"a": a})
     assert _exponents(spec) == (1, 31, 241)
-    cond, _ = niho.check_family_conditions(tower4, FamilyInstance("F5", {"a": 3}))
-    assert not cond  # 3 = g is not on the unit circle
+    with pytest.raises(NihopermError, match=r"^F5 needs a\^\(2\^m\+1\) = 1$"):
+        niho.family_trinomial(tower4, "F5", {"a": 3})  # 3 = g is not on the unit circle
 
 
 def test_f5_matches_conjectured_composition():
@@ -310,7 +308,7 @@ def test_f5_matches_conjectured_composition():
         tower = tw.make_tower(m)
         ctx = tower.field
         q = 1 << m
-        f5 = niho.family_trinomial(tower, FamilyInstance("F5", {"a": 1}))
+        f5 = niho.family_trinomial(tower, "F5", {"a": 1})
         g0 = TrinomialSpec.make(ctx, [(1, q), (1, 2 * (q - 1) + 1), (1, q * (q - 1) + 1)])
         for x in gf.elements(ctx):
             assert gf.power(ctx, evaluate(g0, x), q) == evaluate(f5, x)
@@ -319,14 +317,14 @@ def test_f5_matches_conjectured_composition():
 def test_c4_exponents_match_worked_example(tower3):
     # m=3, k=1: 5l = 1 mod 9 gives l=2; exponents {10, 24, 66 mod 63 = 3}
     assert niho.resolve_fraction(1, 5, 3) == 2
-    spec = niho.family_trinomial(tower3, FamilyInstance("C4", {"k": 1}))
+    spec = niho.family_trinomial(tower3, "C4", {"k": 1})
     assert _exponents(spec) == (3, 10, 24)
 
 
-#: (family, m, params, first failed hypothesis, terms with check=False, or
-#: the error building them raises): one admissible instance of every family
-#: and one violating instance per stated hypothesis, with the values the
-#: per-family if-ladders gave before the family table replaced them
+#: (family, m, params, first failed hypothesis, terms built whether or not
+#: it holds, or the error building them raises): one admissible instance of
+#: every family and one violating instance per stated hypothesis, with the
+#: values the per-family if-ladders gave before the family table replaced them
 FAMILY_PINS = [
     ('F1', 3, {'k': 2, 'a': 2}, '',
      ((2, 2), (32, 5), (1, 17))),
@@ -438,59 +436,79 @@ def test_family_pins_cover_every_family_both_ways():
 @pytest.mark.parametrize("fid,m,params,reason,terms", FAMILY_PINS)
 def test_family_terms_and_reasons_are_pinned(fid, m, params, reason, terms):
     tower = tw.make_tower(m)
-    inst = FamilyInstance(fid, params)
-    assert niho.check_family_conditions(tower, inst) == (not reason, reason)
+    if reason:
+        with pytest.raises(NihopermError, match=f"^{re.escape(reason)}$"):
+            niho.family_trinomial(tower, fid, params)
+    else:
+        assert niho.family_trinomial(tower, fid, params).terms == terms
     if isinstance(terms, str):  # a denominator that does not resolve mod 2^m+1
         with pytest.raises(NihopermError, match=r"^gcd\(\d+, 2\^\d+\+1=\d+\) = \d+ != 1$"):
-            niho.family_trinomial(tower, inst, check=False)
+            unchecked_family(tower, fid, params)
     else:
-        assert niho.family_trinomial(tower, inst, check=False).terms == terms
+        assert unchecked_family(tower, fid, params).terms == terms
 
 
 @pytest.mark.parametrize("fid,params", [("F1", {"k": 2, "a": -2}), ("F1", {"k": 2, "a": 64}),
                                         ("F2", {"k": 2, "v": 1 << 70}),
                                         ("F3", {"r": 1, "a": 1, "b": 1, "c": -1}),
                                         ("F5", {"a": 64}), ("F7", {"a": 1, "b": -1})])
-def test_family_field_elements_outside_the_field_are_rejected(fid, params):
+def test_family_field_elements_outside_the_field_are_rejected(fid, params, monkeypatch):
     # scalar multiplication never ends on a negative int, and a value past
     # 2^n indexes past the exhaustive engine's tables: both are refused
-    # before any hypothesis runs, with or without check
+    # before any hypothesis runs
     tower = tw.make_tower(3)
     name, value = next((k, v) for k, v in params.items() if not 0 <= v < 64)
-    inst = FamilyInstance(fid, params)
     message = f"family {fid} parameter {name}={value} is not an element of GF(2^6)"
+
+    def no_hypotheses(*args):
+        raise AssertionError("a hypothesis ran on a parameter outside the field")
+
+    monkeypatch.setitem(niho._FAMILIES, fid,
+                        dataclasses.replace(niho._FAMILIES[fid], fails=no_hypotheses))
     with pytest.raises(ValueError) as err:
-        niho.check_family_conditions(tower, inst)
+        niho.family_trinomial(tower, fid, params)
     assert str(err.value) == message
-    for check in (True, False):
-        with pytest.raises(ValueError, match="is not an element"):
-            niho.family_trinomial(tower, inst, check=check)
 
 
-def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        FamilyInstance("F10", {})
+def test_unknown_family_rejected(tower4):
+    with pytest.raises(ValueError, match="^unknown family 'F10'$"):
+        niho.family_trinomial(tower4, "F10", {})
 
 
-def test_missing_family_params_rejected():
+def test_missing_family_params_rejected(tower4):
     with pytest.raises(ValueError, match="F7 is missing parameters b"):
-        FamilyInstance("F7", {"a": 1})
-    assert FamilyInstance("f8", {}).family_id == "F8"  # F8 takes no parameters
+        niho.family_trinomial(tower4, "F7", {"a": 1})
+    # ids are read in any case; F8 takes no parameters
+    assert niho.family_trinomial(tower4, "f8", {}) == niho.family_trinomial(tower4, "F8", {})
 
 
-def test_unknown_family_params_rejected():
+def test_unknown_family_params_rejected(tower4):
     with pytest.raises(NihopermError, match="^family F1 does not take parameters b$"):
-        FamilyInstance("F1", {"k": 2, "a": 2, "b": 7})
+        niho.family_trinomial(tower4, "F1", {"k": 2, "a": 2, "b": 7})
     with pytest.raises(NihopermError, match="^family F8 does not take parameters k$"):
-        FamilyInstance("f8", {"k": 1})
+        niho.family_trinomial(tower4, "f8", {"k": 1})
+
+
+@pytest.mark.parametrize("fid,params,message", [
+    ("F10", {"x": -1}, "unknown family 'F10'"),
+    ("F7", {"b": -1, "x": 1}, "family F7 is missing parameters a"),
+    ("F1", {"k": 2, "a": -2, "b": 7}, "family F1 does not take parameters b"),
+    ("F1", {"k": 2, "a": -2}, "family F1 parameter a=-2 is not an element of GF(2^8)"),
+    ("F1", {"k": 2, "a": 2}, "F1 needs n = 3k, got n=8, k=2"),
+])
+def test_family_refusals_come_in_order(tower4, fid, params, message):
+    # each instance also fails every check after the one it is refused by:
+    # id, missing and unread parameters, field range, then the hypotheses
+    with pytest.raises(NihopermError, match=f"^{re.escape(message)}$"):
+        niho.family_trinomial(tower4, fid, params)
 
 
 def test_pair_families_resolve(tower4):
-    spec_t3 = niho.family_trinomial(tower4, FamilyInstance("T3", {}))
+    spec_t3 = niho.family_trinomial(tower4, "T3", {})
     pair = NihoPair(4, 11, 7)
     assert spec_t3.terms == niho.pair_to_trinomial(tower4, pair).terms
     with pytest.raises(NihopermError, match="^T3 needs even m, got m=3$"):
-        niho.family_trinomial(tw.make_tower(3), FamilyInstance("T3", {}))
+        niho.family_trinomial(tw.make_tower(3), "T3", {})
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +570,27 @@ def test_k_minus_k_condition_agrees_across_callers(m):
     rows = [r for r in niho.known_pairs_table1(m) if r.source.startswith("k,-k")]
     assert len(rows) == 1 << m
     for k, row in enumerate(rows, start=1):
-        f6_ok, _ = niho.check_family_conditions(tower, FamilyInstance("F6", {"k": k}))
-        notes = cli._known_row_notes(m, NihoPair(m, k, -k))
+        holds = niho.k_minus_k_holds(m, k)
+        notes = niho.known_row_notes(NihoPair(m, k, -k))
         noted = any(note.startswith("matches row k,-k [") for note in notes)
-        assert row.condition_ok == f6_ok == (not noted) == niho.k_minus_k_holds(m, k), k
+        assert row.condition_ok == (not noted) == holds, k
+        if holds:
+            niho.family_trinomial(tower, "F6", {"k": k})
+        else:
+            with pytest.raises(NihopermError, match=r"^F6 at odd m needs v3\(k\) >= v3\(2\^m\+1\)$"):
+                niho.family_trinomial(tower, "F6", {"k": k})
     assert any(not r.condition_ok for r in rows) == (m % 2 == 1)
+
+
+def _assert_verdict(tower, fid, params, expected):
+    """family_trinomial builds the instance if expected is (True, ""), and
+    raises exactly the message of expected = (False, message) if not."""
+    ok, message = expected
+    if ok:
+        niho.family_trinomial(tower, fid, params)
+    else:
+        with pytest.raises(NihopermError, match=f"^{re.escape(message)}$"):
+            niho.family_trinomial(tower, fid, params)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -571,7 +605,7 @@ def test_pair_family_conditions_keep_their_messages(m):
             expected = (True, "")
         else:
             expected = (False, f"T6 needs gcd(5, 2^m+1)=1, fails at m={m}")
-        assert niho.check_family_conditions(tower, FamilyInstance(fid, {})) == expected
+        _assert_verdict(tower, fid, {}, expected)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -584,8 +618,7 @@ def test_shifted_family_and_lemma_preconditions_keep_their_messages(m):
     five = ((True, "") if gcd(5, (1 << m) + 1) == 1
             else (False, "{} needs gcd(5, 2^m+1)=1, fails at m=%d" % m))
     for who, expected in (("C1", even), ("C2", even), ("C3", even), ("C4", five)):
-        got = niho.check_family_conditions(tower, FamilyInstance(who, {"k": k}))
-        assert got == (expected[0], expected[1].format(who))
+        _assert_verdict(tower, who, {"k": k}, (expected[0], expected[1].format(who)))
     for who, expected in (("eq4", even), ("eq6", even), ("eq8", five)):
         if expected[0]:
             assert loweq.verify_lemma_quartics(tower, who).all_pass
@@ -602,7 +635,7 @@ def test_pair_families_name_their_table_rows():
     assert niho.PAIR_FAMILIES == {"F8": "1,-1/2", "T3": "-1/3,4/3", "T4": "3,-1",
                                   "T5": "-2/3,5/3", "T6": "1/5,4/5"}
     assert loweq.QUARTIC_FAMILY_PAIRS == {"eq4": "3,-1", "eq6": "-2/3,5/3", "eq8": "1/5,4/5"}
-    sources = [r.source for r in niho.known_pairs_table1(4, k_max=0)]
+    sources = [r.source for r in niho.known_pairs_table1(4)]
     assert all(label in sources for label in niho.PAIR_FAMILIES.values())
 
 
@@ -631,11 +664,12 @@ def test_table_built_families_match_the_paper_exponents(fid):
     for m in range(2, 13):
         tower = tw.make_tower(m)
         for k in (range(1, 6) if fid[0] == "C" else [0]):
-            inst = FamilyInstance(fid, {"k": k} if fid[0] == "C" else {})
-            if not niho.check_family_conditions(tower, inst)[0]:
+            try:
+                spec = niho.family_trinomial(tower, fid, {"k": k} if fid[0] == "C" else {})
+            except NihopermError:  # a failed hypothesis
                 continue
             expected = TrinomialSpec.make(tower.field, [(1, e) for e in _paper_exponents(fid, m, k)])
-            assert niho.family_trinomial(tower, inst) == expected, (m, k)
+            assert spec == expected, (m, k)
             built += 1
     assert built >= 3
 
@@ -643,21 +677,20 @@ def test_table_built_families_match_the_paper_exponents(fid):
 @pytest.mark.parametrize("m", [1, 3, 5, 7])
 def test_unchecked_shifted_families_at_odd_m_have_no_pair(m):
     # -1/3 and -2/3 do not resolve mod 2^m+1 at odd m (3 divides it), so C1
-    # and C3, like T3 and T5, have no member there even with check=False
+    # and C3, like T3 and T5, have no member there even unchecked
     tower = tw.make_tower(m)
     for fid, params in (("T3", {}), ("T5", {}), ("C1", {"k": 1}), ("C3", {"k": 1})):
         mod = (1 << m) + 1
         with pytest.raises(NihopermError, match=rf"^gcd\(3, 2\^{m}\+1={mod}\) = 3 != 1$"):
-            niho.family_trinomial(tower, FamilyInstance(fid, params), check=False)
+            unchecked_family(tower, fid, params)
 
 
 @pytest.mark.parametrize("m", [3, 6])
 def test_f8_message_reads_its_table_row(m):
     tower = tw.make_tower(m)
     reason = f"F8 needs m != 0 mod 3, got m={m}"
-    assert niho.check_family_conditions(tower, FamilyInstance("F8", {})) == (False, reason)
     with pytest.raises(NihopermError, match=f"^{reason}$") as err:
-        niho.family_trinomial(tower, FamilyInstance("F8", {}))
+        niho.family_trinomial(tower, "F8", {})
     assert str(err.value) == reason
     assert niho.known_row_failure("1,-1/2", m, "F8") == reason
 
@@ -677,3 +710,19 @@ def test_table_row_count():
     for m in (2, 3, 4):
         rows = niho.known_pairs_table1(m)
         assert len(rows) == (1 << m) + 6
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_known_row_notes_match_the_full_table(m):
+    # every pair of the table (fixed rows, (k,-k) rows and their
+    # equivalents) gets the notes read off the full table at m
+    rows = niho.known_pairs_table1(m)
+    pairs = {p for row in rows for p in (row.pair, *(p for _, p in row.equivalents))} - {None}
+    noted = 0
+    for pair in sorted(pairs, key=lambda p: (p.s, p.t)):
+        notes = niho.known_row_notes(pair)
+        assert notes == known_row_notes(rows, pair), pair
+        noted += bool(notes)
+    # rows fail at odd m ((3,-1) and some (k,-k)) and at 3 | m ((1,-1/2));
+    # the (1/5,4/5) row fails only where its pair is undefined
+    assert (noted > 0) == (m % 2 == 1 or m % 3 == 0)

@@ -108,7 +108,7 @@ def test_conjugation_is_inversion_on_unit_circle(m):
 # ---------------------------------------------------------------------------
 
 def test_cayley_never_one_and_in_circle(tower4):
-    gamma = tw.canonical_gamma(tower4)
+    gamma = tw.CANONICAL_GAMMA
     for z in tower4.subfield.tolist():
         u = _cayley_param(tower4, gamma, z)
         assert u != 1
@@ -116,7 +116,7 @@ def test_cayley_never_one_and_in_circle(tower4):
 
 
 def test_cayley_m2_enumeration(tower2):
-    gamma = tw.canonical_gamma(tower2)
+    gamma = tw.CANONICAL_GAMMA
     values = [_cayley_param(tower2, gamma, z) for z in tower2.subfield.tolist()]
     assert len(values) == 4
     assert len(set(values)) == 4  # pairwise distinct
@@ -149,7 +149,7 @@ def test_cayley_bijection_sampled_gammas(m):
 
 def test_cayley_random_z_in_circle():
     tower = tw.make_tower(3)  # GF(64) over GF(8)
-    gamma = tw.canonical_gamma(tower)
+    gamma = tw.CANONICAL_GAMMA
     rng = random.Random(42)
     subfield = list(tower.subfield.tolist())
     for _ in range(50):
@@ -190,7 +190,7 @@ def test_subfield_trace_values(tower4):
         assert t == acc
         seen.add(t)
     assert seen == {0, 1}
-    gamma = tw.canonical_gamma(tower4)
+    gamma = tw.CANONICAL_GAMMA
     with pytest.raises(NihopermError, match=rf"^{hex(gamma)} is not fixed by x -> x\^\(2\^4\)$"):
         tw.subfield_trace(tower4, gamma)
 
@@ -219,7 +219,7 @@ def test_subfield_trace_bits_match_the_scalar_trace(m):
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_cayley_image_matches_the_scalar_map(m):
     tower = tw.make_tower(m)
-    gamma = tw.canonical_gamma(tower)
+    gamma = tw.CANONICAL_GAMMA
     image = tw.cayley_image(tower, gamma).tolist()
     assert image == [_cayley_param(tower, gamma, z) for z in tower.subfield.tolist()]
 
@@ -227,6 +227,18 @@ def test_cayley_image_matches_the_scalar_map(m):
 def test_cayley_bijection_rejects_subfield_gamma(tower4):
     with pytest.raises(NihopermError, match="^gamma=0x1 lies in the subfield$"):
         tw.cayley_is_bijection(tower4, 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_canonical_gamma_is_outside_the_subfield_under_every_modulus(m):
+    # x has the degree-2m modulus as its minimal polynomial, so it lies in
+    # no proper subfield, whichever irreducible modulus builds the field
+    moduli = [p for p in range(1 << 2 * m, 1 << (2 * m + 1)) if gf.is_irreducible(p)]
+    assert len(moduli) == (1, 3, 9, 30)[m - 1]  # (1/n) sum over d | n of mu(d) 2^(n/d)
+    for modulus in moduli:
+        tower = tw.make_tower(m, modulus)
+        assert not tw.in_subfield(tower, tw.CANONICAL_GAMMA), hex(modulus)
+        assert tw.cayley_is_bijection(tower, tw.CANONICAL_GAMMA), hex(modulus)
 
 
 def test_circle_minus_one_comparison(tower4):
