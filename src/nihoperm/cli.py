@@ -106,7 +106,10 @@ def cmd_family(args, out) -> int:
             raise NihopermError(f"--param expects KEY=VALUE, got {item!r}")
         if key in params:
             raise NihopermError(f"--param {key} is given more than once")
-        params[key] = int(value, 0)
+        try:
+            params[key] = int(value, 0)
+        except ValueError:
+            raise NihopermError(f"--param {key} expects an integer, got {value!r}") from None
     spec = niho.family_trinomial(tower, args.family, params)
     report = permcheck.is_permutation_exhaustive(tower.field, spec)
     if args.format == "json":

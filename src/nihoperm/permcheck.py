@@ -1,18 +1,21 @@
 """Two independent permutation-verification engines.
 
 * exhaustive: evaluate the polynomial at all 2^n field elements and track
-  images in an occupancy bitset, in windows that double up to a chunk, so
-  memory stays bounded up to the n = 28 cap. Two walks do it. The verdict
-  walks the field in discrete-log order (:func:`_log_windows`), where every
-  term is a geometric sequence, and stops at the first repeat. Where the
-  exponents make f(g^k)/g^(e0*k) periodic with a period d up to the chunk,
-  as for every Niho trinomial (d divides 2^m+1), each window after the
-  first is one constant multiple of f's images at the start. Only a
+  images in an occupancy bitset, in windows that double up to a chunk.
+  Each occupancy test takes at most one slice (:func:`_slice_len`), so
+  the temporaries stay near the cache and memory stays bounded up to the
+  n = 28 cap. Two walks do it. The verdict walks the field in
+  discrete-log order (:func:`_log_windows`), where every term is a
+  geometric sequence, and stops at the first repeat. Where the exponents
+  make f(g^k)/g^(e0*k) periodic with a period d up to the chunk, as for
+  every Niho trinomial (d divides 2^m+1), each slice after the first
+  window is one constant multiple of f's images at the start. Only a
   failing verdict is followed by one walk in bitmask order
-  (:func:`_bitmask_windows`, element-wise powering) to the first repeat
-  y. It keeps its first chunk of images, so y's earlier preimage, the
-  canonical counterexample, is found without evaluating them again; only
-  a preimage between that chunk and y's window takes a second walk.
+  (:func:`_bitmask_windows`, element-wise powering, windows doubling up to
+  a slice) to the first repeat y. It keeps its first chunk of images, so
+  y's earlier preimage, the canonical counterexample, is found without
+  evaluating them again; only a preimage between that chunk and y's
+  window takes a second walk.
 
 * unit_circle: for a Niho pair (s, t) the trinomial permutes GF(2^n) iff
   phi(x) = x * (1 + x^s + x^t)^(2^m-1) permutes the norm-1 subgroup U, so
@@ -46,11 +49,13 @@ from .niho import NihoPair, TrinomialSpec
 from .tower import TowerCtx, conjugate
 
 #: exhaustive verification bound: the occupancy bitset is 32 MiB at n = 28,
-#: and a full pass there takes 11-15 s in a fresh process (timings in the
-#: README).
+#: where a slice is the whole chunk, and a full pass there takes 11-15 s in
+#: a fresh process (timings in the README).
 EXHAUSTIVE_MAX_N = 28
 
-#: elements per chunk of every exhaustive pass: 2^min(n, _CHUNK_BITS)
+#: elements per chunk of every exhaustive pass, 2^min(n, _CHUNK_BITS): the
+#: longest window, the byte-plane block and the period rounding; the
+#: occupancy test takes a window in slices of :func:`_slice_len`
 _CHUNK_BITS = 20
 
 #: uint64 words per slice of a bitset's popcount (512 KiB of the bitset)
@@ -185,22 +190,36 @@ def _occupy(bits: _Bitset, v: np.ndarray) -> bool:
     return True
 
 
+def _slice_len(n: int) -> int:
+    """Elements per slice of the exhaustive walks at degree n:
+    max(2^16, 2^(n-7)), at most the chunk 2^min(n, _CHUNK_BITS).
+
+    A slice is what one :func:`_occupy` call takes, so its temporaries stay
+    near the cache. That call also popcounts the whole 2^n-bit bitset, so
+    the slice grows with n: 2^(n-7) elements read 16 bitset bytes each. A
+    flat 2^16 took the full n = 28 pass from 13.8 to 44.6 s.
+    """
+    return min(1 << min(n, _CHUNK_BITS), 1 << max(16, n - 7))
+
+
 def _log_windows(ctx: FieldCtx, terms, count: int, first: int):
-    """f(g^k) for k = 0..count-1 as uint32 windows, where f is the sum of
+    """f(g^k) for k = 0..count-1 as uint32 slices, where f is the sum of
     the terms (c, e), c*x^e, and g is the field's generator.
 
     The first window has ``first`` exponents and each later one is as long
     as everything before it, up to the chunk of L = 2^min(n, _CHUNK_BITS).
-    A later window, starting at k0, reuses the head of a block of byte
-    planes that the earlier windows fill as far as a later one reads it.
+    The first window comes whole; a later one, starting at k0, comes in
+    slices of :func:`_slice_len` exponents, each a constant times columns
+    of a block of byte planes that the earlier windows fill as far as a
+    later one reads it.
 
     With N = 2^n-1 and e0 the first exponent, d = N / gcd(N, e - e0 over
     the terms) is the period of f(g^k)/g^(e0*k), so f(g^(k0+j)) =
     g^(e0*k0) * f(g^j) whenever d divides k0. If d <= L, the first window
     and the chunk are rounded to multiples of d (up and down), so every
-    window starts at one, the one block holds f(g^j), and a window is one
+    window starts at one, the one block holds f(g^j), and a slice is one
     constant multiply per element. Otherwise each term keeps its own block
-    c*g^(e*j) and a window is one constant multiply per term and element.
+    c*g^(e*j) and a slice is one constant multiply per term and element.
     The first window sums :func:`_kernels.geometric` sequences started at c
     over the terms.
     """
@@ -222,36 +241,44 @@ def _log_windows(ctx: FieldCtx, terms, count: int, first: int):
     blocks = [np.empty(((ctx.n + 7) // 8, length), dtype=np.uint8) for _ in strands]
     k0 = 0
     for size in sizes:
-        yield _log_window(ctx, strands, blocks, k0, size)
+        # one constant per strand and window: g^(e*k0) for the strand's e
+        scales = [gf.power(ctx, ctx.generator, e * k0) for e, _ in strands]
+        width = _slice_len(ctx.n) if k0 else size
+        for a in range(0, size, width):
+            yield _log_window(ctx, strands, blocks, scales, k0, a, min(width, size - a))
         k0 += size
 
 
-def _log_window(ctx: FieldCtx, strands, blocks, k0: int, size: int) -> np.ndarray:
-    """One window of :func:`_log_windows`; its temporaries die on return."""
+def _log_window(ctx: FieldCtx, strands, blocks, scales, k0: int, a: int, size: int) -> np.ndarray:
+    """The exponents k0+a .. k0+a+size-1 of :func:`_log_windows`: the
+    scales times the blocks' columns from a in a later window (k0 > 0),
+    the geometric sums in the first; its temporaries die on return."""
     n, red, g = ctx.n, ctx.red, ctx.generator
     images = np.zeros(size, dtype=np.uint32)
-    for block, (e_step, terms) in zip(blocks, strands):
+    k = k0 + a
+    for block, scale, (_, terms) in zip(blocks, scales, strands):
         if k0:
-            part = _kernels.mul_planes(block[:, :size], gf.power(ctx, g, e_step * k0), n, red)
+            part = _kernels.mul_planes(block[:, a : a + size], scale, n, red)
         else:
             part = np.zeros(size, dtype=np.uint32)
             for c, e in terms:
                 part ^= _kernels.geometric(gf.power(ctx, g, e), size, n, red, c)
-        if k0 < block.shape[1]:
-            block[:, k0 : k0 + size] = _kernels.byte_planes(part[: block.shape[1] - k0], n)
+        if k < block.shape[1]:
+            block[:, k : k + size] = _kernels.byte_planes(part[: block.shape[1] - k], n)
         images ^= part
     return images
 
 
 def _bitmask_windows(ctx: FieldCtx, terms, stop: int, start: int = 0):
     """(x0, images of x0, x0+1, ...) for the elements from start below stop,
-    in windows that double from 2^_WITNESS_FIRST_BITS up to the chunk."""
-    chunk = 1 << min(ctx.n, _CHUNK_BITS)
-    width = min(1 << _WITNESS_FIRST_BITS, chunk)
+    in windows that double from 2^_WITNESS_FIRST_BITS up to a slice
+    (:func:`_slice_len`)."""
+    top = _slice_len(ctx.n)
+    width = min(1 << _WITNESS_FIRST_BITS, top)
     while start < stop:
         end = min(start + width, stop)
         yield start, _images(ctx, terms, np.arange(start, end, dtype=np.int64))
-        start, width = end, min(2 * width, chunk)
+        start, width = end, min(2 * width, top)
 
 
 def _first_match(windows, target: int) -> Optional[int]:
@@ -352,14 +379,16 @@ def zieve_check(ctx: FieldCtx, r: int, s_div: int, h: TrinomialSpec) -> bool:
     Any zero of h on the roots of unity fails the check. Raises
     NihopermError unless s_div divides 2^n-1 and h is over ctx.
 
-    The roots x = z^k, z = g^s, come from :func:`_log_windows` in chunks of
-    2^min(n, _CHUNK_BITS), with h and x^r h(x)^s evaluated on each chunk as
-    arrays. Roots that fit one chunk are tested for repeats by one sort and
-    need no bitset, whose 2^n bits would outweigh a small d: at n = 28 with
-    d = 16383 a bitset raised a fresh process's peak RSS from 32 to 46-47
-    MB. With more chunks, images go through :func:`_occupy`: with h = 1 and
-    s = 3 a call took 0.2-0.3 s at n = 22 and 0.8-1.1 s at n = 24 (76 and
-    90 MB peak), mostly in the element-wise powers.
+    The roots x = z^k, z = g^s, come from :func:`_log_windows`, whose
+    first window is a whole chunk of 2^min(n, _CHUNK_BITS) and later ones
+    come in slices, with h and x^r h(x)^s evaluated on each as arrays.
+    Roots that fit one chunk are all in that first window, are tested for
+    repeats by one sort and need no bitset, whose 2^n bits would outweigh a
+    small d: at n = 28 with d = 16383 a bitset raised a fresh process's
+    peak RSS from 32 to 46-47 MB. With more roots, images go through
+    :func:`_occupy`: with h = 1 and s = 3 a call took 0.2-0.3 s at n = 22
+    and 0.8-1.1 s at n = 24 (76 and 77 MB peak, set by the whole first
+    window), mostly in the element-wise powers.
     """
     order = ctx.group_order
     if s_div <= 0 or order % s_div != 0:

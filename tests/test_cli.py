@@ -185,6 +185,14 @@ def test_family_param_not_key_value_exits_2(capsys, param):
     assert err == f"error: --param expects KEY=VALUE, got {param!r}\n"
 
 
+@pytest.mark.parametrize("value", ["x", ""])
+def test_family_param_not_an_integer_exits_2(capsys, value):
+    # the refusal names the parameter and its value, not int()'s message
+    code, out, err = run(capsys, "family", "--family", "F4", "--m", "4", "--param", f"k={value}")
+    assert code == 2 and out == ""
+    assert err == f"error: --param k expects an integer, got {value!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     "F1 --m 9 --param k=6 --param a=2",
     "F2 --m 9 --param k=6 --param v=1",

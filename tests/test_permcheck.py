@@ -271,9 +271,10 @@ def _check_log_windows(ctx, terms, count, first):
                                        c, ctx.n, ctx.red)
     assert np.concatenate(windows).tolist() == expected.tolist()
     sizes = [w.size for w in windows]
+    width = pc._slice_len(ctx.n)
     assert sizes[0] == min(first, chunk, count)
-    assert all(size <= min(sum(sizes[:i]), chunk) for i, size in enumerate(sizes) if i)
-    if d <= chunk:
+    assert all(size <= min(sum(sizes[:i]), chunk, width) for i, size in enumerate(sizes) if i)
+    if d <= chunk and width >= chunk:  # every slice is a whole window
         assert all(sum(sizes[:i]) % d == 0 for i in range(1, len(sizes)))
 
 
@@ -320,28 +321,97 @@ def test_log_windows_collapse_by_the_period(monkeypatch, n, chunk_bits):
         _check_log_windows(ctx, terms, count, rng.choice([1, 3, 8, 1 << 10]))
 
 
+def test_slice_len_grows_with_n_up_to_the_chunk():
+    # 2^16 up to n = 23, then 2^(n-7) (16 bitset bytes per element), capped
+    # at the 2^20 chunk; at n <= 16 the slice is the whole field
+    assert [pc._slice_len(n) for n in (8, 16, 17, 20, 22, 23, 24, 26, 27, 28, 30)] == [
+        1 << 8, 1 << 16, 1 << 16, 1 << 16, 1 << 16, 1 << 16, 1 << 17, 1 << 19,
+        1 << 20, 1 << 20, 1 << 20]
+
+
+@pytest.mark.parametrize("slice_bits", [1, 2, 4])
+def test_sliced_walks_match_whole_windows(monkeypatch, slice_bits):
+    # slices shorter than the windows, as at n >= 17: log-order windows cut
+    # into slices still concatenate to the geometric sums, for one block
+    # (the Niho (2,-1) at n = 8 has d = 17) and one per term, and both walks
+    # still give the reference scan's report
+    monkeypatch.setattr(pc, "_slice_len", lambda n: 1 << slice_bits)
+    monkeypatch.setattr(pc, "_WITNESS_FIRST_BITS", 1)
+    _check_log_windows(_field(7), [(5, 3), (1, 0), (100, 77)], 127, 3)
+    _check_log_windows(_field(8), [(1, 1), (1, 2 * 15 + 1), (1, -1 * 15 + 1)], 255, 8)
+    _check_log_windows(_field(8), [(1, 3)], 255, 8)
+    ctx = _field(7)
+    rng = random.Random(slice_bits)
+    for _ in range(30):
+        spec = TrinomialSpec.make(ctx, [(rng.randrange(1, 128), rng.randrange(128))
+                                        for _ in range(rng.randrange(1, 4))])
+        rep = pc.is_permutation_exhaustive(ctx, spec)
+        assert rep.is_permutation == brute_is_permutation(ctx, spec)
+        assert (rep.counterexample, rep.evaluations) == reference_scan(ctx, spec)
+
+
+def _occupy_sizes(monkeypatch):
+    """The sizes of the arrays that pc._occupy is given from now on."""
+    sizes, occupy = [], pc._occupy
+
+    def recorded(bits, v):
+        sizes.append(v.size)
+        return occupy(bits, v)
+
+    monkeypatch.setattr(pc, "_occupy", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("n, late", [(20, False), (22, False), (22, True)])
+def test_occupy_takes_at_most_a_slice(monkeypatch, n, late):
+    # both walks hand the occupancy test at most 2^16 values at n = 20 and
+    # 22, although their windows grow to 2^20-element chunks: on full
+    # (2,-1) passes, and on the late repeat of x^2 + (2^21+1)x, whose report
+    # keeps the canonical chunk count
+    if late:
+        ctx = gf.make_field(n)
+        spec = TrinomialSpec.make(ctx, [(1, 2), ((1 << 21) + 1, 1)])
+    else:
+        tower = tw.make_tower(n // 2)
+        ctx, spec = tower.field, niho.pair_to_trinomial(tower, NihoPair(n // 2, 2, -1))
+    sizes = _occupy_sizes(monkeypatch)
+    rep = pc.is_permutation_exhaustive(ctx, spec)
+    assert max(sizes) <= pc._slice_len(n) == 1 << 16
+    if late:
+        assert rep.counterexample == (1, 1 << 21)
+        assert rep.evaluations == 3 << 20
+    else:
+        assert rep.is_permutation and sum(sizes) == 1 << n
+
+
 def test_verdict_collapses_to_one_multiply_per_window(monkeypatch):
     # the (2,-1) trinomial at n = 20 has period 2^10+1: after the first
-    # window, each window is one constant multiply of the one block, not
-    # one per term
+    # window, each slice of a window is one constant multiply of the one
+    # block, not one per term, and the windows past 2^16 come in slices
     tower = tw.make_tower(10)
     spec = niho.pair_to_trinomial(tower, NihoPair(10, 2, -1))
     calls = []
     mul_planes, log_window = _kernels.mul_planes, pc._log_window
 
     def counted(*args):
-        calls[-1][1] += 1
+        calls[-1][-1] += 1
         return mul_planes(*args)
 
-    def window(ctx, strands, blocks, k0, size):
-        calls.append([k0, 0])
-        return log_window(ctx, strands, blocks, k0, size)
+    def window(ctx, strands, blocks, scales, k0, a, size):
+        calls.append([k0, a, size, 0])
+        return log_window(ctx, strands, blocks, scales, k0, a, size)
 
     monkeypatch.setattr(_kernels, "mul_planes", counted)
     monkeypatch.setattr(pc, "_log_window", window)
     assert pc.is_permutation_exhaustive(tower.field, spec).is_permutation
-    assert len(calls) > 10 and calls[0][0] == 0
-    assert all(k0 % 1025 == 0 and count == 1 for k0, count in calls[1:])
+    assert calls[0][:2] == [0, 0] and calls[0][2] == 1025
+    assert all(k0 % 1025 == 0 and count == 1 for k0, _, _, count in calls[1:])
+    assert all(size <= 1 << 16 for _, _, size, _ in calls[1:])
+    windows = {k0 for k0, *_ in calls}
+    assert len(windows) > 10 and len(calls) > len(windows) + 10
+    # slices tile each window from its start
+    starts = [k0 + a for k0, a, _, _ in calls]
+    assert starts == list(np.cumsum([0] + [size for _, _, size, _ in calls[:-1]]))
 
 
 def test_false_log_order_repeat_trips_the_consistency_assertion(f16, monkeypatch):
@@ -620,6 +690,55 @@ def test_zieve_matches_scalar_loop(monkeypatch, chunk_bits):
         assert verdict == zieve_loop(ctx, r, s, h), (ctx.n, r, s, h.terms)
         verdicts.append(verdict)
     assert 20 < sum(verdicts) < 130
+
+
+def zieve_tables(ctx, r, s_div, h):
+    """The subgroup criterion by index arithmetic on the discrete log, as
+    one array pass: x = g^(s*k), h(x) = XOR of exp[log c + e*s*k], and
+    x^r h(x)^s = exp[r*s*k + s*log h(x)]."""
+    exp, log = ctx.exp_log
+    order = ctx.group_order
+    if gcd(r, s_div) != 1:
+        return False
+    logx = s_div * np.arange(order // s_div, dtype=np.int64)
+    hx = np.zeros(logx.size, dtype=np.int64)
+    for c, e in h.terms:
+        hx ^= exp[(log[c] + e * logx) % order]
+    if not hx.all():
+        return False
+    y = exp[(r * logx + s_div * log[hx]) % order]
+    return np.unique(y).size == y.size
+
+
+def test_zieve_sorts_every_root_between_a_slice_and_the_chunk(monkeypatch):
+    # n = 18, s = 3: the d = 87381 roots fit the chunk but not a 2^16
+    # slice, so the one-sort branch must get them all in one window
+    ctx = gf.make_field(18)
+    d = ctx.group_order // 3
+    assert pc._slice_len(18) < d < 1 << 18
+    windows, log_windows = [], pc._log_windows
+
+    def recorded(*args):
+        for xs in log_windows(*args):
+            windows.append(xs.size)
+            yield xs
+
+    monkeypatch.setattr(pc, "_log_windows", recorded)
+    z = gf.power(ctx, ctx.generator, 3)
+    cases = [
+        (1, [(1, 0)]), (2, [(5, 0)]), (1, [(7, 4)]),  # monomials: x^(r + 3e)
+        (7, [(1, 0)]),  # x^7: 7 divides d
+        (1, [(1, 1), (gf.power(ctx, z, 80000), 0)]),  # h vanishes at z^80000
+        (1, [(1, 0), (1, 1), (1, 2)]), (5, [(3, 0), (1, 9)]),
+    ]
+    verdicts = []
+    for r, terms in cases:
+        h = TrinomialSpec.make(ctx, terms)
+        windows.clear()
+        verdicts.append(pc.zieve_check(ctx, r, 3, h))
+        assert verdicts[-1] == zieve_tables(ctx, r, 3, h), (r, terms)
+        assert windows == [d]
+    assert verdicts[:3] == [True] * 3 and not any(verdicts[3:5])
 
 
 def test_zieve_bad_factorization(f16):
