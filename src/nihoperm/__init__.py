@@ -21,7 +21,6 @@ from .permcheck import (
     is_permutation_exhaustive,
     pair_verdicts,
     unit_circle_check,
-    zieve_check,
 )
 from .survey import search_pairs
 from .tower import TowerCtx, make_tower
@@ -47,5 +46,4 @@ __all__ = [
     "smallest_irreducible",
     "unit_circle_check",
     "verify_lemma_quartics",
-    "zieve_check",
 ]

@@ -264,16 +264,6 @@ def power(ctx: FieldCtx, x: int, e: int) -> int:
     return res
 
 
-def sqrt(ctx: FieldCtx, x: int) -> int:
-    """The unique square root of x (squaring is a bijection in char 2)."""
-    return power(ctx, x, 1 << (ctx.n - 1))
-
-
-def trace_abs(ctx: FieldCtx, x: int) -> int:
-    """Absolute trace Tr(x) = sum of x^(2^i) for 0 <= i < n, in {0, 1}."""
-    return (x & ctx.trace_mask).bit_count() & 1
-
-
 def cube_coset_index(ctx: FieldCtx, x: int) -> int:
     """Discrete log of x mod 3 with respect to the canonical generator.
 
@@ -292,8 +282,3 @@ def cube_coset_index(ctx: FieldCtx, x: int) -> int:
         return 1
     assert y == mul(ctx, a, a)
     return 2
-
-
-def elements(ctx: FieldCtx) -> range:
-    """All field elements in bitmask order."""
-    return range(1 << ctx.n)

@@ -3,8 +3,7 @@
 Covers, over GF(2^n) and its index-2 subfield:
 
 * the trace criterion for x^2 + ax + b (solvable iff Tr(b/a^2) = 0, a != 0),
-  checked by a brute-force sweep over every (a, b), plus an explicit
-  Artin-Schreier solver, so root sets are constructed, not searched;
+  checked by a brute-force sweep over every (a, b);
 * subfield roots of depressed cubics y^3 + a2*y + a1 and of quartics, for
   many polynomials at once: with z = b^k (b = g^(q+1)) every term is a
   gather from the subfield in log order;
@@ -30,7 +29,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
-from . import field as gf
 from .errors import NihopermError
 from .field import FieldCtx
 from .niho import PAIR_FAMILIES, known_row_failure
@@ -69,51 +67,6 @@ def quadratic_criterion_disagreements(ctx: FieldCtx) -> int:
         disagreements += int(np.count_nonzero(tr == (hit[e] == la)))
         shift = shift + 2 - order if shift + 2 >= order else shift + 2
     return disagreements
-
-
-def _trace_one_element(ctx: FieldCtx) -> int:
-    for x in gf.elements(ctx):
-        if gf.trace_abs(ctx, x) == 1:
-            return x
-    raise AssertionError("unreachable: trace is onto GF(2)")
-
-
-def solve_artin_schreier(ctx: FieldCtx, c: int) -> int | None:
-    """A root of r^2 + r = c, or None when Tr(c) = 1 (no root exists).
-
-    Uses the closed form r = sum_i S_i * d^(2^i) with S_i the partial sums
-    of the conjugates of c and d any fixed element of trace 1; the other
-    root is r + 1.
-    """
-    if gf.trace_abs(ctx, c) != 0:
-        return None
-    d = _trace_one_element(ctx)
-    r = 0
-    s = 0  # S_i = c + c^2 + ... + c^(2^(i-1)), starting at S_0 = 0
-    dp = d
-    cp = c
-    for _ in range(ctx.n):
-        r ^= gf.mul(ctx, s, dp)
-        s ^= cp
-        cp = gf.square(ctx, cp)
-        dp = gf.square(ctx, dp)
-    assert gf.square(ctx, r) ^ r == c
-    return r
-
-
-def quadratic_roots(ctx: FieldCtx, a: int, b: int) -> tuple[int, ...]:
-    """Exact root set of x^2 + ax + b in GF(2^n), sorted by bitmask.
-
-    Size 1 when a = 0 (squaring is bijective), otherwise 0 or 2.
-    """
-    if a == 0:
-        return (gf.sqrt(ctx, b),)
-    c = gf.div(ctx, b, gf.square(ctx, a))
-    r = solve_artin_schreier(ctx, c)
-    if r is None:
-        return ()
-    x1 = gf.mul(ctx, a, r)
-    return tuple(sorted((x1, x1 ^ a)))
 
 
 # ---------------------------------------------------------------------------

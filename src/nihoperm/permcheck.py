@@ -25,11 +25,6 @@
   O(2^m). h = 0 at any point is an immediate failure (phi would map into
   0, which is not in U). :func:`pair_verdicts` gives the verdicts of many
   pairs, :func:`unit_circle_check` the report of one.
-
-The subgroup reduction is also exposed in its general form
-(:func:`zieve_check`): x^r h(x^s) permutes the field iff gcd(r, s) = 1 and
-x^r h(x)^s permutes the d-th roots of unity, where d*s = 2^n-1. Its roots
-come from the log-order walk, and its repeat test is the exhaustive one.
 """
 
 from __future__ import annotations
@@ -202,16 +197,16 @@ def _slice_len(n: int) -> int:
     return min(1 << min(n, _CHUNK_BITS), 1 << max(16, n - 7))
 
 
-def _log_windows(ctx: FieldCtx, terms, count: int, first: int):
-    """f(g^k) for k = 0..count-1 as uint32 slices, where f is the sum of
-    the terms (c, e), c*x^e, and g is the field's generator.
+def _log_windows(ctx: FieldCtx, terms):
+    """f(g^k) for k = 0..2^n-2 as uint32 slices, where f is the sum of the
+    terms (c, e), c*x^e, and g is the field's generator.
 
-    The first window has ``first`` exponents and each later one is as long
-    as everything before it, up to the chunk of L = 2^min(n, _CHUNK_BITS).
-    The first window comes whole; a later one, starting at k0, comes in
-    slices of :func:`_slice_len` exponents, each a constant times columns
-    of a block of byte planes that the earlier windows fill as far as a
-    later one reads it.
+    The first window has _VERDICT_FIRST_WINDOW exponents and each later
+    one is as long as everything before it, up to the chunk of
+    L = 2^min(n, _CHUNK_BITS). The first window comes whole; a later one,
+    starting at k0, comes in slices of :func:`_slice_len` exponents, each
+    a constant times columns of a block of byte planes that the earlier
+    windows fill as far as a later one reads it.
 
     With N = 2^n-1 and e0 the first exponent, d = N / gcd(N, e - e0 over
     the terms) is the period of f(g^k)/g^(e0*k), so f(g^(k0+j)) =
@@ -224,6 +219,7 @@ def _log_windows(ctx: FieldCtx, terms, count: int, first: int):
     over the terms.
     """
     order, chunk = ctx.group_order, 1 << min(ctx.n, _CHUNK_BITS)
+    first = _VERDICT_FIRST_WINDOW
     e0 = terms[0][1] if terms else 0
     d = order // gcd(order, *(e - e0 for _, e in terms))
     if d <= chunk:
@@ -232,8 +228,8 @@ def _log_windows(ctx: FieldCtx, terms, count: int, first: int):
     else:
         strands = [(e, ((c, e),)) for c, e in terms]
     sizes, k0 = [], 0
-    while k0 < count:
-        sizes.append(min(k0 or first, chunk, count - k0))
+    while k0 < order:
+        sizes.append(min(k0 or first, chunk, order - k0))
         k0 += sizes[-1]
     length = max(sizes[1:], default=0)
     # one array per strand: one 3-D array would cross numpy's 4 MiB
@@ -351,8 +347,7 @@ def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
     f0 = terms[0][0] if terms and terms[0][1] == 0 else 0  # a constant term comes first
     _occupy(bits, np.array([f0], dtype=np.uint32))
     # the walk is not bound to a name, so its blocks die with the verdict
-    if all(_occupy(bits, v) for v in _log_windows(ctx, terms, ctx.group_order,
-                                                   _VERDICT_FIRST_WINDOW)):
+    if all(_occupy(bits, v) for v in _log_windows(ctx, terms)):
         return PermReport(
             is_permutation=True, method="exhaustive", counterexample=None,
             zero_at=None, evaluations=1 << ctx.n, elapsed=time.perf_counter() - t0,
@@ -369,51 +364,8 @@ def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
 
 
 # ---------------------------------------------------------------------------
-# subgroup engines
+# unit-circle engine
 # ---------------------------------------------------------------------------
-
-def zieve_check(ctx: FieldCtx, r: int, s_div: int, h: TrinomialSpec) -> bool:
-    """Subgroup criterion for x^r h(x^s): gcd(r, s) = 1 and x^r h(x)^s
-    injective (hence a permutation) on the d-th roots of unity, d*s = 2^n-1.
-
-    Any zero of h on the roots of unity fails the check. Raises
-    NihopermError unless s_div divides 2^n-1 and h is over ctx.
-
-    The roots x = z^k, z = g^s, come from :func:`_log_windows`, whose
-    first window is a whole chunk of 2^min(n, _CHUNK_BITS) and later ones
-    come in slices, with h and x^r h(x)^s evaluated on each as arrays.
-    Roots that fit one chunk are all in that first window, are tested for
-    repeats by one sort and need no bitset, whose 2^n bits would outweigh a
-    small d: at n = 28 with d = 16383 a bitset raised a fresh process's
-    peak RSS from 32 to 46-47 MB. With more roots, images go through
-    :func:`_occupy`: with h = 1 and s = 3 a call took 0.2-0.3 s at n = 22
-    and 0.8-1.1 s at n = 24 (76 and 77 MB peak, set by the whole first
-    window), mostly in the element-wise powers.
-    """
-    order = ctx.group_order
-    if s_div <= 0 or order % s_div != 0:
-        raise NihopermError(f"{s_div} does not divide 2^{ctx.n}-1")
-    if h.ctx != ctx:
-        raise NihopermError(f"polynomial over {h.ctx.to_hex()}, field {ctx.to_hex()}")
-    if gcd(r, s_div) != 1:
-        return False
-    n, red = ctx.n, ctx.red
-    d = order // s_div
-    chunk = 1 << min(n, _CHUNK_BITS)
-    bits = _bitset(ctx) if d > chunk else None
-    for xs in _log_windows(ctx, [(1, s_div)], d, chunk):
-        hx = _images(ctx, h.terms, xs)
-        if not hx.all():
-            return False
-        y = _kernels.mul_vec(_kernels.pow_vec(xs, r % order, n, red),
-                             _kernels.pow_vec(hx, s_div, n, red), n, red)
-        if bits is None:
-            y.sort()
-            return not (y[1:] == y[:-1]).any()
-        if not _occupy(bits, y):
-            return False
-    return True
-
 
 def _circle_tables(tower: TowerCtx):
     """(coords, logs, classes): the tables that turn phi on U into index

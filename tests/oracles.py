@@ -1,7 +1,8 @@
 """Reference implementations shared by several test files: the scalar
-value of a sparse polynomial, the scalar orbit closure of a pair, a row
-view of a sweep's columns, the verify notes read off the known-pair table
-and a family instance built without its hypotheses."""
+value of a sparse polynomial, the absolute trace by repeated squaring, the
+scalar orbit closure of a pair, a row view of a sweep's columns, the verify
+notes read off the known-pair table and a family instance built without its
+hypotheses."""
 
 from dataclasses import dataclass
 from math import gcd
@@ -18,6 +19,16 @@ def evaluate(spec: TrinomialSpec, x: int) -> int:
     acc = 0
     for coef, e in spec.terms:
         acc ^= gf.mul(spec.ctx, coef, gf.power(spec.ctx, x, e))
+    return acc
+
+
+def trace(ctx, x: int) -> int:
+    """Tr(x) = x + x^2 + ... + x^(2^(n-1)), by repeated squaring."""
+    acc = 0
+    y = x
+    for _ in range(ctx.n):
+        acc ^= y
+        y = gf.mul(ctx, y, y)
     return acc
 
 

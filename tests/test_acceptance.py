@@ -256,7 +256,7 @@ def test_criterion_12_parametrization_bijection(towers):
         for m in range(2, 9):
             tower = towers[m]
             gammas = []
-            for x in gf.elements(tower.field):
+            for x in range(1 << tower.field.n):
                 if not tw.in_subfield(tower, x):
                     gammas.append(x)
                 if len(gammas) == 3:

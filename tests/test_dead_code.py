@@ -7,7 +7,8 @@ the test. An attribute name is a use of every member of that name, so a
 member whose name another class also has is checked only where it is on
 the reviewed map below. Nor dead error types: every refusal raises
 NihopermError, and an exception class that no except clause in the
-package names does not exist."""
+package names does not exist. Nor unused imports: every name a module
+imports at its top level is read in that module."""
 
 import ast
 import builtins
@@ -22,8 +23,6 @@ SRC = Path(nihoperm.__file__).parent
 #: module.name or module.Class.member -> why it stays without a caller in
 #: the package
 ALLOWED = {
-    "loweq.quadratic_roots": "the quadratic step of the Cardano certificate (ROADMAP item 3)",
-    "permcheck.zieve_check": "the subgroup reduction of `family` (ROADMAP item 4)",
     "field.FieldCtx.exp_log": "perfbench's setup_s asserts it (ROADMAP item 2)",
 }
 
@@ -111,6 +110,37 @@ def test_a_member_named_like_another_class_member_is_flagged(tmp_path):
     niho.write_text(niho.read_text().replace(label, label + (
         "\n    @property\n    def modulus(self) -> int:\n        return (1 << self.m) + 1\n")))
     assert _uncalled(copy) - _uncalled() == {"niho.NihoPair.modulus"}
+
+
+def _unused_imports(src: Path = SRC) -> set[str]:
+    """module.name of every name that a top-level import of a module binds
+    and no name in that module reads; ``__init__.py``, whose imports are
+    the public API, and ``from __future__`` aside."""
+    unused = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                bound = {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+                unused |= {f"{path.stem}.{name}" for name in bound - read}
+    return unused
+
+
+def test_every_import_is_read():
+    assert _unused_imports() == set()
+
+
+def test_an_unused_import_is_flagged(tmp_path):
+    # loweq with the field import that it kept no use for
+    text = (SRC / "loweq.py").read_text()
+    anchor = "from . import _kernels\n"
+    assert text.count(anchor) == 1
+    (tmp_path / "loweq.py").write_text(text.replace(anchor, anchor + "from . import field as gf\n"))
+    assert _unused_imports(tmp_path) == {"loweq.gf"}
 
 
 def _name(node: ast.expr | None) -> str | None:

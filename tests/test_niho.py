@@ -310,7 +310,7 @@ def test_f5_matches_conjectured_composition():
         q = 1 << m
         f5 = niho.family_trinomial(tower, "F5", {"a": 1})
         g0 = TrinomialSpec.make(ctx, [(1, q), (1, 2 * (q - 1) + 1), (1, q * (q - 1) + 1)])
-        for x in gf.elements(ctx):
+        for x in range(1 << ctx.n):
             assert gf.power(ctx, evaluate(g0, x), q) == evaluate(f5, x)
 
 

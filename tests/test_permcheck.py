@@ -70,7 +70,7 @@ def test_cube_is_not_permutation_with_valid_counterexample(f16):
 
 def test_counterexample_is_canonical_first_repeat(f16):
     spec = TrinomialSpec.make(f16, [(1, 3)])
-    images = [evaluate(spec, x) for x in gf.elements(f16)]
+    images = [evaluate(spec, x) for x in range(1 << f16.n)]
     first_y = next(
         y for y in range(16) if images[y] in images[:y]
     )
@@ -250,29 +250,31 @@ def test_images_range_matches_evaluate(n):
         assert got.tolist() == [evaluate(spec, x) for x in range(start, stop)]
 
 
-def _check_log_windows(ctx, terms, count, first):
+def _check_log_windows(ctx, terms):
     """The windows of pc._log_windows concatenate to the sum of the per-term
-    geometric sequences c*(g^e)^k, k < count. Their sizes follow the
-    doubling schedule, with the first window and the chunk rounded to
-    multiples of the period d of f(g^k)/g^(e0*k) when d <= the chunk, so
-    that every later window then starts at a multiple of d."""
+    geometric sequences c*(g^e)^k, k < 2^n-1. Their sizes follow the
+    doubling schedule from pc._VERDICT_FIRST_WINDOW, with the first window
+    and the chunk rounded to multiples of the period d of f(g^k)/g^(e0*k)
+    when d <= the chunk, so that every later window then starts at a
+    multiple of d."""
     order = ctx.group_order
     chunk = 1 << min(ctx.n, pc._CHUNK_BITS)
+    first = pc._VERDICT_FIRST_WINDOW
     exps = [e for _, e in terms]
     d = next(d for d in range(1, order + 1)
              if all((e - exps[0]) * d % order == 0 for e in exps))
     if d <= chunk:
         first, chunk = -(-first // d) * d, chunk // d * d
-    windows = list(pc._log_windows(ctx, terms, count, first))
-    expected = np.zeros(count, dtype=np.uint32)
+    windows = list(pc._log_windows(ctx, terms))
+    expected = np.zeros(order, dtype=np.uint32)
     for c, e in terms:
         r = gf.power(ctx, ctx.generator, e)
-        expected ^= _kernels.mul_const(_kernels.geometric(r, count, ctx.n, ctx.red),
+        expected ^= _kernels.mul_const(_kernels.geometric(r, order, ctx.n, ctx.red),
                                        c, ctx.n, ctx.red)
     assert np.concatenate(windows).tolist() == expected.tolist()
     sizes = [w.size for w in windows]
     width = pc._slice_len(ctx.n)
-    assert sizes[0] == min(first, chunk, count)
+    assert sizes[0] == min(first, chunk, order)
     assert all(size <= min(sum(sizes[:i]), chunk, width) for i, size in enumerate(sizes) if i)
     if d <= chunk and width >= chunk:  # every slice is a whole window
         assert all(sum(sizes[:i]) % d == 0 for i in range(1, len(sizes)))
@@ -281,15 +283,15 @@ def _check_log_windows(ctx, terms, count, first):
 @pytest.mark.parametrize("chunk_bits", [2, 3, 20])
 @pytest.mark.parametrize("first", [1, 3, 8, "chunk"])
 def test_log_windows_concatenate_to_geometric_sums(monkeypatch, first, chunk_bits):
-    # 2^7-1 exponents of three terms (one with e = 0, so r = 1), and the
-    # d = 85 roots of unity zieve_check walks at n = 8, s = 3; neither count
-    # is a power of two, so the last window is cut short. first = 3 makes a
-    # window run past the end of the block it fills
+    # 2^7-1 exponents of three terms (one with e = 0, so r = 1), and 2^8-1
+    # of one term (d = 1); 2^n-1 is never a power of two, so the last window
+    # is cut short. first = 3 makes a window run past the end of the block
+    # it fills
     monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
     chunk = 1 << min(7, chunk_bits)
-    first = chunk if first == "chunk" else first
-    _check_log_windows(_field(7), [(5, 3), (1, 0), (100, 77)], 127, first)
-    _check_log_windows(_field(8), [(1, 3)], 85, first)
+    monkeypatch.setattr(pc, "_VERDICT_FIRST_WINDOW", chunk if first == "chunk" else first)
+    _check_log_windows(_field(7), [(5, 3), (1, 0), (100, 77)])
+    _check_log_windows(_field(8), [(1, 3)])
 
 
 @pytest.mark.parametrize("chunk_bits", [2, 3, 5, 20])
@@ -317,8 +319,8 @@ def test_log_windows_collapse_by_the_period(monkeypatch, n, chunk_bits):
                       (rng.randrange(1, 1 << n), e0 + q),
                       (rng.randrange(1, 1 << n), e0 + rng.choice(divisors) * rng.randrange(4))])
     for terms in cases:
-        count = rng.choice([order, rng.randrange(1, order)])
-        _check_log_windows(ctx, terms, count, rng.choice([1, 3, 8, 1 << 10]))
+        monkeypatch.setattr(pc, "_VERDICT_FIRST_WINDOW", rng.choice([1, 3, 8, 1 << 10]))
+        _check_log_windows(ctx, terms)
 
 
 def test_slice_len_grows_with_n_up_to_the_chunk():
@@ -337,9 +339,11 @@ def test_sliced_walks_match_whole_windows(monkeypatch, slice_bits):
     # still give the reference scan's report
     monkeypatch.setattr(pc, "_slice_len", lambda n: 1 << slice_bits)
     monkeypatch.setattr(pc, "_WITNESS_FIRST_BITS", 1)
-    _check_log_windows(_field(7), [(5, 3), (1, 0), (100, 77)], 127, 3)
-    _check_log_windows(_field(8), [(1, 1), (1, 2 * 15 + 1), (1, -1 * 15 + 1)], 255, 8)
-    _check_log_windows(_field(8), [(1, 3)], 255, 8)
+    monkeypatch.setattr(pc, "_VERDICT_FIRST_WINDOW", 3)
+    _check_log_windows(_field(7), [(5, 3), (1, 0), (100, 77)])
+    monkeypatch.setattr(pc, "_VERDICT_FIRST_WINDOW", 8)
+    _check_log_windows(_field(8), [(1, 1), (1, 2 * 15 + 1), (1, -1 * 15 + 1)])
+    _check_log_windows(_field(8), [(1, 3)])
     ctx = _field(7)
     rng = random.Random(slice_bits)
     for _ in range(30):
@@ -617,27 +621,18 @@ def test_report_json_schema(tower2):
 # ---------------------------------------------------------------------------
 # subgroup criterion
 # ---------------------------------------------------------------------------
+# for r >= 1, x^r h(x^s) permutes GF(2^n) iff gcd(r, s) = 1 and x^r h(x)^s
+# permutes the d-th roots of unity, d*s = 2^n-1 (Zieve 2009; Park-Lee 2001):
+# an oracle for the exhaustive engine
 
-def test_zieve_constant_h(f16):
-    one = TrinomialSpec.make(f16, [(1, 0)])
-    assert pc.zieve_check(f16, 1, 3, one)  # x itself
-    assert pc.zieve_check(f16, 2, 3, one)  # x^2
-    assert not pc.zieve_check(f16, 3, 3, one)  # gcd(r, s) = 3
-
-
-def test_zieve_matches_exhaustive_on_worked_factorization(f16):
-    # x + x^7 + x^13 = x * h(x^3) with h(y) = 1 + y^2 + y^4
-    h = TrinomialSpec.make(f16, [(1, 0), (1, 2), (1, 4)])
-    f = TrinomialSpec.make(f16, [(1, 1), (1, 7), (1, 13)])
-    assert pc.is_permutation_exhaustive(f16, f).is_permutation
-    assert pc.zieve_check(f16, 1, 3, h)
+def subgroup_form(ctx, r, s_div, h):
+    """x^r h(x^s) as a polynomial."""
+    return TrinomialSpec.make(ctx, [(c, r + e * s_div) for c, e in h.terms])
 
 
-def test_zieve_rejects_non_permutation(f16):
-    one = TrinomialSpec.make(f16, [(1, 0)])
-    # x^3: gcd(3, 5) = 1 but x^3 is constant 1 on the cube roots of unity
-    assert not pc.zieve_check(f16, 3, 5, one)
-    assert not brute_is_permutation(f16, TrinomialSpec.make(f16, [(1, 3)]))
+def exhaustive_verdict(ctx, r, s_div, h):
+    """The exhaustive engine's verdict on x^r h(x^s)."""
+    return pc.is_permutation_exhaustive(ctx, subgroup_form(ctx, r, s_div, h)).is_permutation
 
 
 def zieve_loop(ctx, r, s_div, h):
@@ -659,39 +654,6 @@ def zieve_loop(ctx, r, s_div, h):
     return True
 
 
-@pytest.mark.parametrize("chunk_bits", [3, 20])
-def test_zieve_matches_scalar_loop(monkeypatch, chunk_bits):
-    # random (r, s, h) at n = 2..12: h constant or a monomial (often a
-    # permutation), random sparse, or y + c with c a root of unity (a zero
-    # on the subgroup); r shares a factor with s in about a fifth of cases
-    monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
-    rng = random.Random(chunk_bits)
-    verdicts = []
-    for _ in range(150):
-        ctx = _field(rng.randrange(2, 13))
-        order = ctx.group_order
-        s = rng.choice([d for d in range(1, order + 1) if order % d == 0])
-        r = rng.randrange(-order, 2 * order)
-        if s > 1 and rng.random() < 0.2:
-            r = s * rng.randrange(1, 5)
-        kind = rng.randrange(4)
-        if kind == 0:
-            terms = [(rng.randrange(1, order + 1), 0)]
-        elif kind == 1:
-            terms = [(rng.randrange(1, order + 1), rng.randrange(1, order + 1))]
-        elif kind == 2:
-            terms = [(rng.randrange(1, order + 1), rng.randrange(order + 1))
-                     for _ in range(rng.randrange(1, 4))]
-        else:
-            root = gf.power(ctx, ctx.generator, s * rng.randrange(order // s))
-            terms = [(1, 1), (root, 0)]
-        h = TrinomialSpec.make(ctx, terms)
-        verdict = pc.zieve_check(ctx, r, s, h)
-        assert verdict == zieve_loop(ctx, r, s, h), (ctx.n, r, s, h.terms)
-        verdicts.append(verdict)
-    assert 20 < sum(verdicts) < 130
-
-
 def zieve_tables(ctx, r, s_div, h):
     """The subgroup criterion by index arithmetic on the discrete log, as
     one array pass: x = g^(s*k), h(x) = XOR of exp[log c + e*s*k], and
@@ -710,12 +672,74 @@ def zieve_tables(ctx, r, s_div, h):
     return np.unique(y).size == y.size
 
 
+def test_zieve_constant_h(f16):
+    one = TrinomialSpec.make(f16, [(1, 0)])
+    # x and x^2 permute; x^3 has gcd(r, s) = 3
+    for r, verdict in ((1, True), (2, True), (3, False)):
+        assert zieve_tables(f16, r, 3, one) == verdict
+        assert exhaustive_verdict(f16, r, 3, one) == verdict
+
+
+def test_zieve_matches_exhaustive_on_worked_factorization(f16):
+    # x + x^7 + x^13 = x * h(x^3) with h(y) = 1 + y^2 + y^4
+    h = TrinomialSpec.make(f16, [(1, 0), (1, 2), (1, 4)])
+    f = TrinomialSpec.make(f16, [(1, 1), (1, 7), (1, 13)])
+    assert subgroup_form(f16, 1, 3, h) == f
+    assert pc.is_permutation_exhaustive(f16, f).is_permutation
+    assert zieve_tables(f16, 1, 3, h)
+
+
+def test_zieve_rejects_non_permutation(f16):
+    one = TrinomialSpec.make(f16, [(1, 0)])
+    # x^3: gcd(3, 5) = 1 but x^3 is constant 1 on the cube roots of unity
+    assert not zieve_tables(f16, 3, 5, one)
+    assert not exhaustive_verdict(f16, 3, 5, one)
+    assert not brute_is_permutation(f16, TrinomialSpec.make(f16, [(1, 3)]))
+
+
+@pytest.mark.parametrize("chunk_bits", [3, 20])
+def test_zieve_matches_scalar_loop(monkeypatch, chunk_bits):
+    # random (r, s, h) at n = 2..12, r >= 1 so that 0 maps to 0: h constant
+    # or a monomial (often a permutation), random sparse, or y + c with c a
+    # root of unity (a zero on the subgroup); r shares a factor with s in
+    # about a fifth of cases
+    monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(chunk_bits)
+    verdicts = []
+    for _ in range(150):
+        ctx = _field(rng.randrange(2, 13))
+        order = ctx.group_order
+        s = rng.choice([d for d in range(1, order + 1) if order % d == 0])
+        r = rng.randrange(1, order + 1)
+        if s > 1 and rng.random() < 0.2:
+            r = s * rng.randrange(1, order // s + 1)
+        kind = rng.randrange(4)
+        if kind == 0:
+            terms = [(rng.randrange(1, order + 1), 0)]
+        elif kind == 1:
+            terms = [(rng.randrange(1, order + 1), rng.randrange(1, order + 1))]
+        elif kind == 2:
+            terms = [(rng.randrange(1, order + 1), rng.randrange(order + 1))
+                     for _ in range(rng.randrange(1, 4))]
+        else:
+            root = gf.power(ctx, ctx.generator, s * rng.randrange(order // s))
+            terms = [(1, 1), (root, 0)]
+        h = TrinomialSpec.make(ctx, terms)
+        verdict = exhaustive_verdict(ctx, r, s, h)
+        assert verdict == zieve_loop(ctx, r, s, h), (ctx.n, r, s, h.terms)
+        verdicts.append(verdict)
+    assert 20 < sum(verdicts) < 130
+
+
 def test_zieve_sorts_every_root_between_a_slice_and_the_chunk(monkeypatch):
-    # n = 18, s = 3: the d = 87381 roots fit the chunk but not a 2^16
-    # slice, so the one-sort branch must get them all in one window
+    # n = 18, s = 3: f(g^k)/g^(r*k) has a period dividing d = 87381 for
+    # f = x^r h(x^3), and d itself for h = y + c and 1 + y + y^2: a period
+    # that fits the 2^18 chunk but not a 2^16 slice, so the verdict walk
+    # rounds its first window up to d, takes it whole and slices the rest
     ctx = gf.make_field(18)
     d = ctx.group_order // 3
-    assert pc._slice_len(18) < d < 1 << 18
+    width = pc._slice_len(18)
+    assert width < d < 1 << 18
     windows, log_windows = [], pc._log_windows
 
     def recorded(*args):
@@ -731,19 +755,16 @@ def test_zieve_sorts_every_root_between_a_slice_and_the_chunk(monkeypatch):
         (1, [(1, 1), (gf.power(ctx, z, 80000), 0)]),  # h vanishes at z^80000
         (1, [(1, 0), (1, 1), (1, 2)]), (5, [(3, 0), (1, 9)]),
     ]
+    periods = [1, 1, 1, 1, d, d, d // 9]  # 3x^5 + x^32: 27 divides 2^18-1
     verdicts = []
-    for r, terms in cases:
+    for (r, terms), period in zip(cases, periods):
         h = TrinomialSpec.make(ctx, terms)
         windows.clear()
-        verdicts.append(pc.zieve_check(ctx, r, 3, h))
+        verdicts.append(exhaustive_verdict(ctx, r, 3, h))
         assert verdicts[-1] == zieve_tables(ctx, r, 3, h), (r, terms)
-        assert windows == [d]
+        assert windows[0] == -(-pc._VERDICT_FIRST_WINDOW // period) * period
+        assert all(size <= width for size in windows[1:])
     assert verdicts[:3] == [True] * 3 and not any(verdicts[3:5])
-
-
-def test_zieve_bad_factorization(f16):
-    with pytest.raises(NihopermError, match=r"^7 does not divide 2\^4-1$"):
-        pc.zieve_check(f16, 1, 7, TrinomialSpec.make(f16, [(1, 0)]))
 
 
 def test_engines_refuse_a_polynomial_over_another_field():
@@ -756,8 +777,6 @@ def test_engines_refuse_a_polynomial_over_another_field():
         refusal = rf"^polynomial over 0x11b, field {ctx.to_hex()}$"
         with pytest.raises(NihopermError, match=refusal):
             pc.is_permutation_exhaustive(ctx, spec)
-        with pytest.raises(NihopermError, match=refusal):
-            pc.zieve_check(ctx, 1, 3, spec)
 
 
 # ---------------------------------------------------------------------------

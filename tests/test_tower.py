@@ -28,18 +28,18 @@ def test_conjugate_fixes_subfield(tower4):
 
 
 def test_conjugate_is_involution(tower2):
-    for x in gf.elements(tower2.field):
+    for x in range(1 << tower2.field.n):
         assert tw.conjugate(tower2, tw.conjugate(tower2, x)) == x
 
 
 def test_norm_lands_in_subfield(tower2):
-    for x in gf.elements(tower2.field):
+    for x in range(1 << tower2.field.n):
         assert tw.in_subfield(tower2, gf.power(tower2.field, x, tower2.unit_circle_order))
 
 
 def test_subfield_size(tower3):
     # x^(2^m) = x picks out exactly 2^m elements
-    fixed = [x for x in gf.elements(tower3.field) if tw.in_subfield(tower3, x)]
+    fixed = [x for x in range(1 << tower3.field.n) if tw.in_subfield(tower3, x)]
     assert len(fixed) == 8
     assert sorted(tower3.subfield.tolist()) == sorted(fixed)
 
@@ -47,7 +47,7 @@ def test_subfield_size(tower3):
 def test_unit_circle_membership_and_count(tower3):
     assert _on_circle(tower3, 1)
     assert not _on_circle(tower3, 0)
-    members = [x for x in gf.elements(tower3.field) if _on_circle(tower3, x)]
+    members = [x for x in range(1 << tower3.field.n) if _on_circle(tower3, x)]
     assert len(members) == 9  # subgroup of order 2^m+1 in a cyclic group
 
 
@@ -57,7 +57,7 @@ def test_unit_circle_iter_matches_brute_filter(m):
     via_iter = tower.unit_circle.tolist()
     assert len(via_iter) == tower.unit_circle_order
     assert len(set(via_iter)) == tower.unit_circle_order
-    brute = {x for x in gf.elements(tower.field) if _on_circle(tower, x)}
+    brute = {x for x in range(1 << tower.field.n) if _on_circle(tower, x)}
     assert set(via_iter) == brute
 
 
@@ -128,7 +128,7 @@ def test_cayley_m2_enumeration(tower2):
 @pytest.mark.parametrize("m", [2, 3])
 def test_cayley_bijection_every_gamma(m):
     tower = tw.make_tower(m)
-    for gamma in gf.elements(tower.field):
+    for gamma in range(1 << tower.field.n):
         if tw.in_subfield(tower, gamma):
             continue
         assert tw.cayley_is_bijection(tower, gamma)
@@ -138,7 +138,7 @@ def test_cayley_bijection_every_gamma(m):
 def test_cayley_bijection_sampled_gammas(m):
     tower = tw.make_tower(m)
     gammas = []
-    for x in gf.elements(tower.field):
+    for x in range(1 << tower.field.n):
         if not tw.in_subfield(tower, x):
             gammas.append(x)
         if len(gammas) == 3:
@@ -161,10 +161,10 @@ def test_relative_trace_folds_to_the_absolute_trace(tower4):
     # x + x^(2^m), the trace of GF(2^(2m)) down to GF(2^m), lies in the
     # subfield, and its subfield trace is the absolute trace of x
     ctx = tower4.field
-    for x in gf.elements(ctx):
+    for x in range(1 << ctx.n):
         y = x ^ tw.conjugate(tower4, x)
         assert tw.in_subfield(tower4, y)
-        assert tw.subfield_trace(tower4, y) == gf.trace_abs(ctx, x)
+        assert tw.subfield_trace(tower4, y) == (x & ctx.trace_mask).bit_count() & 1
 
 
 @pytest.mark.parametrize("m", [0, 17, -1])
