@@ -33,7 +33,7 @@ from . import tower as tw
 from .errors import NihopermError
 
 #: largest single m for table1: at even m every (k,-k) row is a permutation
-#: pair, so the table costs about 3 * 4^m points; m=14 took 30 s (README)
+#: pair, so the table costs about 3 * 4^m points (README cost row `table1 --m 14`)
 TABLE1_MAX_M = 14
 
 
@@ -130,7 +130,10 @@ def cmd_family(args, out) -> int:
     return 0 if report.is_permutation else 1
 
 
-def _table1_dataset(towers: list[tw.TowerCtx]) -> list[dict]:
+def _table1_rows(towers: list[tw.TowerCtx]) -> list[tuple]:
+    """One flat tuple of cells per known-pair row: m, source, condition,
+    condition_ok, the pair's s, t and is_pp, then the label, s, t and is_pp
+    of each of its two equivalents, with None where a pair is undefined."""
     out_rows = []
     for tower in towers:
         rows = niho.known_pairs_table1(tower.m)
@@ -138,49 +141,26 @@ def _table1_dataset(towers: list[tw.TowerCtx]) -> list[dict]:
         pairs.discard(None)
         pairs = list(pairs)
         pp = permcheck.pair_verdicts(tower, [p.s for p in pairs], [p.t for p in pairs])
-        verdict = dict(zip(pairs, pp.tolist()))
-        verdict[None] = None
+        cells = {p: (p.s, p.t, is_pp) for p, is_pp in zip(pairs, pp.tolist())}
+        cells[None] = (None, None, None)
         for row in rows:
-            out_rows.append({
-                "m": tower.m,
-                "source": row.source,
-                "condition": row.condition,
-                "condition_ok": row.condition_ok,
-                "s": row.pair.s if row.pair else None,
-                "t": row.pair.t if row.pair else None,
-                "is_pp": verdict[row.pair],
-                "equivalents": [
-                    {"label": label, "s": p.s if p else None,
-                     "t": p.t if p else None, "is_pp": verdict[p]}
-                    for label, p in row.equivalents
-                ],
-            })
+            # every row has two equivalents; another count raises, not a ragged table
+            (l1, p1), (l2, p2) = row.equivalents
+            out_rows.append((tower.m, row.source, row.condition, row.condition_ok,
+                             *cells[row.pair], l1, *cells[p1], l2, *cells[p2]))
     return out_rows
 
 
-def _table1_failures(rows: list[dict]) -> int:
-    bad = 0
-    for r in rows:
-        if not r["condition_ok"]:
-            continue
-        if r["is_pp"] is False:
-            bad += 1
-        bad += sum(1 for e in r["equivalents"] if e["is_pp"] is False)
-    return bad
-
-
-def _fmt_cell(v) -> str:
+def _cell(v, undef: str = "undef") -> str:
+    """A table1 cell as text: bools in lower case, None as ``undef``."""
     if v is None:
-        return "undef"
-    if isinstance(v, bool):
-        return str(v).lower()
-    return str(v)
+        return undef
+    return str(v).lower() if isinstance(v, bool) else str(v)
 
 
-#: a table1 row and one of its equivalents as json.dumps({"rows": rows},
-#: indent=2) lays them out
+#: a table1 row as json.dumps({"rows": rows}, indent=2) lays it out
 _TABLE1_ROW = """    {
-      "m": %d,
+      "m": %s,
       "source": %s,
       "condition": %s,
       "condition_ok": %s,
@@ -188,35 +168,23 @@ _TABLE1_ROW = """    {
       "t": %s,
       "is_pp": %s,
       "equivalents": [
-%s
-      ]
-    }"""
-_TABLE1_EQUIV = """        {
+        {
           "label": %s,
           "s": %s,
           "t": %s,
           "is_pp": %s
-        }"""
-_JSON_WORDS = {None: "null", True: "true", False: "false"}
-
-
-def _table1_json(rows: list[dict]) -> str:
-    """``json.dumps({"rows": rows}, indent=2) + "\\n"`` from string templates.
-    The cells are strings, ints or None, and bools or None; the rows, and
-    each row's equivalents, are never empty."""
-    def num(v):
-        return "null" if v is None else str(v)
-
-    def equivalents(es):
-        return ",\n".join(_TABLE1_EQUIV % (json.dumps(e["label"]), num(e["s"]), num(e["t"]),
-                                           _JSON_WORDS[e["is_pp"]]) for e in es)
-
-    return '{\n  "rows": [\n' + ",\n".join(
-        _TABLE1_ROW % (r["m"], json.dumps(r["source"]), json.dumps(r["condition"]),
-                       _JSON_WORDS[r["condition_ok"]], num(r["s"]), num(r["t"]),
-                       _JSON_WORDS[r["is_pp"]], equivalents(r["equivalents"]))
-        for r in rows
-    ) + "\n  ]\n}\n"
+        },
+        {
+          "label": %s,
+          "s": %s,
+          "t": %s,
+          "is_pp": %s
+        }
+      ]
+    }"""
+#: a table1 row as text, from the cells csv writes
+_TABLE1_TEXT = ("m={:<2} {:<14} cond={:<5} pair=({},{}) is_pp={:<5} "
+                "equiv: {}->({},{}):{}  {}->({},{}):{}")
 
 
 def cmd_table1(args, out) -> int:
@@ -230,38 +198,30 @@ def cmd_table1(args, out) -> int:
         towers = [_tower_from(args)]
         if towers[0].m > TABLE1_MAX_M:
             raise NihopermError(f"table capped at m={TABLE1_MAX_M}")
-    rows = _table1_dataset(towers)
+    rows = _table1_rows(towers)
     if args.format == "json":
-        out.write(_table1_json(rows))
-    elif args.format == "csv":
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow([
-            "m", "source", "condition_ok", "s", "t", "is_pp",
-            "equiv1_label", "equiv1_s", "equiv1_t", "equiv1_is_pp",
-            "equiv2_label", "equiv2_s", "equiv2_t", "equiv2_is_pp",
-        ])
-        for r in rows:
-            line = [r["m"], r["source"], _fmt_cell(r["condition_ok"]),
-                    _fmt_cell(r["s"]), _fmt_cell(r["t"]), _fmt_cell(r["is_pp"])]
-            for e in r["equivalents"]:
-                line += [e["label"], _fmt_cell(e["s"]), _fmt_cell(e["t"]),
-                         _fmt_cell(e["is_pp"])]
-            w.writerow(line)
+        # json.dumps writes the strings; the other cells are numbers, bools or null
+        json_rows = (_TABLE1_ROW % tuple(json.dumps(v) if isinstance(v, str) else _cell(v, "null")
+                                         for v in r) for r in rows)
+        # three writes: one string of the whole table would be copied twice
+        out.write('{\n  "rows": [\n')
+        out.write(",\n".join(json_rows))
+        out.write("\n  ]\n}\n")
     else:
-        lines = []
-        for r in rows:
-            eq = "  ".join(
-                f"{e['label']}->({_fmt_cell(e['s'])},{_fmt_cell(e['t'])}):"
-                f"{_fmt_cell(e['is_pp'])}"
-                for e in r["equivalents"]
-            )
-            lines.append(
-                f"m={r['m']:<2} {r['source']:<14} cond={_fmt_cell(r['condition_ok']):<5} "
-                f"pair=({_fmt_cell(r['s'])},{_fmt_cell(r['t'])}) "
-                f"is_pp={_fmt_cell(r['is_pp']):<5} equiv: {eq}"
-            )
-        out.write("\n".join(lines) + "\n")
-    return 1 if _table1_failures(rows) else 0
+        # csv and text write every cell but the condition
+        cells = [[_cell(v) for v in r[:2] + r[3:]] for r in rows]
+        if args.format == "csv":
+            w = csv.writer(out, lineterminator="\n")
+            w.writerow([
+                "m", "source", "condition_ok", "s", "t", "is_pp",
+                "equiv1_label", "equiv1_s", "equiv1_t", "equiv1_is_pp",
+                "equiv2_label", "equiv2_s", "equiv2_t", "equiv2_is_pp",
+            ])
+            w.writerows(cells)
+        else:
+            out.write("\n".join(_TABLE1_TEXT.format(*c) for c in cells) + "\n")
+    # exit code 1: a row whose condition holds has a pair or an equivalent that fails
+    return 1 if any(r[3] and False in r[6::4] for r in rows) else 0
 
 
 def _quartic_check(args):

@@ -130,15 +130,10 @@ class FieldCtx:
     def group_order(self) -> int:
         return (1 << self.n) - 1
 
-    @cached_property
+    @property
     def generator(self) -> int:
         """Canonical generator: smallest bitmask of multiplicative order 2^n-1."""
-        order = self.group_order
-        primes = _factorize(order)
-        for g in range(2, 1 << self.n):
-            if all(power(self, g, order // p) != 1 for p in primes):
-                return g
-        raise AssertionError("unreachable: the multiplicative group is cyclic")
+        return _least_generator(self.n, self.modulus)
 
     @cached_property
     def exp_log(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -167,6 +162,18 @@ class FieldCtx:
 
     def to_hex(self) -> str:
         return hex(self.modulus)
+
+
+@cache
+def _least_generator(n: int, modulus: int) -> int:
+    """The search behind :attr:`FieldCtx.generator`, once per (n, modulus)."""
+    ctx = FieldCtx(n, modulus)
+    order = ctx.group_order
+    primes = _factorize(order)
+    for g in range(2, 1 << n):
+        if all(power(ctx, g, order // p) != 1 for p in primes):
+            return g
+    raise AssertionError("unreachable: the multiplicative group is cyclic")
 
 
 def _trace_by_squaring(ctx: FieldCtx, x: int) -> int:

@@ -33,10 +33,10 @@ from .permcheck import pair_verdicts
 from .tower import TowerCtx
 
 #: bound of the square sweep (search_pairs), which verifies all
-#: (2^m+1)(2^m+2)/2 pairs: m=11 takes about 22 s and 147 MB in a fresh
-#: process (README), and each step up in m costs about four times more, so
-#: m=12 would not fit a minute. The line scans are not capped here: they
-#: run at every m a tower supports (m <= 16; open1 at m=16 took 7.5 s).
+#: (2^m+1)(2^m+2)/2 pairs: m=11 fits a minute (README cost row `search --m 11`),
+#: and each step up in m costs about four times more, so m=12 would not.
+#: The line scans are not capped here: they run at every m a tower supports
+#: (m <= 16; README cost rows `open1 --m 16` and `open2 --m 16`).
 SURVEY_MAX_M = 11
 
 #: orbits per chunk of an emitted search dataset

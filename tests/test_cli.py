@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from nihoperm import _kernels, cli, permcheck, survey
+from nihoperm import _kernels, cli, niho, permcheck, survey
 from nihoperm import tower as tw
 from nihoperm.niho import NihoPair
 
@@ -257,9 +257,11 @@ def test_table1_m4_json(capsys):
                     assert e["is_pp"] is True
 
 
-def test_table1_verdicts_agree_with_verify_pairs():
+def test_table1_verdicts_agree_with_verify_pairs(capsys):
     towers = [tw.make_tower(m) for m in range(2, 9)]
-    rows = cli._table1_dataset(towers)
+    code, out, _ = run(capsys, "table1", "--all", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
     checked = 0
     for r in rows:
         tower = towers[r["m"] - 2]
@@ -275,12 +277,40 @@ def test_table1_verdicts_agree_with_verify_pairs():
 
 @pytest.mark.parametrize("argv", [["--m", "9"], ["--m", "10"], ["--m", "5", "--modulus", "0x409"]])
 def test_table1_json_is_the_indented_dump(capsys, argv):
-    # the template emitter writes what json.dumps(indent=2) writes, also at
-    # the m the golden digests do not cover and under another modulus
+    # the template emitter writes what json.dumps(indent=2) writes of the
+    # same rows, also under a modulus no golden digest covers
     code, out, _ = run(capsys, "table1", *argv, "--format", "json")
     assert code == 0
-    tower = cli._tower_from(cli.build_parser().parse_args(["table1", *argv]))
-    assert out == json.dumps({"rows": cli._table1_dataset([tower])}, indent=2) + "\n"
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("m, source, label, code", [
+    (4, "3,-1", "1/3,4/3", 1),
+    (3, "1,-1/2", None, 0),
+], ids=["equivalent-of-a-holding-row", "pair-of-a-failing-row"])
+def test_table1_exit_code_counts_rows_whose_condition_holds(capsys, monkeypatch,
+                                                             m, source, label, code):
+    # flip the verdict of one pair: an equivalent of a row whose condition
+    # holds (exit code 1), or the pair of a row whose condition fails and
+    # that no holding row names (exit code 0)
+    row = next(r for r in niho.known_pairs_table1(m) if r.source == source)
+    target = row.pair if label is None else dict(row.equivalents)[label]
+    verdicts = permcheck.pair_verdicts
+
+    def flipped(tower, s, t):
+        return verdicts(tower, s, t) ^ [(a, b) == (target.s, target.t) for a, b in zip(s, t)]
+
+    def cell(out):
+        r = next(r for r in json.loads(out)["rows"] if r["source"] == source)
+        return r["is_pp"] if label is None else next(
+            e["is_pp"] for e in r["equivalents"] if e["label"] == label)
+
+    argv = ("table1", "--m", str(m), "--format", "json")
+    code0, out0, _ = run(capsys, *argv)
+    monkeypatch.setattr(permcheck, "pair_verdicts", flipped)
+    got, out, _ = run(capsys, *argv)
+    assert code0 == 0 and got == code
+    assert cell(out) is (not cell(out0))
 
 
 def test_table1_m6_undefined_equivalent_rendered(capsys):

@@ -285,6 +285,20 @@ def test_canonical_generator_is_smallest_primitive(f16, f256):
         assert ctx.generator == expected
 
 
+def test_generator_is_searched_once_per_field(monkeypatch):
+    # every new context of a field reuses the first context's search
+    gf.make_field(18).generator
+    calls = []
+    power = gf.power
+
+    def counted(ctx, x, e):
+        calls.append(x)
+        return power(ctx, x, e)
+    monkeypatch.setattr(gf, "power", counted)
+    assert gf.make_field(18).generator == gf.make_field(18, gf.smallest_irreducible(18)).generator
+    assert calls == []
+
+
 def test_cube_coset_basics(f16):
     assert gf.cube_coset_index(f16, 1) == 0
     assert gf.cube_coset_index(f16, f16.generator) == 1

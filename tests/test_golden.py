@@ -6,8 +6,15 @@ the vectorized one replaced it: ``table1 --all``, ``search --m 2..7`` and
 array orbit labels replaced the scalar orbit closure. The ``lemmas`` digests were captured from the
 scalar subfield scans before the array root scan replaced them: ``eq4`` and
 ``eq6`` at even m = 2..8, ``eq8`` at m in {3, 4, 5, 7, 8}, ``lemma1 --m 2..8``
-and ``lemma2 --n 4..10``, all in json. Each key is a command line; the test
-writes its output to a file and compares the sha256 of the bytes.
+and ``lemma2 --n 4..10``, all in json. ``table1 --m 9..11`` in json, csv and
+text were captured before the table1 writers moved from per-row dicts to one
+flat row of cells. Each key is a command line; the test writes its output to
+a file and compares the sha256 of the bytes.
+
+``golden_caps.json`` holds the digests of ``table1`` at its cap
+(``TABLE1_MAX_M = 14``) in every format, captured at the same time. Those
+take about 16 s each, so CI compares them in a step of its own; here a test
+only checks that the file names every format at the cap.
 """
 
 import hashlib
@@ -19,6 +26,7 @@ import pytest
 from nihoperm import cli
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_datasets.json").read_text())
+CAPS = json.loads((Path(__file__).parent / "golden_caps.json").read_text())
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
@@ -34,4 +42,11 @@ def test_golden_covers_the_dataset_commands():
     assert {w: lemmas.count(w) for w in set(lemmas)} == {
         "eq4": 4, "eq6": 4, "eq8": 5, "lemma1": 7, "lemma2": 7,
     }
-    assert len(GOLDEN) == 3 + 7 * 2 + 2 * 7 * 2 + 27
+    assert len(GOLDEN) == 3 + 9 + 7 * 2 + 2 * 7 * 2 + 27
+
+
+def test_golden_caps_name_table1_at_its_cap():
+    # raising the cap without a digest at the new one fails here
+    assert set(CAPS) == {f"table1 --m {cli.TABLE1_MAX_M} --format {fmt}"
+                         for fmt in ("json", "csv", "text")}
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in CAPS.values())
