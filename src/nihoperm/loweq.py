@@ -39,33 +39,62 @@ from .tower import TowerCtx
 # quadratics
 # ---------------------------------------------------------------------------
 
+#: (a, x) values per block of the quadratic brute force
+_BLOCK_ELEMS = 1 << 16
+
+
 def quadratic_criterion_disagreements(ctx: FieldCtx) -> int:
     """Count pairs (a != 0, b) where the trace criterion and brute-force
     root existence for x^2 + ax + b disagree. The expected value is 0.
 
     The brute force is the image of x -> x^2 + ax over every x, for every
-    a. Both walk the field in log order over one list E = g^0..g^(N-1),
+    a. It walks a and x in log order over one list E = g^0..g^(N-1),
     N = 2^n - 1, doubled to E2 = E||E so that shifted exponents need no
-    reduction: for a = g^la the image of x = g^i is E2[2i] ^ E2[la+i], and
-    b = g^j is solvable iff Tr(b/a^2) = Tr(g^(j-2la)) = 0, a contiguous
-    slice of the trace bits T2 of E2. x = 0 and b = 0 (always a root,
-    always solvable) are left out, since they agree.
+    reduction: for a = g^la the image of x = g^i is E2[2i] ^ E2[la+i]. The
+    a go in blocks of about _BLOCK_ELEMS (a, x) values; each block's image
+    is scattered into one row per a of a table indexed by element b.
+
+    The criterion is read in element order too. With b = sum b_k X^k in the
+    polynomial basis, Tr(b/a^2) = parity(b & D), where D is the trace-dual
+    mask of a^-2: its bit k is Tr(X^k/a^2) = T[k log X - 2la (mod N)], with
+    T the trace bits of E and log X the position of X = 0b10 in E. Writing
+    b = hi*2^low + lo splits the parity into one of hi and one of lo, two row
+    gathers from a parity table. x = 0 and b = 0 (always a root, always
+    solvable) are left out, since they agree.
     """
-    order = ctx.group_order
-    e2 = np.tile(_kernels.geometric(ctx.generator, order, ctx.n, ctx.red).astype(np.intp), 2)
-    e = e2[:order]
-    t2 = (np.bitwise_count(e2 & ctx.trace_mask) & 1).astype(bool)
-    squares = e2[::2].copy()  # g^(2i) for i < N
-    hit = np.full(1 << ctx.n, -1, dtype=np.intp)  # hit[b] == la: b in the image for la
+    n, order = ctx.n, ctx.group_order
+    size = 1 << n
+    e2 = np.tile(_kernels.geometric(ctx.generator, order, n, ctx.red), 2)
+    t3 = np.tile(np.bitwise_count(e2[:order] & ctx.trace_mask) & 1, 3)  # T three times
+    log_basis = int(np.flatnonzero(e2[:order] == 0b10)[0])
+    dual = np.zeros(order, dtype=np.uint32)
+    for k in range(n):
+        # T[k log X - 2la (mod N)] for la = 0..N-1: a slice of t3 stepping down by 2
+        c = k * log_basis % order + 2 * order
+        dual |= t3[c : c - 2 * order : -2].astype(np.uint32) << k
+    low = (n + 1) // 2  # parity[d, v] = parity(d & v) for d, v < 2^low
+    span = np.arange(1 << low)
+    parity = (np.bitwise_count(span[:, None] & span) & 1).astype(bool)
+    dual_lo, dual_hi = dual & ((1 << low) - 1), dual >> low
+
+    rows = max(1, _BLOCK_ELEMS >> n)
+    # E2[2i] with row r's offset r*2^n in the bits above n, so that one XOR
+    # with the window of E2 gives flat indices into the table
+    squares = e2[: 2 * order : 2] | (np.arange(rows, dtype=np.uint32) * size)[:, None]
+    windows = sliding_window_view(e2, order)
+    values = np.empty((rows, order), dtype=np.intp)
+    table = np.empty((rows, size >> low, 1 << low), dtype=bool)
     disagreements = 0
-    shift = 0  # 2*la mod N
-    for la in range(order):
-        hit[squares ^ e2[la : la + order]] = la
-        # the criterion says g^j is unsolvable iff T2[N + j - shift] is set,
-        # so it disagrees with the image wherever that bit equals "has a root"
-        tr = t2[order - shift : 2 * order - shift]
-        disagreements += int(np.count_nonzero(tr == (hit[e] == la)))
-        shift = shift + 2 - order if shift + 2 >= order else shift + 2
+    for la in range(0, order, rows):
+        r = min(rows, order - la)
+        image = table[:r]
+        np.bitwise_xor(windows[la : la + r], squares[:r], out=values[:r])
+        image.fill(False)
+        image.reshape(-1)[values[:r]] = True
+        # XOR in the criterion "b is unsolvable": what stays False is a disagreement
+        image ^= parity.take(dual_lo[la : la + r], axis=0)[:, None, :]
+        image ^= parity.take(dual_hi[la : la + r], axis=0)[:, : size >> low, None]
+        disagreements += r * (size - 1) - int(np.count_nonzero(image.reshape(r, size)[:, 1:]))
     return disagreements
 
 

@@ -1,8 +1,8 @@
 """Reference implementations shared by several test files: the scalar
 value of a sparse polynomial, the absolute trace by repeated squaring, the
-scalar orbit closure of a pair, a row view of a sweep's columns, the verify
-notes read off the known-pair table and a family instance built without its
-hypotheses."""
+quadratic trace-criterion count pair by pair, the scalar orbit closure of
+a pair, a row view of a sweep's columns, the verify notes read off the
+known-pair table and a family instance built without its hypotheses."""
 
 from dataclasses import dataclass
 from math import gcd
@@ -30,6 +30,20 @@ def trace(ctx, x: int) -> int:
         acc ^= y
         y = gf.mul(ctx, y, y)
     return acc
+
+
+def quadratic_disagreements(ctx, trace_bit) -> int:
+    """Pairs (a != 0, b != 0) where "x^2 + ax + b has a root" differs from
+    trace_bit(b/a^2) == 0, pair by pair: the image of x -> x^2 + ax is a
+    set built by gf.mul, and b/a^2 is b times gf.div(1, a^2). trace_bit
+    maps an element to 0 or 1; the count is 0 for the absolute trace."""
+    size = 1 << ctx.n
+    bad = 0
+    for a in range(1, size):
+        image = {gf.mul(ctx, x, x ^ a) for x in range(1, size)}  # x^2 + ax = x(x + a)
+        c = gf.div(ctx, 1, gf.mul(ctx, a, a))
+        bad += sum(trace_bit(gf.mul(ctx, b, c)) == (b in image) for b in range(1, size))
+    return bad
 
 
 def transforms(m: int, pair: NihoPair) -> set[NihoPair]:

@@ -12,9 +12,12 @@ flat row of cells. Each key is a command line; the test writes its output to
 a file and compares the sha256 of the bytes.
 
 ``golden_caps.json`` holds the digests of ``table1`` at its cap
-(``TABLE1_MAX_M = 14``) in every format, captured at the same time. Those
-take about 16 s each, so CI compares them in a step of its own; here a test
-only checks that the file names every format at the cap.
+(``TABLE1_MAX_M = 14``) in every format, captured at the same time, and of
+every ``lemmas`` check at its cap in ``cli._LEMMAS`` (eq4/eq6/eq8/lemma1 at
+m = 16, lemma2 at n = 16), captured before lemma2's brute force moved from
+one pass per a to blocks of a compared in element order. Those take up to
+about 20 s each, so CI compares them in a step of its own; here a test only
+checks that the file names every command at its cap.
 """
 
 import hashlib
@@ -45,8 +48,11 @@ def test_golden_covers_the_dataset_commands():
     assert len(GOLDEN) == 3 + 9 + 7 * 2 + 2 * 7 * 2 + 27
 
 
-def test_golden_caps_name_table1_at_its_cap():
-    # raising the cap without a digest at the new one fails here
-    assert set(CAPS) == {f"table1 --m {cli.TABLE1_MAX_M} --format {fmt}"
-                         for fmt in ("json", "csv", "text")}
+def test_golden_caps_name_table1_and_lemmas_at_their_caps():
+    # raising a cap without a digest at the new one fails here
+    table1 = {f"table1 --m {cli.TABLE1_MAX_M} --format {fmt}" for fmt in ("json", "csv", "text")}
+    lemmas = {f"lemmas --which {which} --n {n} --format json" if check is cli._quadratic_check
+              else f"lemmas --which {which} --m {n // 2} --format json"
+              for which, (n, check) in cli._LEMMAS.items()}
+    assert set(CAPS) == table1 | lemmas
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in CAPS.values())

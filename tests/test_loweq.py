@@ -14,7 +14,7 @@ from nihoperm import loweq
 from nihoperm import tower as tw
 from nihoperm.errors import NihopermError
 
-from oracles import trace
+from oracles import quadratic_disagreements, trace
 
 
 def brute_quadratic_roots(ctx, a, b):
@@ -359,6 +359,48 @@ def test_internal_coefficient_identities(tower4):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
 def test_trace_criterion_sweep_has_no_disagreements(n):
     assert loweq.quadratic_criterion_disagreements(gf.make_field(n)) == 0
+
+
+def _with_trace_mask(ctx, mask):
+    """A copy of ctx whose cached trace mask is replaced by mask."""
+    wrong = gf.FieldCtx(ctx.n, ctx.modulus)
+    vars(wrong)["trace_mask"] = mask
+    return wrong
+
+
+def _parity_trace(mask):
+    return lambda y: (y & mask).bit_count() & 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_trace_criterion_count_is_exact_under_wrong_masks(n):
+    # a wrong trace mask is still a linear functional, so the sweep must
+    # count exactly the pairs the scalar oracle finds, not just "some"
+    ctx = gf.make_field(n)
+    other = random.Random(n).choice([m for m in range(1, 1 << n) if m != ctx.trace_mask])
+    for mask in (0, ctx.trace_mask ^ 1, other):
+        expected = quadratic_disagreements(ctx, _parity_trace(mask))
+        assert expected > 0
+        assert loweq.quadratic_criterion_disagreements(_with_trace_mask(ctx, mask)) == expected
+
+
+@pytest.mark.parametrize("rows", [1, 4, 5, 64])
+def test_trace_criterion_blocks_cover_every_a(monkeypatch, rows):
+    # blocks of 1, 4 and 5 rows at n = 6 (the last of 4 and of 5 is short,
+    # since neither divides 63) and one short block of 64 rows
+    monkeypatch.setattr(loweq, "_BLOCK_ELEMS", rows << 6)
+    ctx = gf.make_field(6)
+    assert loweq.quadratic_criterion_disagreements(ctx) == 0
+    mask = ctx.trace_mask ^ 0b100
+    assert loweq.quadratic_criterion_disagreements(_with_trace_mask(ctx, mask)) == \
+        quadratic_disagreements(ctx, _parity_trace(mask))
+
+
+def test_trace_criterion_under_another_modulus():
+    # 0x11d is primitive (x itself generates), unlike the default 0x11b
+    ctx = gf.make_field(8, 0x11D)
+    assert ctx.modulus != gf.make_field(8).modulus and ctx.generator == 0b10
+    assert loweq.quadratic_criterion_disagreements(ctx) == 0
 
 
 # ---------------------------------------------------------------------------
