@@ -242,10 +242,6 @@ def inv(ctx: FieldCtx, a: int) -> int:
     return power(ctx, a, -1)
 
 
-def div(ctx: FieldCtx, a: int, b: int) -> int:
-    return mul(ctx, a, inv(ctx, b))
-
-
 def power(ctx: FieldCtx, x: int, e: int) -> int:
     """x^e for any integer e.
 
@@ -269,23 +265,3 @@ def power(ctx: FieldCtx, x: int, e: int) -> int:
         if e:
             x = mul(ctx, x, x)
     return res
-
-
-def cube_coset_index(ctx: FieldCtx, x: int) -> int:
-    """Discrete log of x mod 3 with respect to the canonical generator.
-
-    Defined when 3 divides 2^n-1 (every even n); 0 exactly on the cubes.
-    """
-    if ctx.group_order % 3 != 0:
-        raise NihopermError(f"3 does not divide 2^{ctx.n}-1")
-    if x == 0:
-        raise NihopermError("0 has no discrete log")
-    third = ctx.group_order // 3
-    y = power(ctx, x, third)
-    if y == 1:
-        return 0
-    a = power(ctx, ctx.generator, third)
-    if y == a:
-        return 1
-    assert y == mul(ctx, a, a)
-    return 2

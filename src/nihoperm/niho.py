@@ -30,7 +30,6 @@ from math import gcd
 from typing import Callable, Optional
 
 from . import field as gf
-from . import tower as tw
 from .errors import NihopermError
 from .field import FieldCtx
 from .tower import TowerCtx
@@ -190,21 +189,18 @@ class Table1Row:
 
 
 _FIXED_ROWS = (
-    # (source, condition text, condition fn, equivalent labels); each pair
-    # is its label parsed at m
-    ("2,-1", "every positive m", lambda m: True, ("1,1/3", "1,2/3")),
-    ("1,-1/2", "m not divisible by 3", lambda m: m % 3 != 0, ("1,3/2", "1/4,3/4")),
-    ("-1/3,4/3", "m even", lambda m: m % 2 == 0, ("1,1/5", "1,4/5")),
-    ("3,-1", "m even", lambda m: m % 2 == 0, ("3/5,4/5", "1/3,4/3")),
-    ("-2/3,5/3", "m even", lambda m: m % 2 == 0, ("1,2/7", "1,5/7")),
+    # (source, condition text, condition fn, what the condition asks of m in
+    # the words of a failed hypothesis, equivalent labels); each pair is its
+    # label parsed at m
+    ("2,-1", "every positive m", lambda m: True, "", ("1,1/3", "1,2/3")),
+    ("1,-1/2", "m not divisible by 3", lambda m: m % 3 != 0, "m != 0 mod 3, got",
+     ("1,3/2", "1/4,3/4")),
+    ("-1/3,4/3", "m even", lambda m: m % 2 == 0, "even m, got", ("1,1/5", "1,4/5")),
+    ("3,-1", "m even", lambda m: m % 2 == 0, "even m, got", ("3/5,4/5", "1/3,4/3")),
+    ("-2/3,5/3", "m even", lambda m: m % 2 == 0, "even m, got", ("1,2/7", "1,5/7")),
     ("1/5,4/5", "gcd(5, 2^m+1) = 1", lambda m: gcd(5, (1 << m) + 1) == 1,
-     ("1,-1/3", "1,4/3")),
+     "gcd(5, 2^m+1)=1, fails at", ("1,-1/3", "1,4/3")),
 )
-
-#: what a known-pair row's condition asks of m, by its condition text, in
-#: the words of a failed hypothesis
-_ROW_NEEDS = {"m not divisible by 3": "m != 0 mod 3, got", "m even": "even m, got",
-              "gcd(5, 2^m+1) = 1": "gcd(5, 2^m+1)=1, fails at"}
 
 
 def _try_pair(label: str, m: int) -> Optional[NihoPair]:
@@ -218,8 +214,8 @@ def _try_pair(label: str, m: int) -> Optional[NihoPair]:
 def known_row_failure(source: str, m: int, who: str) -> str:
     """"" if the condition of the known-pair row labelled ``source`` holds
     at m, else the failed hypothesis "<who> needs ... m=<m>"."""
-    _, text, holds, _ = next(row for row in _FIXED_ROWS if row[0] == source)
-    return "" if holds(m) else f"{who} needs {_ROW_NEEDS[text]} m={m}"
+    _, _, holds, needs, _ = next(row for row in _FIXED_ROWS if row[0] == source)
+    return "" if holds(m) else f"{who} needs {needs} m={m}"
 
 
 def known_row_notes(pair: NihoPair) -> list[str]:
@@ -229,7 +225,7 @@ def known_row_notes(pair: NihoPair) -> list[str]:
     m = pair.m
     kmk = pair.s != pair.t and (pair.s + pair.t) % ((1 << m) + 1) == 0
     rows = [f"k,-k [k={pair.s}] whose condition"] if kmk and not k_minus_k_holds(m, pair.s) else []
-    rows += [f"{source} whose condition ({text})" for source, text, holds, _ in _FIXED_ROWS
+    rows += [f"{source} whose condition ({text})" for source, text, holds, _, _ in _FIXED_ROWS
              if not holds(m) and _try_pair(source, m) == pair]
     return [f"matches row {row} fails at m={m}; verdict comes from the engine" for row in rows]
 
@@ -256,7 +252,7 @@ def known_pairs_table1(m: int) -> list[Table1Row]:
                 (f"{k}/{2*k+1},{2*k}/{2*k+1}", _transform(m, -k, k)),
             ),
         ))
-    for source, cond_text, cond_fn, equivalents in _FIXED_ROWS:
+    for source, cond_text, cond_fn, _, equivalents in _FIXED_ROWS:
         rows.append(Table1Row(
             source=source,
             condition=cond_text,
@@ -328,9 +324,10 @@ def _f3_fails(tower: TowerCtx, r: int, a: int, b: int, c: int) -> str:
          for wi in (1, w, gf.square(ctx, w))]
     if 0 in h:
         return "F3 needs h(w^i) != 0 for i = 0, 1, 2"
-    i1 = gf.cube_coset_index(ctx, gf.div(ctx, h[0], h[1]))
-    i2 = gf.cube_coset_index(ctx, gf.div(ctx, h[1], h[2]))
-    if i1 != i2 or i1 == r % 3:
+    # idx(y), the log of y mod 3, is read off y^s = w^idx(y) in mu_3 = <w>:
+    # with c_i = h(w^i)^s the index conditions are c0*c2 = c1^2, c0 != c1*w^r
+    c0, c1, c2 = (gf.power(ctx, hi, s) for hi in h)
+    if gf.mul(ctx, c0, c2) != gf.square(ctx, c1) or c0 == gf.mul(ctx, c1, gf.power(ctx, w, r)):
         return "F3 needs idx(h(1)/h(w)) = idx(h(w)/h(w^2)) != r mod 3"
     return ""
 
@@ -382,15 +379,17 @@ def _f7_fails(tower: TowerCtx, a: int, b: int) -> str:
     ctx, q = tower.field, 1 << tower.m
     if a == 0 or b == 0:
         return "F7 needs ab != 0"
-    if a == gf.power(ctx, b, 1 - q):
-        if tw.subfield_trace(tower, gf.power(ctx, b, -1 - q)) != 0:
-            return "F7 (first branch) needs Tr_m(b^(-1-2^m)) = 0"
-        return ""
-    u = gf.mul(ctx, a, gf.inv(ctx, gf.square(ctx, b)))
-    if not tw.in_subfield(tower, u):
+    first = a == gf.power(ctx, b, 1 - q)
+    # the first branch's b^(-1-q) = 1/N(b) always lies in GF(2^m)*
+    u = gf.power(ctx, b, -1 - q) if first else gf.mul(ctx, a, gf.power(ctx, b, -2))
+    lg = int(tower.subfield_log([u])[0])
+    if lg < 0:
         return "F7 (second branch) needs a*b^(-2) in GF(2^m)"
-    if tw.subfield_trace(tower, u) != 0:
-        return "F7 (second branch) needs Tr_m(a*b^(-2)) = 0"
+    if tower.subfield_trace_bits[lg]:
+        return ("F7 (first branch) needs Tr_m(b^(-1-2^m)) = 0" if first
+                else "F7 (second branch) needs Tr_m(a*b^(-2)) = 0")
+    if first:
+        return ""
     if gf.square(ctx, b) ^ gf.mul(ctx, gf.square(ctx, a), gf.power(ctx, b, q - 1)) ^ a != 0:
         return "F7 (second branch) needs b^2 + a^2*b^(2^m-1) + a = 0"
     return ""

@@ -318,7 +318,7 @@ def _witness(ctx: FieldCtx, terms) -> tuple[int, int]:
     del kept  # nothing is held across the walk that follows
     if partner is None:
         partner = _first_match(_bitmask_windows(ctx, terms, start, held), target)
-    return (y if partner is None else partner), y
+    return partner, y
 
 
 def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:

@@ -5,10 +5,12 @@ U = {x : x^(2^m+1) = 1} of order 2^m+1, and the rational parametrization
 z -> (z+gamma)/(z+conj(gamma)) that maps the subfield bijectively onto
 U minus 1.
 
-Subfield elements are represented inside the big field. A scalar's
-membership is the Frobenius fixed-point test x^(2^m) = x; an array's is a
-lookup in the tower's subfield log (:meth:`TowerCtx.subfield_log`). There
-is no separate GF(2^m) context and no embedding maps.
+Subfield elements are represented inside the big field. Membership, log
+and trace come from one lookup in the tower's subfield log
+(:meth:`TowerCtx.subfield_log`, a scalar as a one-element array) and its
+trace bits (:attr:`TowerCtx.subfield_trace_bits`); only the parametrization
+tests its gamma as a Frobenius fixed point, x^(2^m) = x. There is no
+separate GF(2^m) context and no embedding maps.
 """
 
 from __future__ import annotations
@@ -142,10 +144,6 @@ def conjugate(tower: TowerCtx, x: int) -> int:
     return gf.power(tower.field, x, tower.subfield_order)
 
 
-def in_subfield(tower: TowerCtx, x: int) -> bool:
-    return conjugate(tower, x) == x
-
-
 def is_circle_minus_one(tower: TowerCtx, image: np.ndarray) -> bool:
     """True iff the array image lists every point of U \\ {1} exactly once."""
     points = np.unique(image)
@@ -161,12 +159,13 @@ def cayley_image(tower: TowerCtx, gamma: int) -> np.ndarray:
     N(z+gamma) = (z+gamma)(z+conj(gamma)) lies in GF(q)* and is inverted by
     a gather on the subfield log.
     """
-    if in_subfield(tower, gamma):
+    conj = conjugate(tower, gamma)
+    if conj == gamma:
         raise NihopermError(f"gamma={hex(gamma)} lies in the subfield")
     ctx = tower.field
     z = tower.subfield.astype(np.int64)
     shifted = z ^ gamma
-    nrm = _kernels.mul_vec(shifted, z ^ conjugate(tower, gamma), ctx.n, ctx.red)
+    nrm = _kernels.mul_vec(shifted, z ^ conj, ctx.n, ctx.red)
     lg = tower.subfield_log(nrm)
     assert (lg >= 0).all(), "norms of non-subfield elements lie in GF(q)*"
     inv_nrm = tower.subfield[1:][-lg % (tower.subfield_order - 1)]
@@ -177,22 +176,3 @@ def cayley_image(tower: TowerCtx, gamma: int) -> np.ndarray:
 def cayley_is_bijection(tower: TowerCtx, gamma: int) -> bool:
     """True iff z -> (z+gamma)/(z+conj(gamma)) hits U \\ {1} exactly once each."""
     return is_circle_minus_one(tower, cayley_image(tower, gamma))
-
-
-def subfield_trace(tower: TowerCtx, y: int) -> int:
-    """Trace of a subfield element down to GF(2): sum of y^(2^i), i < m.
-
-    Distinct from the absolute trace of the big field, which vanishes
-    identically on the subfield. Raises NihopermError for arguments
-    outside the subfield.
-    """
-    if not in_subfield(tower, y):
-        raise NihopermError(f"{hex(y)} is not fixed by x -> x^(2^{tower.m})")
-    acc = 0
-    t = y
-    for _ in range(tower.m):
-        acc ^= t
-        t = gf.square(tower.field, t)
-    assert acc in (0, 1)
-    return acc
-

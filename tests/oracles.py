@@ -1,8 +1,10 @@
 """Reference implementations shared by several test files: the scalar
-value of a sparse polynomial, the absolute trace by repeated squaring, the
-quadratic trace-criterion count pair by pair, the scalar orbit closure of
-a pair, a row view of a sweep's columns, the verify notes read off the
-known-pair table and a family instance built without its hypotheses."""
+value of a sparse polynomial, field division, the absolute trace by
+repeated squaring, subfield membership as a Frobenius fixed point and the
+subfield trace by repeated squaring, the quadratic trace-criterion count
+pair by pair, the scalar orbit closure of a pair, a row view of a sweep's
+columns, the verify notes read off the known-pair table and a family
+instance built without its hypotheses."""
 
 from dataclasses import dataclass
 from math import gcd
@@ -10,6 +12,7 @@ from typing import Optional
 
 from nihoperm import field as gf
 from nihoperm import niho
+from nihoperm import tower as tw
 from nihoperm.niho import NihoPair, Table1Row, TrinomialSpec
 
 
@@ -22,6 +25,11 @@ def evaluate(spec: TrinomialSpec, x: int) -> int:
     return acc
 
 
+def div(ctx, a: int, b: int) -> int:
+    """a/b = a * b^(-1)."""
+    return gf.mul(ctx, a, gf.inv(ctx, b))
+
+
 def trace(ctx, x: int) -> int:
     """Tr(x) = x + x^2 + ... + x^(2^(n-1)), by repeated squaring."""
     acc = 0
@@ -32,16 +40,33 @@ def trace(ctx, x: int) -> int:
     return acc
 
 
+def in_subfield(tower, x: int) -> bool:
+    """x lies in GF(2^m) iff the Frobenius x -> x^(2^m) fixes it."""
+    return tw.conjugate(tower, x) == x
+
+
+def subfield_trace(tower, y: int) -> int:
+    """Tr_m(y) = y + y^2 + ... + y^(2^(m-1)) of a subfield element, by
+    repeated squaring."""
+    assert in_subfield(tower, y), hex(y)
+    acc = 0
+    for _ in range(tower.m):
+        acc ^= y
+        y = gf.square(tower.field, y)
+    assert acc in (0, 1)
+    return acc
+
+
 def quadratic_disagreements(ctx, trace_bit) -> int:
     """Pairs (a != 0, b != 0) where "x^2 + ax + b has a root" differs from
     trace_bit(b/a^2) == 0, pair by pair: the image of x -> x^2 + ax is a
-    set built by gf.mul, and b/a^2 is b times gf.div(1, a^2). trace_bit
+    set built by gf.mul, and b/a^2 is b times div(1, a^2). trace_bit
     maps an element to 0 or 1; the count is 0 for the absolute trace."""
     size = 1 << ctx.n
     bad = 0
     for a in range(1, size):
         image = {gf.mul(ctx, x, x ^ a) for x in range(1, size)}  # x^2 + ax = x(x + a)
-        c = gf.div(ctx, 1, gf.mul(ctx, a, a))
+        c = div(ctx, 1, gf.mul(ctx, a, a))
         bad += sum(trace_bit(gf.mul(ctx, b, c)) == (b in image) for b in range(1, size))
     return bad
 

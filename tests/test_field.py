@@ -198,8 +198,6 @@ def test_scalar_ops_match_exp_log_arithmetic(n):
         assert gf.inv(ctx, a) == exp[-la % order]
         for e in (b, b - (1 << n), b + 2 * order):  # reduced, negative, large
             assert gf.power(ctx, a, e) == exp[la * e % order]
-        if order % 3 == 0:
-            assert gf.cube_coset_index(ctx, a) == la % 3
 
 
 # ---------------------------------------------------------------------------
@@ -297,31 +295,3 @@ def test_generator_is_searched_once_per_field(monkeypatch):
     monkeypatch.setattr(gf, "power", counted)
     assert gf.make_field(18).generator == gf.make_field(18, gf.smallest_irreducible(18)).generator
     assert calls == []
-
-
-def test_cube_coset_basics(f16):
-    assert gf.cube_coset_index(f16, 1) == 0
-    assert gf.cube_coset_index(f16, f16.generator) == 1
-    rng = random.Random(8)
-    for _ in range(200):
-        y = rng.randrange(1, 16)
-        assert gf.cube_coset_index(f16, gf.power(f16, y, 3)) == 0
-
-
-def test_cube_coset_homomorphism(f256):
-    rng = random.Random(9)
-    for _ in range(300):
-        x = rng.randrange(1, 256)
-        y = rng.randrange(1, 256)
-        assert (
-            gf.cube_coset_index(f256, gf.mul(f256, x, y))
-            == (gf.cube_coset_index(f256, x) + gf.cube_coset_index(f256, y)) % 3
-        )
-
-
-def test_cube_coset_errors(f16):
-    with pytest.raises(NihopermError, match="^0 has no discrete log$"):
-        gf.cube_coset_index(f16, 0)
-    odd = gf.make_field(3)
-    with pytest.raises(NihopermError, match=r"^3 does not divide 2\^3-1$"):
-        gf.cube_coset_index(odd, 1)

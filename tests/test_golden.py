@@ -12,12 +12,15 @@ flat row of cells. Each key is a command line; the test writes its output to
 a file and compares the sha256 of the bytes.
 
 ``golden_caps.json`` holds the digests of ``table1`` at its cap
-(``TABLE1_MAX_M = 14``) in every format, captured at the same time, and of
+(``TABLE1_MAX_M = 14``) in every format, captured at the same time, of
 every ``lemmas`` check at its cap in ``cli._LEMMAS`` (eq4/eq6/eq8/lemma1 at
 m = 16, lemma2 at n = 16), captured before lemma2's brute force moved from
-one pass per a to blocks of a compared in element order. Those take up to
-about 20 s each, so CI compares them in a step of its own; here a test only
-checks that the file names every command at its cap.
+one pass per a to blocks of a compared in element order, and of the sweeps
+at their caps: ``search --m 11`` (``SURVEY_MAX_M``) in csv and
+``open1``/``open2 --m 16`` (the tower bound ``DEGREE_MAX // 2``) in json,
+captured before the F3 and F7 hypotheses moved onto the tower's subfield
+log. Those take up to about 20 s each, so CI compares them in a step of its
+own; here a test only checks that the file names every command at its cap.
 """
 
 import hashlib
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from nihoperm import cli
+from nihoperm import cli, field, survey
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_datasets.json").read_text())
 CAPS = json.loads((Path(__file__).parent / "golden_caps.json").read_text())
@@ -54,5 +57,7 @@ def test_golden_caps_name_table1_and_lemmas_at_their_caps():
     lemmas = {f"lemmas --which {which} --n {n} --format json" if check is cli._quadratic_check
               else f"lemmas --which {which} --m {n // 2} --format json"
               for which, (n, check) in cli._LEMMAS.items()}
-    assert set(CAPS) == table1 | lemmas
+    sweeps = {f"search --m {survey.SURVEY_MAX_M} --format csv",
+              *(f"{line} --m {field.DEGREE_MAX // 2} --format json" for line in ("open1", "open2"))}
+    assert set(CAPS) == table1 | lemmas | sweeps
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in CAPS.values())

@@ -1,6 +1,7 @@
 """Pairs, fractions, trinomial construction, families, known-pair table."""
 
 import dataclasses
+import random
 import re
 from math import gcd
 
@@ -15,7 +16,8 @@ from nihoperm import tower as tw
 from nihoperm.errors import NihopermError
 from nihoperm.niho import NihoPair, TrinomialSpec
 
-from oracles import evaluate, known_row_notes, transforms, unchecked_family
+from oracles import (div, evaluate, in_subfield, known_row_notes, subfield_trace, transforms,
+                     unchecked_family)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +503,92 @@ def test_family_refusals_come_in_order(tower4, fid, params, message):
     # id, missing and unread parameters, field range, then the hypotheses
     with pytest.raises(NihopermError, match=f"^{re.escape(message)}$"):
         niho.family_trinomial(tower4, fid, params)
+
+
+# ---------------------------------------------------------------------------
+# F3 and F7 against scalar references
+# ---------------------------------------------------------------------------
+
+def _f3_reference(tower, r, a, b, c):
+    """F3's first failed hypothesis, each index read as a discrete log mod 3
+    off the exp/log tables."""
+    ctx = tower.field
+    s = ctx.group_order // 3
+    if gcd(r, s) != 1:
+        return f"F3 needs gcd(r, s)=1 with s={s}"
+    exp, log = ctx.exp_log
+    h = [c ^ gf.mul(ctx, b, int(exp[s * i])) ^ gf.mul(ctx, a, int(exp[2 * s * i % ctx.group_order]))
+         for i in range(3)]
+    if 0 in h:
+        return "F3 needs h(w^i) != 0 for i = 0, 1, 2"
+    i1, i2 = ((log[h[i]] - log[h[i + 1]]) % 3 for i in (0, 1))
+    if i1 != i2 or i1 == r % 3:
+        return "F3 needs idx(h(1)/h(w)) = idx(h(w)/h(w^2)) != r mod 3"
+    return ""
+
+
+def _f7_reference(tower, a, b):
+    """F7's first failed hypothesis, with subfield membership as a Frobenius
+    fixed point and the subfield trace by repeated squaring."""
+    ctx, q = tower.field, tower.subfield_order
+    if a == 0 or b == 0:
+        return "F7 needs ab != 0"
+    if a == gf.power(ctx, b, 1 - q):
+        if subfield_trace(tower, gf.power(ctx, b, -1 - q)):
+            return "F7 (first branch) needs Tr_m(b^(-1-2^m)) = 0"
+        return ""
+    u = div(ctx, a, gf.square(ctx, b))
+    if not in_subfield(tower, u):
+        return "F7 (second branch) needs a*b^(-2) in GF(2^m)"
+    if subfield_trace(tower, u):
+        return "F7 (second branch) needs Tr_m(a*b^(-2)) = 0"
+    if gf.square(ctx, b) ^ gf.mul(ctx, gf.square(ctx, a), gf.power(ctx, b, q - 1)) ^ a:
+        return "F7 (second branch) needs b^2 + a^2*b^(2^m-1) + a = 0"
+    return ""
+
+
+def _f3_f7_sweep():
+    """(family id, m, params): 150 seeded F3 instances at each m = 2..5,
+    every F7 pair at m <= 3, and 300 seeded F7 pairs at each of m = 4 and
+    5, a third on the first branch (a = b^(1-q)), a third with a*b^(-2) in
+    the subfield and a third at random."""
+    rng = random.Random(3)
+    sweep = []
+    for m in range(2, 6):
+        size, s = 1 << 2 * m, ((1 << 2 * m) - 1) // 3
+        for _ in range(150):
+            a, b, c = (0 if rng.random() < 0.25 else rng.randrange(1, size) for _ in range(3))
+            sweep.append(("F3", m, {"r": rng.randrange(-3 * s, 3 * s), "a": a, "b": b, "c": c}))
+    for m in (1, 2, 3):
+        sweep += [("F7", m, {"a": a, "b": b}) for a in range(1 << 2 * m) for b in range(1 << 2 * m)]
+    for m in (4, 5):
+        tower = tw.make_tower(m)
+        ctx, q = tower.field, tower.subfield_order
+        for i in range(300):
+            b = rng.randrange(1, 1 << 2 * m)
+            a = (gf.power(ctx, b, 1 - q) if i % 3 == 0
+                 else gf.mul(ctx, rng.choice(tower.subfield[1:].tolist()), gf.square(ctx, b))
+                 if i % 3 == 1 else rng.randrange(1 << 2 * m))
+            sweep.append(("F7", m, {"a": a, "b": b}))
+    return sweep
+
+
+def test_f3_and_f7_refusals_match_scalar_references():
+    references = {"F3": _f3_reference, "F7": _f7_reference}
+    towers = {m: tw.make_tower(m) for m in range(1, 6)}
+    seen = {"F3": set(), "F7": set()}
+    for fid, m, params in _f3_f7_sweep():
+        tower = towers[m]
+        expected = references[fid](tower, *params.values())
+        try:
+            niho.family_trinomial(tower, fid, params)
+            got = ""
+        except NihopermError as exc:
+            got = str(exc)
+        assert got == expected, (fid, m, params)
+        seen[fid].add(got.partition(" with s=")[0])
+    # every refusal of both families is met, and so is success
+    assert (len(seen["F3"]), len(seen["F7"])) == (4, 6)
 
 
 def test_pair_families_resolve(tower4):
