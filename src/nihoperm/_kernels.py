@@ -20,10 +20,17 @@ reduction).
   GF(2)-linear, so each set bit of the exponent costs one byte-table map
   and the bits are combined by popcount(e)-1 :func:`mul_vec` calls.
   Exponents must be >= 0; ``x**0`` is 1 for every x including 0.
+* :func:`in_shares` runs a loop's blocks ``range(0, total, step)`` as one
+  contiguous share per core the process may run on, share 0 on the calling
+  thread and each other share on a thread of its own, and returns the
+  shares' results in share order. Share bodies that spend their time in
+  large numpy calls run side by side, as those calls release the GIL.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -194,3 +201,47 @@ def pow_vec(x: np.ndarray, e: int, n: int, red: int) -> np.ndarray:
             term = map_planes(_frobenius_tables(n, red, i), planes) if i else x
             res = term if res is None else mul_vec(res, term, n, red)
     return res.astype(np.int64)
+
+
+def _core_count() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def in_shares(share, total: int, step: int) -> list:
+    """[share(blocks) for each share], where the block starts
+    ``range(0, total, step)`` are cut into one contiguous range per core
+    (never more shares than blocks), in order.
+
+    Share 0 runs on the calling thread and every other share on a daemon
+    thread started for this call; all are joined before anything is
+    returned or raised, and an exception of any share is raised here. With
+    one share no thread is started. No share may write what another share
+    reads; then results that the caller combines in share order do not
+    depend on the core count. Buffers a share allocates for itself exist
+    once per share, so their peak memory grows with the core count.
+    """
+    starts = range(0, total, step)
+    count = max(1, min(_core_count(), len(starts)))
+    parts = [starts[i * len(starts) // count : (i + 1) * len(starts) // count]
+             for i in range(count)]
+    results, errors = [None] * count, [None] * count
+
+    def run(i):
+        try:
+            results[i] = share(parts[i])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(1, count)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results

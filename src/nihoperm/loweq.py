@@ -19,6 +19,10 @@ Covers, over GF(2^n) and its index-2 subfield:
   whole-array passes over the unit circle.
 
 Coefficients are handled by their subfield logs (:meth:`TowerCtx.subfield_log`).
+The blocks of the quadratic sweep and the windows of the root scans go in
+one contiguous share per core (:func:`_kernels.in_shares`), whose results
+are combined in share order: every count and root list is the same on any
+number of cores.
 """
 
 from __future__ import annotations
@@ -52,7 +56,9 @@ def quadratic_criterion_disagreements(ctx: FieldCtx) -> int:
     N = 2^n - 1, doubled to E2 = E||E so that shifted exponents need no
     reduction: for a = g^la the image of x = g^i is E2[2i] ^ E2[la+i]. The
     a go in blocks of about _BLOCK_ELEMS (a, x) values; each block's image
-    is scattered into one row per a of a table indexed by element b.
+    is scattered into one row per a of a table indexed by element b. The
+    blocks go in one contiguous share per core, each with its own image
+    table, and the shares' counts are summed.
 
     The criterion is read in element order too. With b = sum b_k X^k in the
     polynomial basis, Tr(b/a^2) = parity(b & D), where D is the trace-dual
@@ -82,20 +88,24 @@ def quadratic_criterion_disagreements(ctx: FieldCtx) -> int:
     # with the window of E2 gives flat indices into the table
     squares = e2[: 2 * order : 2] | (np.arange(rows, dtype=np.uint32) * size)[:, None]
     windows = sliding_window_view(e2, order)
-    values = np.empty((rows, order), dtype=np.intp)
-    table = np.empty((rows, size >> low, 1 << low), dtype=bool)
-    disagreements = 0
-    for la in range(0, order, rows):
-        r = min(rows, order - la)
-        image = table[:r]
-        np.bitwise_xor(windows[la : la + r], squares[:r], out=values[:r])
-        image.fill(False)
-        image.reshape(-1)[values[:r]] = True
-        # XOR in the criterion "b is unsolvable": what stays False is a disagreement
-        image ^= parity.take(dual_lo[la : la + r], axis=0)[:, None, :]
-        image ^= parity.take(dual_hi[la : la + r], axis=0)[:, : size >> low, None]
-        disagreements += r * (size - 1) - int(np.count_nonzero(image.reshape(r, size)[:, 1:]))
-    return disagreements
+
+    def share(blocks):
+        values = np.empty((rows, order), dtype=np.intp)
+        table = np.empty((rows, size >> low, 1 << low), dtype=bool)
+        disagreements = 0
+        for la in blocks:
+            r = min(rows, order - la)
+            image = table[:r]
+            np.bitwise_xor(windows[la : la + r], squares[:r], out=values[:r])
+            image.fill(False)
+            image.reshape(-1)[values[:r]] = True
+            # XOR in the criterion "b is unsolvable": what stays False is a disagreement
+            image ^= parity.take(dual_lo[la : la + r], axis=0)[:, None, :]
+            image ^= parity.take(dual_hi[la : la + r], axis=0)[:, : size >> low, None]
+            disagreements += r * (size - 1) - int(np.count_nonzero(image.reshape(r, size)[:, 1:]))
+        return disagreements
+
+    return sum(_kernels.in_shares(share, order, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +140,10 @@ def _zeros(tower: TowerCtx, terms) -> tuple[np.ndarray, np.ndarray]:
     are one row of a strided window view of that table, picked by log c.
     A term that is zero in every row is left out, and the terms that are
     equal in every row are summed once. Rows go in windows of at most
-    _WINDOW_ELEMS (row, z) elements. z = 0 is a root exactly where the
-    constant coefficient vanishes.
+    _WINDOW_ELEMS (row, z) elements, and the windows in one contiguous
+    share per core; the shares' roots are joined in share order, which is
+    the order of one share. z = 0 is a root exactly where the constant
+    coefficient vanishes.
     """
     q1 = tower.subfield_order - 1
     rows = terms[0][0].size
@@ -149,15 +161,23 @@ def _zeros(tower: TowerCtx, terms) -> tuple[np.ndarray, np.ndarray]:
             fixed ^= view[c[0]]
         else:
             varying.append((c, view))  # view[c, k] = table[c + e*k]
-    found_rows, found_idx = [zero_rows], [np.zeros(zero_rows.size, dtype=np.intp)]
     step = max(1, _WINDOW_ELEMS // q1)
-    for r0 in range(0, rows, step):
-        value = np.tile(fixed, (min(step, rows - r0), 1))
-        for c, view in varying:
-            value ^= view[c[r0 : r0 + step]]
-        hits = np.flatnonzero(value == 0)  # much cheaper than a 2-D np.nonzero
-        found_rows.append(hits // q1 + r0)
-        found_idx.append(hits % q1 + 1)
+
+    def share(windows):
+        found_rows, found_idx = [], []
+        for r0 in windows:
+            value = np.tile(fixed, (min(step, rows - r0), 1))
+            for c, view in varying:
+                value ^= view[c[r0 : r0 + step]]
+            hits = np.flatnonzero(value == 0)  # much cheaper than a 2-D np.nonzero
+            found_rows.append(hits // q1 + r0)
+            found_idx.append(hits % q1 + 1)
+        return found_rows, found_idx
+
+    found_rows, found_idx = [zero_rows], [np.zeros(zero_rows.size, dtype=np.intp)]
+    for share_rows, share_idx in _kernels.in_shares(share, rows, step):
+        found_rows += share_rows
+        found_idx += share_idx
     return np.concatenate(found_rows), np.concatenate(found_idx)
 
 

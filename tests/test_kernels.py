@@ -1,4 +1,7 @@
-"""Bulk kernels against the scalar field arithmetic."""
+"""Bulk kernels against the scalar field arithmetic, and the block shares."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -125,3 +128,49 @@ def test_byte_planes_rows_are_the_bytes(dtype):
         assert planes.shape == ((n + 7) // 8, 3, 20)
         for j, row in enumerate(planes):
             assert row.tolist() == ((v.astype(np.int64) >> 8 * j) & 255).tolist(), (n, j)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 7])
+@pytest.mark.parametrize("total, step", [(0, 4), (1, 4), (10, 1), (50, 3), (64, 64)])
+def test_in_shares_cuts_the_blocks_into_contiguous_shares(monkeypatch, total, step, cores):
+    # one share per core but never more shares than blocks, sizes differing
+    # by at most one block, in order and covering every block once, also
+    # when the threads switch as often as the interpreter lets them
+    monkeypatch.setattr(_kernels, "_core_count", lambda: cores)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shares = _kernels.in_shares(list, total, step)
+    finally:
+        sys.setswitchinterval(interval)
+    blocks = range(0, total, step)
+    assert len(shares) == max(1, min(cores, len(blocks)))
+    assert [start for share in shares for start in share] == list(blocks)
+    assert max(map(len, shares)) - min(map(len, shares)) <= 1
+
+
+def test_in_shares_raises_a_later_share_failure_after_joining(monkeypatch):
+    # the last of three shares fails on its own thread: the caller gets its
+    # exception once every share has ended, and no started thread outlives
+    # the call
+    monkeypatch.setattr(_kernels, "_core_count", lambda: 3)
+    started, ended = [], []
+    thread = threading.Thread
+
+    def spy(*args, **kwargs):
+        started.append(thread(*args, **kwargs))
+        return started[-1]
+
+    def share(blocks):
+        if blocks[-1] == 8:
+            raise ZeroDivisionError(f"share {blocks}")
+        ended.append(list(blocks))
+        return list(blocks)
+
+    monkeypatch.setattr(threading, "Thread", spy)
+    before = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match=r"^share range\(6, 9\)$"):
+        _kernels.in_shares(share, 9, 1)
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
+    assert sorted(ended) == [[0, 1, 2], [3, 4, 5]]
+    assert threading.active_count() == before

@@ -2,6 +2,7 @@
 
 import json
 import random
+import threading
 from itertools import combinations
 from math import gcd
 
@@ -384,16 +385,29 @@ def test_trace_criterion_count_is_exact_under_wrong_masks(n):
         assert loweq.quadratic_criterion_disagreements(_with_trace_mask(ctx, mask)) == expected
 
 
+def _one_share(monkeypatch, f, *args):
+    """f(*args) with the blocks of every loop in one share."""
+    with monkeypatch.context() as one_core:
+        one_core.setattr(_kernels, "_core_count", lambda: 1)
+        return f(*args)
+
+
 @pytest.mark.parametrize("rows", [1, 4, 5, 64])
 def test_trace_criterion_blocks_cover_every_a(monkeypatch, rows):
     # blocks of 1, 4 and 5 rows at n = 6 (the last of 4 and of 5 is short,
-    # since neither divides 63) and one short block of 64 rows
+    # since neither divides 63) and one short block of 64 rows, in shares
+    # for 1, 2, 3 and 7 cores: 63, 16 and 13 blocks make unequal shares for
+    # some core count each, and one block makes one share
     monkeypatch.setattr(loweq, "_BLOCK_ELEMS", rows << 6)
     ctx = gf.make_field(6)
-    assert loweq.quadratic_criterion_disagreements(ctx) == 0
     mask = ctx.trace_mask ^ 0b100
-    assert loweq.quadratic_criterion_disagreements(_with_trace_mask(ctx, mask)) == \
-        quadratic_disagreements(ctx, _parity_trace(mask))
+    wrong = _with_trace_mask(ctx, mask)
+    one_share = _one_share(monkeypatch, loweq.quadratic_criterion_disagreements, wrong)
+    assert one_share == quadratic_disagreements(ctx, _parity_trace(mask)) > 0
+    for cores in (1, 2, 3, 7):
+        monkeypatch.setattr(_kernels, "_core_count", lambda: cores)
+        assert loweq.quadratic_criterion_disagreements(ctx) == 0
+        assert loweq.quadratic_criterion_disagreements(wrong) == one_share
 
 
 def test_trace_criterion_under_another_modulus():
@@ -431,17 +445,24 @@ def test_one_row_kernels_match_horner(m):
 
 @pytest.mark.parametrize("window", [1, 50, 200])
 def test_root_scan_windows_cover_every_row(monkeypatch, window):
-    # many polynomials in one call, in windows of 1 row, 3 rows (with a
-    # short last window) and 12 rows at m = 4
+    # many polynomials in one call, in windows of 1 row, 3 rows and 13 rows
+    # at m = 4 (37 rows: the last window of 3 and of 13 is short), in shares
+    # for 1, 2, 3 and 7 cores: 37, 13 and 3 windows make unequal shares for
+    # some core count each
     monkeypatch.setattr(loweq, "_WINDOW_ELEMS", window)
     tower = tw.make_tower(4)
     ctx = tower.field
     subfield = tower.subfield.tolist()
     polys = [[a0, a1, a2, 0, 1] for a2, a1, a0 in _random_quartics(tower, random.Random(7), 37)]
-    for poly, roots in zip(polys, _zero_scan(tower, polys)):
-        assert roots == _horner_roots(ctx, subfield, poly)
-    rep = loweq.verify_lemma_quartics(tower, "eq4")
-    assert rep.all_pass and rep.certified and rep.checked == 16
+    terms = [(loweq._logs(tower, f"a{i}", [p[i] for p in polys]), i) for i in range(5)]
+    one_share = [a.tolist() for a in _one_share(monkeypatch, loweq._zeros, tower, terms)]
+    for cores in (1, 2, 3, 7):
+        monkeypatch.setattr(_kernels, "_core_count", lambda: cores)
+        for poly, roots in zip(polys, _zero_scan(tower, polys)):
+            assert roots == _horner_roots(ctx, subfield, poly)
+        assert [a.tolist() for a in loweq._zeros(tower, terms)] == one_share
+        rep = loweq.verify_lemma_quartics(tower, "eq4")
+        assert rep.all_pass and rep.certified and rep.checked == 16
 
 
 def _families_at(m):
@@ -474,6 +495,19 @@ def test_non_subfield_coefficients_raise(tower4):
         loweq._no_root_cases(tower4, [gamma], [1], [1])
     with pytest.raises(NihopermError, match="^a1" + outside):
         loweq._no_root_cases(tower4, [1, 1], [1, gamma], [1, 1])
+
+
+@pytest.mark.parametrize("argv", ["--which lemma2 --n 8", "--which eq4 --m 8"])
+def test_one_block_lemmas_start_no_thread(monkeypatch, tmp_path, argv):
+    # lemma2 at n = 8 is one block of a, and eq4 at m = 8 one window of each
+    # root scan, so on any number of cores each loop runs on the caller
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-block loop started a thread")
+
+    monkeypatch.setattr(_kernels, "_core_count", lambda: 2)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    out = tmp_path / "out.json"
+    assert cli.main(["lemmas", *argv.split(), "--format", "json", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("argv", [
