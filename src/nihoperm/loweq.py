@@ -139,7 +139,8 @@ def _zeros(tower: TowerCtx, terms) -> tuple[np.ndarray, np.ndarray]:
     logs of zero coefficients point into. So the term's values at every z
     are one row of a strided window view of that table, picked by log c.
     A term that is zero in every row is left out, and the terms that are
-    equal in every row are summed once. Rows go in windows of at most
+    equal in every row are summed once, into one row that each window XORs
+    into its first gather by broadcast. Rows go in windows of at most
     _WINDOW_ELEMS (row, z) elements, and the windows in one contiguous
     share per core; the shares' roots are joined in share order, which is
     the order of one share. z = 0 is a root exactly where the constant
@@ -166,9 +167,13 @@ def _zeros(tower: TowerCtx, terms) -> tuple[np.ndarray, np.ndarray]:
     def share(windows):
         found_rows, found_idx = [], []
         for r0 in windows:
-            value = np.tile(fixed, (min(step, rows - r0), 1))
+            value = None if varying else np.tile(fixed, (min(step, rows - r0), 1))
             for c, view in varying:
-                value ^= view[c[r0 : r0 + step]]
+                part = view[c[r0 : r0 + step]]
+                if value is None:  # fixed broadcast over the rows (and z, for e = 0)
+                    value = part ^ fixed
+                else:
+                    value ^= part
             hits = np.flatnonzero(value == 0)  # much cheaper than a 2-D np.nonzero
             found_rows.append(hits // q1 + r0)
             found_idx.append(hits % q1 + 1)

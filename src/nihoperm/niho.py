@@ -141,6 +141,13 @@ class TrinomialSpec:
         )
         return cls(ctx=ctx, terms=canon)
 
+    def value(self, x: int) -> int:
+        """The polynomial at x, by scalar field operations."""
+        acc = 0
+        for coef, e in self.terms:
+            acc ^= gf.mul(self.ctx, coef, gf.power(self.ctx, x, e))
+        return acc
+
     def to_json_dict(self) -> dict:
         return {
             "modulus": self.ctx.to_hex(),

@@ -4,18 +4,24 @@
   images in an occupancy bitset, in windows that double up to a chunk.
   Each occupancy test takes at most one slice (:func:`_slice_len`), so
   the temporaries stay near the cache and memory stays bounded up to the
-  n = 28 cap. Two walks do it. The verdict walks the field in
-  discrete-log order (:func:`_log_windows`), where every term is a
-  geometric sequence, and stops at the first repeat. Where the exponents
-  make f(g^k)/g^(e0*k) periodic with a period d up to the chunk, as for
-  every Niho trinomial (d divides 2^m+1), each slice after the first
-  window is one constant multiple of f's images at the start. Only a
-  failing verdict is followed by one walk in bitmask order
-  (:func:`_bitmask_windows`, element-wise powering, windows doubling up to
-  a slice) to the first repeat y. It keeps its first chunk of images, so
-  y's earlier preimage, the canonical counterexample, is found without
+  n = 28 cap. Both walks split f into the strands of :func:`_strands`:
+  with e0 the first exponent, D = gcd(2^n-1, e - e0 over the terms) and
+  d = (2^n-1)/D, f(x) = x^e0 * H(x^D) with H on the order-d subgroup
+  (Zieve 2009): one strand of all terms if d is at most the chunk (for
+  every Niho trinomial x * h(x^(2^m-1)), d divides 2^m+1), else one strand
+  per term. The verdict walks the field in discrete-log order
+  (:func:`_log_windows`), where every term is a geometric sequence, and
+  stops at the first repeat; after the first window, a slice maps each
+  strand's block of its first images through one constant's byte tables.
+  Only a failing verdict is followed by one walk in bitmask order
+  (:func:`_bitmask_windows`, windows doubling up to a slice) to the first
+  repeat y. It takes a strand's images as x^e0 times
+  H at the discrete log of x^D, from tables of H and the subgroup built
+  once (:func:`_image_tables`). It keeps its first chunk of images, so y's
+  earlier preimage, the canonical counterexample, is found without
   evaluating them again; only a preimage between that chunk and y's
-  window takes a second walk.
+  window takes a second walk. The reported pair is checked by scalar
+  field operations before it is returned.
 
 * unit_circle: for a Niho pair (s, t) the trinomial permutes GF(2^n) iff
   phi(x) = x * (1 + x^s + x^t)^(2^m-1) permutes the norm-1 subgroup U, so
@@ -44,8 +50,8 @@ from .niho import NihoPair, TrinomialSpec
 from .tower import TowerCtx, conjugate
 
 #: exhaustive verification bound: the occupancy bitset is 32 MiB at n = 28,
-#: where a slice is the whole chunk, and a full pass there takes 11-15 s in
-#: a fresh process (timings in the README).
+#: where a slice is the whole chunk, and a full pass there takes 8-9 s in a
+#: fresh process (timings in the README).
 EXHAUSTIVE_MAX_N = 28
 
 #: elements per chunk of every exhaustive pass, 2^min(n, _CHUNK_BITS): the
@@ -114,19 +120,85 @@ class PermReport:
 # exhaustive engine
 # ---------------------------------------------------------------------------
 
-def _images(ctx: FieldCtx, terms, xs: np.ndarray) -> np.ndarray:
-    """Images of the elements xs under the sparse polynomial (int64), by
-    element-wise powering (:func:`_kernels.pow_vec`)."""
-    acc = np.zeros(xs.size, dtype=np.int64)
-    for coef, e in terms:
-        if e == 0:
-            acc ^= coef
-            continue
-        vals = _kernels.pow_vec(xs, e, ctx.n, ctx.red)
-        if coef != 1:
-            vals = _kernels.mul_const(vals, coef, ctx.n, ctx.red)
-        acc ^= vals
-    return acc
+def _constant(terms) -> int:
+    """f(0): the coefficient of the constant term, which comes first, or 0."""
+    return terms[0][0] if terms and terms[0][1] == 0 else 0
+
+
+def _strands(ctx: FieldCtx, terms) -> tuple[int, list]:
+    """(d, strands) of f, the sum of the terms (c, e), c*x^e: strands
+    (e0, terms) whose sums add up to f, and the period d of every strand's
+    s(g^k)/g^(e0*k).
+
+    With N = 2^n-1, e0 the first exponent and d = N/gcd(N, e - e0 over the
+    terms), f(x) = x^e0 * H(x^(N/d)) for an H on the subgroup of order d.
+    If d is at most the chunk 2^min(n, _CHUNK_BITS), that is the one strand
+    (e0, terms), as for every Niho trinomial (d divides 2^m+1). Otherwise
+    each term is a strand (e, ((c, e),)) of its own, with period 1.
+    """
+    order = ctx.group_order
+    e0 = terms[0][1] if terms else 0
+    d = order // gcd(order, *(e - e0 for _, e in terms))
+    if d <= 1 << min(ctx.n, _CHUNK_BITS):
+        return d, [(e0, terms)]
+    return 1, [(e, ((c, e),)) for c, e in terms]
+
+
+def _image_tables(ctx: FieldCtx, terms):
+    """(f(0), D, mu, strands) for :func:`_images`: with d the period of the
+    :func:`_strands` and D = (2^n-1)/d, each strand (e0, terms) as
+    (e0, H), its sum at x != 0 being x^e0 * H[i] for the i with
+    mu[i] = x^D.
+
+    x^D lies in the subgroup of order d, and x^(e-e0) = (x^D)^((e-e0)/D).
+    mu is that subgroup, the :func:`_kernels.geometric` powers of g^D sorted
+    (int64, the dtype of the powers it is searched for), and H[i] the sum of
+    the c*mu[i]^((e-e0)/D), each a gather from the powers. Where d = 1,
+    mu = [1] and H = [the sum of the c].
+    """
+    n, red = ctx.n, ctx.red
+    d, strands = _strands(ctx, terms)
+    D = ctx.group_order // d
+    powers = _kernels.geometric(gf.power(ctx, ctx.generator, D), d, n, red)
+    j = np.argsort(powers)  # mu[i] = powers[j[i]] = g^(D*j[i])
+    tables = []
+    for e0, strand in strands:
+        H = np.zeros(d, dtype=np.uint32)
+        for c, e in strand:
+            part = powers[j * ((e - e0) // D % d) % d]
+            H ^= part if c == 1 else _kernels.mul_const(part, c, n, red)
+        tables.append((e0, H))
+    return _constant(terms), D, powers[j].astype(np.int64), tables
+
+
+def _images(ctx: FieldCtx, tables, start: int, stop: int) -> np.ndarray:
+    """Images of the elements start..stop-1 (int64) under the polynomial of
+    the :func:`_image_tables` tables: per strand, x^e0
+    (:func:`_kernels.pow_vec`) times H at the index of x^D in mu, found by
+    a binary search, or times H[0] by one constant multiply where d = 1.
+    x = 0 maps to f(0)."""
+    n, red = ctx.n, ctx.red
+    f0, D, mu, strands = tables
+    xs = np.arange(start, stop, dtype=np.int64)
+    if mu.size > 1:
+        power = _kernels.pow_vec(xs, D, n, red)
+        i = np.minimum(np.searchsorted(mu, power), mu.size - 1)
+        if not (mu[i] == power)[start == 0 :].all():  # 0^D = 0 is in no subgroup
+            raise AssertionError(f"an x^{D} outside the subgroup of order {mu.size}")
+    images = None
+    for e0, H in strands:
+        head = _kernels.pow_vec(xs, e0, n, red)
+        if mu.size > 1:
+            part = _kernels.mul_vec(head, H[i], n, red)
+        else:
+            part = head if H[0] == 1 else _kernels.mul_const(head, int(H[0]), n, red)
+        if images is None:
+            images = part.astype(np.int64, copy=False)
+        else:
+            images ^= part
+    if start == 0 and stop > 0:
+        images[0] = f0
+    return images
 
 
 @dataclass
@@ -205,28 +277,22 @@ def _log_windows(ctx: FieldCtx, terms):
     one is as long as everything before it, up to the chunk of
     L = 2^min(n, _CHUNK_BITS). The first window comes whole; a later one,
     starting at k0, comes in slices of :func:`_slice_len` exponents, each
-    a constant times columns of a block of byte planes that the earlier
-    windows fill as far as a later one reads it.
+    the sum over the :func:`_strands` of a constant times columns of the
+    strand's block of byte planes, which the earlier windows fill as far as
+    a later one reads it.
 
-    With N = 2^n-1 and e0 the first exponent, d = N / gcd(N, e - e0 over
-    the terms) is the period of f(g^k)/g^(e0*k), so f(g^(k0+j)) =
-    g^(e0*k0) * f(g^j) whenever d divides k0. If d <= L, the first window
-    and the chunk are rounded to multiples of d (up and down), so every
-    window starts at one, the one block holds f(g^j), and a slice is one
-    constant multiply per element. Otherwise each term keeps its own block
-    c*g^(e*j) and a slice is one constant multiply per term and element.
-    The first window sums :func:`_kernels.geometric` sequences started at c
-    over the terms.
+    A strand (e0, terms) with period d has s(g^(k0+j)) = g^(e0*k0) * s(g^j)
+    whenever d divides k0. The first window and the chunk are rounded to
+    multiples of d (up and down), so every window starts at one, and the
+    constant's byte tables are built once per window and strand. With one
+    strand, as for every Niho trinomial, a slice is one map of its block's
+    columns; with one strand per term (d = 1), one map per term. The first
+    window sums :func:`_kernels.geometric` sequences started at c over the
+    terms.
     """
     order, chunk = ctx.group_order, 1 << min(ctx.n, _CHUNK_BITS)
-    first = _VERDICT_FIRST_WINDOW
-    e0 = terms[0][1] if terms else 0
-    d = order // gcd(order, *(e - e0 for _, e in terms))
-    if d <= chunk:
-        strands = [(e0, terms)]
-        first, chunk = -(-first // d) * d, chunk - chunk % d
-    else:
-        strands = [(e, ((c, e),)) for c, e in terms]
+    d, strands = _strands(ctx, terms)
+    first, chunk = -(-_VERDICT_FIRST_WINDOW // d) * d, chunk - chunk % d
     sizes, k0 = [], 0
     while k0 < order:
         sizes.append(min(k0 or first, chunk, order - k0))
@@ -237,43 +303,49 @@ def _log_windows(ctx: FieldCtx, terms):
     blocks = [np.empty(((ctx.n + 7) // 8, length), dtype=np.uint8) for _ in strands]
     k0 = 0
     for size in sizes:
-        # one constant per strand and window: g^(e*k0) for the strand's e
-        scales = [gf.power(ctx, ctx.generator, e * k0) for e, _ in strands]
+        # the byte tables of one constant per strand and later window,
+        # g^(e*k0) for the strand's e
+        tables = [_kernels.const_tables(gf.power(ctx, ctx.generator, e * k0), ctx.n, ctx.red)
+                  if k0 else None for e, _ in strands]
         width = _slice_len(ctx.n) if k0 else size
         for a in range(0, size, width):
-            yield _log_window(ctx, strands, blocks, scales, k0, a, min(width, size - a))
+            yield _log_window(ctx, strands, blocks, tables, k0, a, min(width, size - a))
         k0 += size
 
 
-def _log_window(ctx: FieldCtx, strands, blocks, scales, k0: int, a: int, size: int) -> np.ndarray:
+def _log_window(ctx: FieldCtx, strands, blocks, tables, k0: int, a: int, size: int) -> np.ndarray:
     """The exponents k0+a .. k0+a+size-1 of :func:`_log_windows`: the
-    scales times the blocks' columns from a in a later window (k0 > 0),
-    the geometric sums in the first; its temporaries die on return."""
+    tables mapped over the blocks' columns from a in a later window
+    (k0 > 0), the geometric sums in the first; its temporaries die on
+    return."""
     n, red, g = ctx.n, ctx.red, ctx.generator
-    images = np.zeros(size, dtype=np.uint32)
+    images = None
     k = k0 + a
-    for block, scale, (_, terms) in zip(blocks, scales, strands):
+    for block, table, (_, terms) in zip(blocks, tables, strands):
         if k0:
-            part = _kernels.mul_planes(block[:, a : a + size], scale, n, red)
+            part = _kernels.map_planes(table, block[:, a : a + size])
         else:
             part = np.zeros(size, dtype=np.uint32)
             for c, e in terms:
                 part ^= _kernels.geometric(gf.power(ctx, g, e), size, n, red, c)
         if k < block.shape[1]:
             block[:, k : k + size] = _kernels.byte_planes(part[: block.shape[1] - k], n)
-        images ^= part
+        if images is None:
+            images = part
+        else:
+            images ^= part
     return images
 
 
-def _bitmask_windows(ctx: FieldCtx, terms, stop: int, start: int = 0):
-    """(x0, images of x0, x0+1, ...) for the elements from start below stop,
-    in windows that double from 2^_WITNESS_FIRST_BITS up to a slice
-    (:func:`_slice_len`)."""
+def _bitmask_windows(ctx: FieldCtx, tables, stop: int, start: int = 0):
+    """(x0, images of x0, x0+1, ...) under the :func:`_image_tables` tables
+    for the elements from start below stop, in windows that double from
+    2^_WITNESS_FIRST_BITS up to a slice (:func:`_slice_len`)."""
     top = _slice_len(ctx.n)
     width = min(1 << _WITNESS_FIRST_BITS, top)
     while start < stop:
         end = min(start + width, stop)
-        yield start, _images(ctx, terms, np.arange(start, end, dtype=np.int64))
+        yield start, _images(ctx, tables, start, end)
         start, width = end, min(2 * width, top)
 
 
@@ -290,6 +362,7 @@ def _witness(ctx: FieldCtx, terms) -> tuple[int, int]:
     """The canonical counterexample (x, y): y is the first element in
     bitmask order whose image repeats, x the least one with the same image.
 
+    The :func:`_image_tables` of the terms are built once for every walk.
     One :func:`_bitmask_windows` walk screens each window with
     :func:`_occupy` and keeps the images of its windows as uint32 while
     their total fits one chunk. In the failing window the repeat mask gives
@@ -300,8 +373,9 @@ def _witness(ctx: FieldCtx, terms) -> tuple[int, int]:
     the failing window, which runs only then, with nothing else held.
     """
     chunk = 1 << min(ctx.n, _CHUNK_BITS)
+    tables = _image_tables(ctx, terms)
     bits, kept, held = _bitset(ctx), [], 0
-    for start, images in _bitmask_windows(ctx, terms, 1 << ctx.n):
+    for start, images in _bitmask_windows(ctx, tables, 1 << ctx.n):
         if not _occupy(bits, images):
             break
         if held + images.size <= chunk:
@@ -317,7 +391,7 @@ def _witness(ctx: FieldCtx, terms) -> tuple[int, int]:
         partner = _first_match(kept, target)
     del kept  # nothing is held across the walk that follows
     if partner is None:
-        partner = _first_match(_bitmask_windows(ctx, terms, start, held), target)
+        partner = _first_match(_bitmask_windows(ctx, tables, start, held), target)
     return partner, y
 
 
@@ -344,8 +418,7 @@ def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
     t0 = time.perf_counter()
     terms = poly.terms
     bits = _bitset(ctx)
-    f0 = terms[0][0] if terms and terms[0][1] == 0 else 0  # a constant term comes first
-    _occupy(bits, np.array([f0], dtype=np.uint32))
+    _occupy(bits, np.array([_constant(terms)], dtype=np.uint32))
     # the walk is not bound to a name, so its blocks die with the verdict
     if all(_occupy(bits, v) for v in _log_windows(ctx, terms)):
         return PermReport(
@@ -354,7 +427,9 @@ def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
         )
     del bits
     partner, y = _witness(ctx, terms)
-    assert partner < y
+    # the report rests on scalar field operations, not on the vector kernels alone
+    if not (partner < y and poly.value(partner) == poly.value(y)):
+        raise AssertionError(f"the witness ({partner:#x}, {y:#x}) is not a collision")
     c = min(ctx.n, 20)  # the counted scan's chunk bits, whatever _CHUNK_BITS is
     return PermReport(
         is_permutation=False, method="exhaustive",

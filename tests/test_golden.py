@@ -19,7 +19,8 @@ one pass per a to blocks of a compared in element order, and of the sweeps
 at their caps: ``search --m 11`` (``SURVEY_MAX_M``) in csv and
 ``open1``/``open2 --m 16`` (the tower bound ``DEGREE_MAX // 2``) in json,
 captured before the F3 and F7 hypotheses moved onto the tower's subfield
-log. Those take up to about 20 s each, so CI compares them in a step of its
+log, and ``search --m 11`` in json, captured before the exhaustive
+engine's witness scan moved onto the strands of f. Those take up to about 20 s each, so CI compares them in a step of its
 own; here a test only checks that the file names every command at its cap.
 """
 
@@ -57,7 +58,7 @@ def test_golden_caps_name_table1_and_lemmas_at_their_caps():
     lemmas = {f"lemmas --which {which} --n {n} --format json" if check is cli._quadratic_check
               else f"lemmas --which {which} --m {n // 2} --format json"
               for which, (n, check) in cli._LEMMAS.items()}
-    sweeps = {f"search --m {survey.SURVEY_MAX_M} --format csv",
+    sweeps = {*(f"search --m {survey.SURVEY_MAX_M} --format {fmt}" for fmt in ("csv", "json")),
               *(f"{line} --m {field.DEGREE_MAX // 2} --format json" for line in ("open1", "open2"))}
     assert set(CAPS) == table1 | lemmas | sweeps
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in CAPS.values())

@@ -59,6 +59,44 @@ def test_pow_vec_matches_scalar_power(n):
         assert out.tolist() == [gf.power(ctx, int(v), e) for v in x], e
 
 
+@pytest.mark.parametrize("n", [2, 7, 20, 31, 32])
+def test_pow_vec_runs_of_ones_match_scalar_power(n):
+    # every run length L = 1..n, from bit 0 and from a later bit (past bit
+    # n-L the run wraps mod 2^n-1), two runs of one length, and e = 0,
+    # N-1, N
+    ctx = gf.make_field(n)
+    x = _operands(n, 24, 300 + n)
+    order = ctx.group_order
+    rng = np.random.default_rng(n)
+    exponents = [0, order - 1, order]
+    for length in range(1, n + 1):
+        shift = int(rng.integers(1, n + 1))
+        exponents += [(1 << length) - 1, ((1 << length) - 1) << shift,
+                      ((1 << length) - 1) * (1 + (1 << length + 1))]
+    for e in exponents:
+        out = _kernels.pow_vec(x, e, n, ctx.red)
+        assert out.dtype == np.int64
+        assert out.tolist() == [gf.power(ctx, int(v), e) for v in x], e
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 8, 10, 16, 31, 32])
+def test_ones_power_takes_the_addition_chain(monkeypatch, m):
+    # x^(2^m-1) by the bits of m: at most floor(log2 m) + popcount(m) - 1
+    # products, where the bit-serial product would take m-1
+    ctx = gf.make_field(max(m, 2))
+    calls, mul_vec = [], _kernels.mul_vec
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return mul_vec(*args)
+
+    monkeypatch.setattr(_kernels, "mul_vec", counted)
+    x = _operands(ctx.n, 8, m)
+    out = _kernels.pow_vec(x, (1 << m) - 1, ctx.n, ctx.red)
+    assert len(calls) <= m.bit_length() - 1 + bin(m).count("1") - 1
+    assert out.tolist() == [gf.power(ctx, int(v), (1 << m) - 1) for v in x]
+
+
 def test_pow_vec_zero_conventions():
     x = np.array([0, 1, 3], dtype=np.int64)
     assert list(_kernels.pow_vec(x, 0, 4, 0b0011)) == [1, 1, 1]

@@ -4,6 +4,7 @@ import collections
 import functools
 import json
 import random
+import re
 from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
@@ -246,8 +247,113 @@ def test_images_range_matches_evaluate(n):
     order = ctx.group_order
     spec = TrinomialSpec.make(ctx, [(5, 0), (3, 1), (7, order), (1, 3 * order + 5), (9, order - 1)])
     for start, stop in ((0, 70), (200, 256)):
-        got = pc._images(ctx, spec.terms, np.arange(start, stop))
+        got = pc._images(ctx, pc._image_tables(ctx, spec.terms), start, stop)
         assert got.tolist() == [evaluate(spec, x) for x in range(start, stop)]
+
+
+def _check_images(ctx, spec, cut):
+    """The witness images of every x, in one window from 0 and one from
+    cut, against the scalar evaluation."""
+    tables = pc._image_tables(ctx, spec.terms)
+    got = [pc._images(ctx, tables, a, b) for a, b in ((0, cut), (cut, 1 << ctx.n))]
+    assert np.concatenate(got).tolist() == [evaluate(spec, x) for x in range(1 << ctx.n)]
+
+
+@pytest.mark.parametrize("chunk_bits", [2, 20])
+@pytest.mark.parametrize("m", range(2, 7))
+def test_witness_images_of_niho_pairs_match_evaluate(monkeypatch, m, chunk_bits):
+    # one strand of period 2^m+1 (s = t and t = 0 fold terms together), or
+    # per-term strands where the chunk of 4 elements is below the period
+    monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
+    tower = tw.make_tower(m)
+    rng = random.Random(m)
+    q1 = (1 << m) + 1
+    pairs = [(2, -1), (3, 3), (5, 0)] + [(rng.randrange(q1), rng.randrange(q1)) for _ in range(2)]
+    for s, t in pairs:
+        spec = niho.pair_to_trinomial(tower, NihoPair(m, s, t))
+        exps = [e for _, e in spec.terms]
+        period = tower.field.group_order // gcd(tower.field.group_order, *(e - exps[0] for e in exps))
+        assert len(pc._strands(tower.field, spec.terms)[1]) == (
+            1 if period <= 1 << min(2 * m, chunk_bits) else len(exps))
+        _check_images(tower.field, spec, rng.randrange(1, 1 << 2 * m))
+
+
+@pytest.mark.parametrize("chunk_bits", [2, 20])
+def test_witness_images_with_constant_and_order_terms(monkeypatch, chunk_bits):
+    # a constant term (e0 = 0, so x^e0 = 1 at x = 0 too), e = N (1 off 0,
+    # 0 at 0), e = 2N folded onto N, a constant cancelled by x^N off 0, and
+    # periods 1, 3 and 85 at n = 8
+    monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
+    ctx = _field(8)
+    order = ctx.group_order
+    cases = [
+        [(5, 0)], [(5, order)], [(5, 0), (5, 2 * order)], [(5, 0), (6, order)],
+        [(5, 0), (3, order), (1, order // 3)], [(7, 3), (2, 3 + order // 3), (9, 3 + 2 * order)],
+        [(4, 2), (1, 2 + 3), (6, order)], [(5, 0), (3, 1), (7, order), (9, order - 1)],
+    ]
+    for i, terms in enumerate(cases):
+        _check_images(ctx, TrinomialSpec.make(ctx, terms), 1 + 37 * i % 255)
+
+
+def test_witness_images_refuse_a_power_outside_the_subgroup(f256):
+    # a table whose subgroup lacks x^D: the search must not take a neighbour
+    f0, D, mu, [(e0, H)] = pc._image_tables(f256, TrinomialSpec.make(f256, [(1, 1), (1, 4)]).terms)
+    tables = f0, D, mu[1:], [(e0, H[1:])]
+    with pytest.raises(AssertionError, match="outside the subgroup"):
+        pc._images(f256, tables, 0, 256)
+
+
+def test_wrong_witness_images_trip_the_scalar_recheck(f16, monkeypatch):
+    # x^3 fails at n = 4, but 0 and 2 do not collide: images that say they
+    # do must not become the report
+    monkeypatch.setattr(pc, "_images", lambda ctx, tables, start, stop: np.arange(start, stop) % 2)
+    with pytest.raises(AssertionError, match=r"witness \(0x0, 0x2\) is not a collision"):
+        pc.is_permutation_exhaustive(f16, TrinomialSpec.make(f16, [(1, 3)]))
+
+
+#: (m, s, t) -> (counterexample, evaluations) of the exhaustive engine on
+#: the Niho pair's trinomial, captured before the witness scan took its
+#: images from the strands of f and pow_vec its powers from runs of ones:
+#: the four failing pairs of the benchmark's verify workload, then failing
+#: pairs drawn with random.Random(2026) at m = 8..12
+_PINNED_WITNESSES = {
+    (10, 788, 861): ((56, 1337), 1 << 20),
+    (10, 82, 530): ((41, 1561), 1 << 20),
+    (10, 829, 995): ((3837, 4081), 1 << 20),
+    (11, 3, 5): ((40, 1712), 1 << 20),
+    (8, 60, 163): ((272, 377), 1 << 16),
+    (8, 52, 114): ((234, 388), 1 << 16),
+    (8, 215, 251): ((247, 328), 1 << 16),
+    (9, 245, 451): ((0, 9), 1 << 18),
+    (9, 2, 82): ((0, 9), 1 << 18),
+    (9, 113, 294): ((9, 577), 1 << 18),
+    (10, 200, 920): ((25, 195), 1 << 20),
+    (10, 23, 1004): ((52, 265), 1 << 20),
+    (11, 861, 1287): ((1472, 3434), 1 << 20),
+    (11, 1030, 1627): ((893, 1642), 1 << 20),
+    (12, 2848, 2921): ((286, 1542), 1 << 20),
+    (12, 625, 3083): ((6162, 7308), 1 << 20),
+}
+
+
+@pytest.mark.parametrize("m, s, t", sorted(_PINNED_WITNESSES))
+def test_pinned_counterexamples(m, s, t):
+    tower = tw.make_tower(m)
+    spec = niho.pair_to_trinomial(tower, NihoPair(m, s, t))
+    rep = pc.is_permutation_exhaustive(tower.field, spec)
+    assert (rep.counterexample, rep.evaluations) == _PINNED_WITNESSES[m, s, t]
+    x, y = rep.counterexample
+    assert evaluate(spec, x) == evaluate(spec, y)
+
+
+def test_late_repeat_partner_past_the_kept_chunk():
+    # x^2 + c*x at n = 22 (kernel {0, c}), captured with the pairs above:
+    # one strand per term, and a partner 2^20+5 past the witness's first
+    # kept chunk (test_late_first_repeat_above_table_max pins partner 1)
+    ctx = _field(22)
+    c = (1 << 21) + (1 << 20) + 5
+    rep = pc.is_permutation_exhaustive(ctx, TrinomialSpec.make(ctx, [(1, 2), (c, 1)]))
+    assert (rep.counterexample, rep.evaluations) == (((1 << 20) + 5, 1 << 21), 3 << 20)
 
 
 def _check_log_windows(ctx, terms):
@@ -390,32 +496,43 @@ def test_occupy_takes_at_most_a_slice(monkeypatch, n, late):
 
 def test_verdict_collapses_to_one_multiply_per_window(monkeypatch):
     # the (2,-1) trinomial at n = 20 has period 2^10+1: after the first
-    # window, each slice of a window is one constant multiply of the one
-    # block, not one per term, and the windows past 2^16 come in slices
+    # window, each window builds the byte tables of one constant (one
+    # strand), each of its slices is one map of the one block through them,
+    # not one per term, and the windows past 2^16 come in slices
     tower = tw.make_tower(10)
     spec = niho.pair_to_trinomial(tower, NihoPair(10, 2, -1))
-    calls = []
-    mul_planes, log_window = _kernels.mul_planes, pc._log_window
+    calls, events = [], []
+    const_tables, map_planes, log_window = _kernels.const_tables, _kernels.map_planes, pc._log_window
 
-    def counted(*args):
-        calls[-1][-1] += 1
-        return mul_planes(*args)
+    def tables(*args):
+        events.append("T")
+        return const_tables(*args)
 
-    def window(ctx, strands, blocks, scales, k0, a, size):
-        calls.append([k0, a, size, 0])
-        return log_window(ctx, strands, blocks, scales, k0, a, size)
+    def mapped(*args):
+        events.append("M")
+        return map_planes(*args)
 
-    monkeypatch.setattr(_kernels, "mul_planes", counted)
+    def window(ctx, strands, blocks, tables, k0, a, size):
+        calls.append([k0, a, size])
+        events.append("W")
+        return log_window(ctx, strands, blocks, tables, k0, a, size)
+
+    monkeypatch.setattr(_kernels, "const_tables", tables)
+    monkeypatch.setattr(_kernels, "map_planes", mapped)
     monkeypatch.setattr(pc, "_log_window", window)
     assert pc.is_permutation_exhaustive(tower.field, spec).is_permutation
     assert calls[0][:2] == [0, 0] and calls[0][2] == 1025
-    assert all(k0 % 1025 == 0 and count == 1 for k0, _, _, count in calls[1:])
-    assert all(size <= 1 << 16 for _, _, size, _ in calls[1:])
+    assert all(k0 % 1025 == 0 for k0, _, _ in calls[1:])
+    assert all(size <= 1 << 16 for _, _, size in calls[1:])
     windows = {k0 for k0, *_ in calls}
     assert len(windows) > 10 and len(calls) > len(windows) + 10
+    # past the first window (the geometric sums): per window one constant's
+    # tables, then per slice one map
+    later = "".join(events[events.index("W", 1) - 1 :])
+    assert re.fullmatch(r"(T(WM)+)+", later) and later.count("T") == len(windows) - 1
     # slices tile each window from its start
-    starts = [k0 + a for k0, a, _, _ in calls]
-    assert starts == list(np.cumsum([0] + [size for _, _, size, _ in calls[:-1]]))
+    starts = [k0 + a for k0, a, _ in calls]
+    assert starts == list(np.cumsum([0] + [size for _, _, size in calls[:-1]]))
 
 
 def test_false_log_order_repeat_trips_the_consistency_assertion(f16, monkeypatch):
@@ -549,7 +666,7 @@ def test_witness_partner_past_the_kept_windows(monkeypatch, chunk_bits, held):
     rep, walks = _witness_walks(monkeypatch, ctx, spec)
     assert rep.counterexample == (20, 64)
     assert walks == [(128, 0), (62, held)]
-    starts = [x0 for x0, _ in pc._bitmask_windows(ctx, spec.terms, 62, held)]
+    starts = [x0 for x0, _ in pc._bitmask_windows(ctx, pc._image_tables(ctx, spec.terms), 62, held)]
     assert starts == _SECOND_WALK_STARTS[chunk_bits]
     rng = random.Random(chunk_bits)
     for _ in range(40):  # every position of y against the kept range
