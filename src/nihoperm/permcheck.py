@@ -9,19 +9,24 @@
   d = (2^n-1)/D, f(x) = x^e0 * H(x^D) with H on the order-d subgroup
   (Zieve 2009): one strand of all terms if d is at most the chunk (for
   every Niho trinomial x * h(x^(2^m-1)), d divides 2^m+1), else one strand
-  per term. The verdict walks the field in discrete-log order
-  (:func:`_log_windows`), where every term is a geometric sequence, and
-  stops at the first repeat; after the first window, a slice maps each
-  strand's block of its first images through one constant's byte tables.
-  Only a failing verdict is followed by one walk in bitmask order
-  (:func:`_bitmask_windows`, windows doubling up to a slice) to the first
-  repeat y. It takes a strand's images as x^e0 times
-  H at the discrete log of x^D, from tables of H and the subgroup built
-  once (:func:`_image_tables`). It keeps its first chunk of images, so y's
-  earlier preimage, the canonical counterexample, is found without
-  evaluating them again; only a preimage between that chunk and y's
-  window takes a second walk. The reported pair is checked by scalar
-  field operations before it is returned.
+  per term. Both walks read one set of strand tables, built once per
+  call (:func:`_image_tables`): the order-d subgroup as the powers of g^D,
+  and per strand H at each of them, in cyclic order and in sorted order.
+  The verdict walks the field in discrete-log order (:func:`_log_windows`)
+  and stops at the first repeat. Its first window is g^(e0*k) times H in
+  cyclic order, one geometric sequence and one product per strand of
+  period d > 1 (a geometric sequence started at H's one entry where
+  d = 1); after it, a slice maps each strand's block of its first images
+  through one constant's byte tables. Only a failing verdict is followed
+  by one walk in bitmask order (:func:`_bitmask_windows`, windows doubling
+  up to a slice) to the first repeat y. It takes a strand's images as
+  x^e0 times H at the index of x^D in the sorted subgroup, read from
+  about 2d bucket starts keyed by the top bits of x^D and a few
+  vectorized probe rounds (:func:`_bucket_find`). It keeps its first
+  chunk of images, so y's earlier preimage, the canonical counterexample,
+  is found without evaluating them again; only a preimage between that
+  chunk and y's window takes a second walk. The reported pair is checked
+  by scalar field operations before it is returned.
 
 * unit_circle: for a Niho pair (s, t) the trinomial permutes GF(2^n) iff
   phi(x) = x * (1 + x^s + x^t)^(2^m-1) permutes the norm-1 subgroup U, so
@@ -29,7 +34,9 @@
   arithmetic mod 2^m+1: with x = w^k, h^(2^m-1) = w^C where C depends
   only on the class of h in P^1(GF(2^m)) and is read from tables of size
   O(2^m). h = 0 at any point is an immediate failure (phi would map into
-  0, which is not in U). :func:`pair_verdicts` gives the verdicts of many
+  0, which is not in U). The scan's first window holds at least
+  _WINDOW_ELEMS >> 6 (pair, point) elements, so one pair takes U in one
+  window up to m = 11. :func:`pair_verdicts` gives the verdicts of many
   pairs, :func:`unit_circle_check` the report of one.
 """
 
@@ -70,9 +77,10 @@ _VERDICT_FIRST_WINDOW = 1 << 10
 #: the first window of the bitmask-order witness scan has 2^10 elements
 _WITNESS_FIRST_BITS = 10
 
-#: unit-circle scan: points per pair in the first window, (pair, point)
-#: elements per window, and entries of the image table (pairs per block
-#: times 2^m+1, at most 8 MiB of int32)
+#: unit-circle scan: the least points per pair in the first window
+#: (:func:`_first_failures`), (pair, point) elements per window, and
+#: entries of the image table (pairs per block times 2^m+1, at most 8 MiB
+#: of int32)
 _FIRST_WINDOW = 16
 _WINDOW_ELEMS = 1 << 18
 _TABLE_ELEMS = 1 << 21
@@ -120,11 +128,6 @@ class PermReport:
 # exhaustive engine
 # ---------------------------------------------------------------------------
 
-def _constant(terms) -> int:
-    """f(0): the coefficient of the constant term, which comes first, or 0."""
-    return terms[0][0] if terms and terms[0][1] == 0 else 0
-
-
 def _strands(ctx: FieldCtx, terms) -> tuple[int, list]:
     """(d, strands) of f, the sum of the terms (c, e), c*x^e: strands
     (e0, terms) whose sums add up to f, and the period d of every strand's
@@ -145,50 +148,81 @@ def _strands(ctx: FieldCtx, terms) -> tuple[int, list]:
 
 
 def _image_tables(ctx: FieldCtx, terms):
-    """(f(0), D, mu, strands) for :func:`_images`: with d the period of the
-    :func:`_strands` and D = (2^n-1)/d, each strand (e0, terms) as
-    (e0, H), its sum at x != 0 being x^e0 * H[i] for the i with
-    mu[i] = x^D.
+    """(f(0), D, mu, starts, strands), the tables of both walks. f(0) is
+    the coefficient of the constant term, which comes first, or 0. With d
+    the period of the :func:`_strands` and D = (2^n-1)/d, each strand
+    (e0, terms) is (e0, H, cyclic): its sum is g^(e0*k) * cyclic[k mod d]
+    at x = g^k (:func:`_log_windows`), and x^e0 * H[i] at any x != 0, for
+    the i with mu[i] = x^D (:func:`_images`).
 
     x^D lies in the subgroup of order d, and x^(e-e0) = (x^D)^((e-e0)/D).
-    mu is that subgroup, the :func:`_kernels.geometric` powers of g^D sorted
-    (int64, the dtype of the powers it is searched for), and H[i] the sum of
-    the c*mu[i]^((e-e0)/D), each a gather from the powers. Where d = 1,
-    mu = [1] and H = [the sum of the c].
+    cyclic[k] is the sum of the c*(g^(D*k))^((e-e0)/D), each a gather from
+    the :func:`_kernels.geometric` powers of g^D. mu is those powers sorted
+    (int64, the dtype of the powers it is searched for) and then a sentinel
+    above every field element, H is cyclic in mu's order, and starts is
+    mu's :func:`_bucket_starts`. Where d = 1, mu = [1, sentinel] and
+    H = cyclic = [the sum of the c].
     """
     n, red = ctx.n, ctx.red
     d, strands = _strands(ctx, terms)
     D = ctx.group_order // d
     powers = _kernels.geometric(gf.power(ctx, ctx.generator, D), d, n, red)
     j = np.argsort(powers)  # mu[i] = powers[j[i]] = g^(D*j[i])
+    k = np.arange(d)
     tables = []
     for e0, strand in strands:
-        H = np.zeros(d, dtype=np.uint32)
+        cyclic = np.zeros(d, dtype=np.uint32)
         for c, e in strand:
-            part = powers[j * ((e - e0) // D % d) % d]
-            H ^= part if c == 1 else _kernels.mul_const(part, c, n, red)
-        tables.append((e0, H))
-    return _constant(terms), D, powers[j].astype(np.int64), tables
+            part = powers[k * ((e - e0) // D % d) % d]
+            cyclic ^= part if c == 1 else _kernels.mul_const(part, c, n, red)
+        tables.append((e0, cyclic[j], cyclic))
+    mu = np.append(powers[j].astype(np.int64), 1 << 32)
+    f0 = terms[0][0] if terms and terms[0][1] == 0 else 0
+    return f0, D, mu, _bucket_starts(mu, n), tables
+
+
+def _bucket_starts(mu: np.ndarray, n: int) -> np.ndarray:
+    """int32 starts of 2^b buckets of the sorted mu (its last entry a
+    sentinel above every n-bit value), where 2^b is the least power of two
+    above mu's d other entries, at most 2^n: bucket v >> (n-b) holds the
+    entries from starts[v >> (n-b)] below starts[(v >> (n-b)) + 1]."""
+    bits = min(n, (mu.size - 1).bit_length())
+    bounds = np.arange((1 << bits) + 1, dtype=np.int64) << (n - bits)
+    return np.searchsorted(mu, bounds).astype(np.int32)
+
+
+def _bucket_find(mu: np.ndarray, starts: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Per entry of v, its index in the sorted mu if it is there (else an
+    index whose entry differs), given mu's :func:`_bucket_starts`: from the
+    start of v's bucket, one vectorized probe round per entry of the
+    largest bucket but one steps past every entry below v. The sentinel
+    stops every probe within mu."""
+    bits = starts.size.bit_length() - 1  # starts has 2^bits + 1 entries
+    i = starts[v >> (n - bits)]
+    for _ in range(int(np.diff(starts).max()) - 1):
+        i += mu[i] < v
+    return i
 
 
 def _images(ctx: FieldCtx, tables, start: int, stop: int) -> np.ndarray:
     """Images of the elements start..stop-1 (int64) under the polynomial of
     the :func:`_image_tables` tables: per strand, x^e0
     (:func:`_kernels.pow_vec`) times H at the index of x^D in mu, found by
-    a binary search, or times H[0] by one constant multiply where d = 1.
-    x = 0 maps to f(0)."""
+    :func:`_bucket_find`, or times H[0] by one constant multiply where
+    d = 1. x = 0 maps to f(0)."""
     n, red = ctx.n, ctx.red
-    f0, D, mu, strands = tables
+    f0, D, mu, starts, strands = tables
+    d = ctx.group_order // D
     xs = np.arange(start, stop, dtype=np.int64)
-    if mu.size > 1:
+    if d > 1:
         power = _kernels.pow_vec(xs, D, n, red)
-        i = np.minimum(np.searchsorted(mu, power), mu.size - 1)
+        i = _bucket_find(mu, starts, power, n)
         if not (mu[i] == power)[start == 0 :].all():  # 0^D = 0 is in no subgroup
-            raise AssertionError(f"an x^{D} outside the subgroup of order {mu.size}")
+            raise AssertionError(f"an x^{D} outside the subgroup of order {d}")
     images = None
-    for e0, H in strands:
+    for e0, H, _ in strands:
         head = _kernels.pow_vec(xs, e0, n, red)
-        if mu.size > 1:
+        if d > 1:
             part = _kernels.mul_vec(head, H[i], n, red)
         else:
             part = head if H[0] == 1 else _kernels.mul_const(head, int(H[0]), n, red)
@@ -269,29 +303,32 @@ def _slice_len(n: int) -> int:
     return min(1 << min(n, _CHUNK_BITS), 1 << max(16, n - 7))
 
 
-def _log_windows(ctx: FieldCtx, terms):
-    """f(g^k) for k = 0..2^n-2 as uint32 slices, where f is the sum of the
-    terms (c, e), c*x^e, and g is the field's generator.
+def _log_windows(ctx: FieldCtx, tables):
+    """f(g^k) for k = 0..2^n-2 as uint32 slices, where f is the polynomial
+    of the :func:`_image_tables` tables and g is the field's generator.
 
     The first window has _VERDICT_FIRST_WINDOW exponents and each later
     one is as long as everything before it, up to the chunk of
     L = 2^min(n, _CHUNK_BITS). The first window comes whole; a later one,
     starting at k0, comes in slices of :func:`_slice_len` exponents, each
-    the sum over the :func:`_strands` of a constant times columns of the
-    strand's block of byte planes, which the earlier windows fill as far as
-    a later one reads it.
+    the sum over the strands of a constant times columns of the strand's
+    block of byte planes, which the earlier windows fill as far as a later
+    one reads it.
 
-    A strand (e0, terms) with period d has s(g^(k0+j)) = g^(e0*k0) * s(g^j)
-    whenever d divides k0. The first window and the chunk are rounded to
-    multiples of d (up and down), so every window starts at one, and the
-    constant's byte tables are built once per window and strand. With one
-    strand, as for every Niho trinomial, a slice is one map of its block's
-    columns; with one strand per term (d = 1), one map per term. The first
-    window sums :func:`_kernels.geometric` sequences started at c over the
-    terms.
+    A strand (e0, H, cyclic) with period d has s(g^(k0+j)) = g^(e0*k0) *
+    s(g^j) whenever d divides k0. The first window and the chunk are
+    rounded to multiples of d (up and down), so every window starts at one,
+    and the constant's byte tables are built once per window and strand.
+    With one strand, as for every Niho trinomial, a slice is one map of its
+    block's columns; with one strand per term (d = 1), one map per term.
+    The first window is g^(e0*k) times cyclic repeated to its length: one
+    :func:`_kernels.geometric` and one :func:`_kernels.mul_vec` for a
+    strand of period d > 1, and one geometric sequence started at cyclic[0]
+    for a strand of period 1.
     """
     order, chunk = ctx.group_order, 1 << min(ctx.n, _CHUNK_BITS)
-    d, strands = _strands(ctx, terms)
+    _, D, _, _, strands = tables
+    d = order // D
     first, chunk = -(-_VERDICT_FIRST_WINDOW // d) * d, chunk - chunk % d
     sizes, k0 = [], 0
     while k0 < order:
@@ -304,30 +341,32 @@ def _log_windows(ctx: FieldCtx, terms):
     k0 = 0
     for size in sizes:
         # the byte tables of one constant per strand and later window,
-        # g^(e*k0) for the strand's e
-        tables = [_kernels.const_tables(gf.power(ctx, ctx.generator, e * k0), ctx.n, ctx.red)
-                  if k0 else None for e, _ in strands]
+        # g^(e0*k0) for the strand's e0
+        consts = [_kernels.const_tables(gf.power(ctx, ctx.generator, e0 * k0), ctx.n, ctx.red)
+                  if k0 else None for e0, *_ in strands]
         width = _slice_len(ctx.n) if k0 else size
         for a in range(0, size, width):
-            yield _log_window(ctx, strands, blocks, tables, k0, a, min(width, size - a))
+            yield _log_window(ctx, strands, blocks, consts, k0, a, min(width, size - a))
         k0 += size
 
 
-def _log_window(ctx: FieldCtx, strands, blocks, tables, k0: int, a: int, size: int) -> np.ndarray:
+def _log_window(ctx: FieldCtx, strands, blocks, consts, k0: int, a: int, size: int) -> np.ndarray:
     """The exponents k0+a .. k0+a+size-1 of :func:`_log_windows`: the
-    tables mapped over the blocks' columns from a in a later window
-    (k0 > 0), the geometric sums in the first; its temporaries die on
-    return."""
+    constants' tables mapped over the blocks' columns from a in a later
+    window (k0 > 0), the strands' cyclic tables times g^(e0*k) in the
+    first; its temporaries die on return."""
     n, red, g = ctx.n, ctx.red, ctx.generator
     images = None
     k = k0 + a
-    for block, table, (_, terms) in zip(blocks, tables, strands):
+    for block, table, (e0, _, cyclic) in zip(blocks, consts, strands):
         if k0:
             part = _kernels.map_planes(table, block[:, a : a + size])
-        else:
-            part = np.zeros(size, dtype=np.uint32)
-            for c, e in terms:
-                part ^= _kernels.geometric(gf.power(ctx, g, e), size, n, red, c)
+        elif cyclic.size == 1:
+            part = _kernels.geometric(gf.power(ctx, g, e0), size, n, red, int(cyclic[0]))
+        else:  # the first window's size is a multiple of the period
+            head = _kernels.geometric(gf.power(ctx, g, e0), size, n, red)
+            part = _kernels.mul_vec(head, np.tile(cyclic, size // cyclic.size), n, red)
+            part = part.astype(np.uint32)
         if k < block.shape[1]:
             block[:, k : k + size] = _kernels.byte_planes(part[: block.shape[1] - k], n)
         if images is None:
@@ -358,11 +397,11 @@ def _first_match(windows, target: int) -> Optional[int]:
     return None
 
 
-def _witness(ctx: FieldCtx, terms) -> tuple[int, int]:
+def _witness(ctx: FieldCtx, tables) -> tuple[int, int]:
     """The canonical counterexample (x, y): y is the first element in
     bitmask order whose image repeats, x the least one with the same image.
 
-    The :func:`_image_tables` of the terms are built once for every walk.
+    Every walk evaluates from the same :func:`_image_tables` tables.
     One :func:`_bitmask_windows` walk screens each window with
     :func:`_occupy` and keeps the images of its windows as uint32 while
     their total fits one chunk. In the failing window the repeat mask gives
@@ -373,7 +412,6 @@ def _witness(ctx: FieldCtx, terms) -> tuple[int, int]:
     the failing window, which runs only then, with nothing else held.
     """
     chunk = 1 << min(ctx.n, _CHUNK_BITS)
-    tables = _image_tables(ctx, terms)
     bits, kept, held = _bitset(ctx), [], 0
     for start, images in _bitmask_windows(ctx, tables, 1 << ctx.n):
         if not _occupy(bits, images):
@@ -416,17 +454,17 @@ def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
     if poly.ctx != ctx:
         raise NihopermError(f"polynomial over {poly.ctx.to_hex()}, field {ctx.to_hex()}")
     t0 = time.perf_counter()
-    terms = poly.terms
+    tables = _image_tables(ctx, poly.terms)  # of both walks
     bits = _bitset(ctx)
-    _occupy(bits, np.array([_constant(terms)], dtype=np.uint32))
+    _occupy(bits, np.array([tables[0]], dtype=np.uint32))
     # the walk is not bound to a name, so its blocks die with the verdict
-    if all(_occupy(bits, v) for v in _log_windows(ctx, terms)):
+    if all(_occupy(bits, v) for v in _log_windows(ctx, tables)):
         return PermReport(
             is_permutation=True, method="exhaustive", counterexample=None,
             zero_at=None, evaluations=1 << ctx.n, elapsed=time.perf_counter() - t0,
         )
     del bits
-    partner, y = _witness(ctx, terms)
+    partner, y = _witness(ctx, tables)
     # the report rests on scalar field operations, not on the vector kernels alone
     if not (partner < y and poly.value(partner) == poly.value(y)):
         raise AssertionError(f"the witness ({partner:#x}, {y:#x}) is not a collision")
@@ -442,6 +480,19 @@ def is_permutation_exhaustive(ctx: FieldCtx, poly: TrinomialSpec) -> PermReport:
 # unit-circle engine
 # ---------------------------------------------------------------------------
 
+def _trace_inverse(tower: TowerCtx) -> int:
+    """1/(g + g^q) for the field's generator g and q = 2^m. g + g^q lies in
+    GF(q)*, as g lies outside the subfield, so its inverse is b^(-log) with
+    its log to the base b read from :attr:`TowerCtx.subfield_logs`; one
+    scalar multiply checks it."""
+    ctx, q = tower.field, tower.subfield_order
+    trace = ctx.generator ^ conjugate(tower, ctx.generator)
+    log = int(tower.subfield_logs[tower.subfield_code(trace)])
+    inverse = int(tower.subfield[1 + -log % (q - 1)])
+    assert gf.mul(ctx, inverse, trace) == 1, "g + g^q lies in GF(q)*"
+    return inverse
+
+
 def _circle_tables(tower: TowerCtx):
     """(coords, logs, classes): the tables that turn phi on U into index
     arithmetic mod q+1, with q = 2^m, on the points w^k, w = g^(q-1), of
@@ -454,20 +505,22 @@ def _circle_tables(tower: TowerCtx):
       for h = w^k; by linearity h = 1 + x^s + x^t has
       coords[0] ^ coords[ks] ^ coords[kt], which is 0 iff h is. The bit
       images come as arrays: h^q from the Frobenius tables, then b and a
-      by one constant multiply each.
+      by one constant multiply each, b's by :func:`_trace_inverse`.
     * logs is :attr:`TowerCtx.subfield_logs`: logs[code(y)] is the log of
       y to the base g^(q+1), a generator of GF(q)*; logs[0] is the
       sentinel 2q.
     * h^(q-1) = w^C depends only on the class a/b in P^1(GF(q)), and
       classes[logs[code a] - logs[code b] + 2q] = C. The class b = 0 has
       C = 0; the other q classes are those of 1+v for v = w^j in U minus 1,
-      where (1+v)^(q-1) = v^(-1) gives C = q+1-j.
+      where (1+v)^(q-1) = v^(-1) gives C = q+1-j. The q-1 of them with
+      a != 0 must have q-1 distinct ratios a/b, which one bool scatter
+      checks.
     """
     ctx = tower.field
     n, m = ctx.n, tower.m
     q, g = 1 << m, ctx.generator
     points, code, logs = tower.unit_circle, tower.subfield_code, tower.subfield_logs
-    inv_trace = gf.inv(ctx, g ^ conjugate(tower, g))
+    inv_trace = _trace_inverse(tower)
     h = np.uint32(1) << np.arange(n, dtype=np.uint32)  # the basis bits x^i
     conj = _kernels.map_planes(_kernels._frobenius_tables(n, ctx.red, m),
                                _kernels.byte_planes(h, n))
@@ -481,7 +534,9 @@ def _circle_tables(tower: TowerCtx):
     power = q + 1 - np.arange(1, q + 1)  # (1 + w^j)^(q-1) = w^(q+1-j)
     nonzero = la < q - 1
     ratio = (la - lb)[nonzero] % (q - 1)
-    assert np.unique(ratio).size == q - 1 and (lb < q - 1).all()
+    seen = np.zeros(q - 1, dtype=bool)
+    seen[ratio] = True
+    assert ratio.size == q - 1 and seen.all() and (lb < q - 1).all(), "distinct ratios a/b"
     classes = np.zeros(4 * q + 1, dtype=np.int32)  # b = 0: indices 0..q-2
     classes[ratio + 2 * q] = classes[ratio + q + 1] = power[nonzero]
     classes[3 * q + 2 :] = power[~nonzero]  # a = 0: la is the sentinel
@@ -513,10 +568,14 @@ def _first_failures(tower, tables, s, t, first, stamp):
     """Per pair, (first failing k or -1, earlier colliding k or -1).
 
     Points are evaluated in windows, only for the pairs that have not
-    failed yet; a window's width starts at _FIRST_WINDOW and doubles, but
-    it holds at most _WINDOW_ELEMS (pair, point) elements. first[row, phi]
-    holds stamp plus the least k seen with that image, so a point repeats
-    an earlier one iff the minimum written at its image is not its own.
+    failed yet; a window's width starts at _FIRST_WINDOW points, or at as
+    many as make _WINDOW_ELEMS >> 6 (pair, point) elements if that is more,
+    and doubles, but it holds at most _WINDOW_ELEMS elements. So one pair
+    takes U in one window up to m = 11, and 256 pairs or more start at
+    _FIRST_WINDOW points. The windows are contiguous and in order, so
+    their widths move no failure. first[row, phi] holds stamp plus the
+    least k seen with that image, so a point repeats an earlier one iff
+    the minimum written at its image is not its own.
     first is an int32 buffer of at least s.size * (q+1) entries; whatever
     it holds must be at least stamp + q+1, so that it reads as unseen.
     """
@@ -524,7 +583,7 @@ def _first_failures(tower, tables, s, t, first, stamp):
     fail = np.full(s.size, -1, dtype=np.int64)
     partner = np.full(s.size, -1, dtype=np.int64)
     active = np.arange(s.size)
-    k0, width = 0, _FIRST_WINDOW
+    k0, width = 0, max(_FIRST_WINDOW, -(-(_WINDOW_ELEMS >> 6) // max(1, s.size)))
     while active.size and k0 < size:
         width = min(width, max(1, _WINDOW_ELEMS // active.size))
         ks = np.arange(k0, min(k0 + width, size))

@@ -22,6 +22,12 @@ captured before the F3 and F7 hypotheses moved onto the tower's subfield
 log, and ``search --m 11`` in json, captured before the exhaustive
 engine's witness scan moved onto the strands of f. Those take up to about 20 s each, so CI compares them in a step of its
 own; here a test only checks that the file names every command at its cap.
+
+``golden_verify.json`` holds the JSON report of ``verify --m 14 --pair 3,5``,
+the witness scan at the exhaustive cap (n = 28), without the reports'
+``elapsed_ms``, and its exit code, captured before the exhaustive engine's
+verdict and witness shared one set of strand tables. CI runs it in a step of
+its own; here a test checks that it names a failing pair at that cap.
 """
 
 import hashlib
@@ -30,10 +36,11 @@ from pathlib import Path
 
 import pytest
 
-from nihoperm import cli, field, survey
+from nihoperm import cli, field, permcheck, survey
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_datasets.json").read_text())
 CAPS = json.loads((Path(__file__).parent / "golden_caps.json").read_text())
+VERIFY = json.loads((Path(__file__).parent / "golden_verify.json").read_text())
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
@@ -62,3 +69,11 @@ def test_golden_caps_name_table1_and_lemmas_at_their_caps():
               *(f"{line} --m {field.DEGREE_MAX // 2} --format json" for line in ("open1", "open2"))}
     assert set(CAPS) == table1 | lemmas | sweeps
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in CAPS.values())
+
+
+def test_golden_verify_names_a_witness_at_the_exhaustive_cap():
+    [(command, record)] = VERIFY.items()
+    assert command.startswith("verify --m ") and 2 * int(command.split()[2]) == permcheck.EXHAUSTIVE_MAX_N
+    assert record["exit"] == 1 and [r["method"] for r in record["output"]["reports"]] == [
+        "unit_circle", "exhaustive"]
+    assert not any("elapsed_ms" in r or r["is_permutation"] for r in record["output"]["reports"])

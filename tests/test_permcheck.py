@@ -296,11 +296,53 @@ def test_witness_images_with_constant_and_order_terms(monkeypatch, chunk_bits):
 
 
 def test_witness_images_refuse_a_power_outside_the_subgroup(f256):
-    # a table whose subgroup lacks x^D: the search must not take a neighbour
-    f0, D, mu, [(e0, H)] = pc._image_tables(f256, TrinomialSpec.make(f256, [(1, 1), (1, 4)]).terms)
-    tables = f0, D, mu[1:], [(e0, H[1:])]
-    with pytest.raises(AssertionError, match="outside the subgroup"):
-        pc._images(f256, tables, 0, 256)
+    # a table whose subgroup (of order 85) lacks one x^D, the least, one
+    # inside or the greatest, with its buckets rebuilt: the search must not
+    # take a neighbour, nor the sentinel
+    f0, D, mu, _, [(e0, H, cyclic)] = pc._image_tables(
+        f256, TrinomialSpec.make(f256, [(1, 1), (1, 4)]).terms)
+    assert mu.size == 86
+    for drop in (0, 40, 84):
+        lacking = np.delete(mu, drop)
+        tables = f0, D, lacking, pc._bucket_starts(lacking, 8), [(e0, np.delete(H, drop), cyclic)]
+        with pytest.raises(AssertionError, match="outside the subgroup"):
+            pc._images(f256, tables, 0, 256)
+
+
+#: n -> (terms, chunk bits, period d, least size of the largest bucket):
+#: subgroups whose buckets hold several entries (d = 15 at n = 8, 31 and 93
+#: at n = 10, 15, 45 and the Niho period 65 at n = 12), one bucket per
+#: element (d = 2^n-1, no probe round), and period 1 in one strand (a
+#: monomial, and a constant plus x^N) and in one strand per term (d = 15
+#: above a 4-element chunk)
+_BUCKET_CASES = {
+    8: [([(1, 1), (3, 1 + 17)], 20, 15, 4), ([(5, 0), (1, 1)], 20, 255, 1),
+        ([(7, 5)], 20, 1, 1), ([(9, 0), (2, 255)], 20, 1, 1),
+        ([(1, 1), (3, 1 + 17)], 2, 1, 1)],
+    10: [([(6, 2), (1, 2 + 33), (1, 2 + 66)], 20, 31, 4), ([(1, 1), (3, 1 + 11)], 20, 93, 4)],
+    12: [([(1, 1), (3, 1 + 273)], 20, 15, 8), ([(5, 0), (2, 91), (1, 182)], 20, 45, 9),
+         ([(1, 1), (1, 2 * 63 + 1), (1, -1 * 63 + 1)], 20, 65, 3)],
+}
+
+
+@pytest.mark.parametrize("n", sorted(_BUCKET_CASES))
+def test_bucketed_index_images_match_scalar_values(monkeypatch, n):
+    # the witness images of every element, in two windows, against the
+    # scalar TrinomialSpec.value, where the bucket lookup must probe past
+    # entries of x^D's bucket below it, and where it is not used (d = 1)
+    ctx = _field(n)
+    rng = random.Random(n)
+    for terms, chunk_bits, period, largest in _BUCKET_CASES[n]:
+        monkeypatch.setattr(pc, "_CHUNK_BITS", chunk_bits)
+        spec = TrinomialSpec.make(ctx, terms)
+        tables = pc._image_tables(ctx, spec.terms)
+        f0, D, mu, starts, strands = tables
+        assert ctx.group_order // D == period == mu.size - 1
+        assert int(np.diff(starts).max()) >= largest
+        assert starts.dtype == np.int32 and period < starts.size - 1 <= 2 * period
+        cut = rng.randrange(1, 1 << n)
+        got = [pc._images(ctx, tables, a, b) for a, b in ((0, cut), (cut, 1 << n))]
+        assert np.concatenate(got).tolist() == [spec.value(x) for x in range(1 << n)], terms
 
 
 def test_wrong_witness_images_trip_the_scalar_recheck(f16, monkeypatch):
@@ -357,7 +399,8 @@ def test_late_repeat_partner_past_the_kept_chunk():
 
 
 def _check_log_windows(ctx, terms):
-    """The windows of pc._log_windows concatenate to the sum of the per-term
+    """The windows of pc._log_windows, on the pc._image_tables of the terms
+    as the engine passes them, concatenate to the sum of the per-term
     geometric sequences c*(g^e)^k, k < 2^n-1. Their sizes follow the
     doubling schedule from pc._VERDICT_FIRST_WINDOW, with the first window
     and the chunk rounded to multiples of the period d of f(g^k)/g^(e0*k)
@@ -371,7 +414,7 @@ def _check_log_windows(ctx, terms):
              if all((e - exps[0]) * d % order == 0 for e in exps))
     if d <= chunk:
         first, chunk = -(-first // d) * d, chunk // d * d
-    windows = list(pc._log_windows(ctx, terms))
+    windows = list(pc._log_windows(ctx, pc._image_tables(ctx, terms)))
     expected = np.zeros(order, dtype=np.uint32)
     for c, e in terms:
         r = gf.power(ctx, ctx.generator, e)
@@ -426,6 +469,28 @@ def test_log_windows_collapse_by_the_period(monkeypatch, n, chunk_bits):
                       (rng.randrange(1, 1 << n), e0 + rng.choice(divisors) * rng.randrange(4))])
     for terms in cases:
         monkeypatch.setattr(pc, "_VERDICT_FIRST_WINDOW", rng.choice([1, 3, 8, 1 << 10]))
+        _check_log_windows(ctx, terms)
+
+
+@pytest.mark.parametrize("first", [8, pc._VERDICT_FIRST_WINDOW])
+@pytest.mark.parametrize("n", [8, 12])
+def test_log_windows_first_window_from_the_engine_tables(monkeypatch, n, first):
+    # the first window as one geometric sequence times the strand's cyclic
+    # table: a constant term first (e0 = 0), a first coefficient other than
+    # 1, and periods that divide no power of two, so the first window is
+    # rounded up past _VERDICT_FIRST_WINDOW
+    monkeypatch.setattr(pc, "_VERDICT_FIRST_WINDOW", first)
+    ctx = _field(n)
+    order = ctx.group_order
+    cases = {
+        8: [[(1, 0), (1, 85)], [(6, 0), (1, 51), (9, 102)], [(9, 7), (1, 7 + 51)],
+            [(3, 3), (1, 3 + 15), (7, 3 + 45)], [(1, 1), (1, 2 * 15 + 1), (1, -1 * 15 + 1)]],
+        12: [[(1, 0), (1, 315)], [(5, 0), (2, 455), (1, 910)], [(9, 7), (1, 7 + 91)],
+             [(3, 3), (1, 3 + 63)], [(1, 1), (1, 2 * 63 + 1), (1, -1 * 63 + 1)]],
+    }[n]
+    for terms in cases:
+        d = order // pc._image_tables(ctx, terms)[1]
+        assert d > 1 and 1024 % d
         _check_log_windows(ctx, terms)
 
 
@@ -495,30 +560,32 @@ def test_occupy_takes_at_most_a_slice(monkeypatch, n, late):
 
 
 def test_verdict_collapses_to_one_multiply_per_window(monkeypatch):
-    # the (2,-1) trinomial at n = 20 has period 2^10+1: after the first
-    # window, each window builds the byte tables of one constant (one
-    # strand), each of its slices is one map of the one block through them,
-    # not one per term, and the windows past 2^16 come in slices
+    # the (2,-1) trinomial at n = 20 has period 2^10+1: the first window is
+    # one geometric sequence times the strand's cyclic table (one product),
+    # not one sequence per term; after it, each window builds the byte
+    # tables of one constant (one strand), each of its slices is one map of
+    # the one block through them, not one per term, and the windows past
+    # 2^16 come in slices
     tower = tw.make_tower(10)
     spec = niho.pair_to_trinomial(tower, NihoPair(10, 2, -1))
     calls, events = [], []
-    const_tables, map_planes, log_window = _kernels.const_tables, _kernels.map_planes, pc._log_window
+    kernels = {name: getattr(_kernels, name)
+               for name in ("const_tables", "map_planes", "geometric", "mul_vec")}
+    log_window = pc._log_window
 
-    def tables(*args):
-        events.append("T")
-        return const_tables(*args)
+    def recorded(name, event):
+        def call(*args):
+            events.append(event)
+            return kernels[name](*args)
+        monkeypatch.setattr(_kernels, name, call)
 
-    def mapped(*args):
-        events.append("M")
-        return map_planes(*args)
-
-    def window(ctx, strands, blocks, tables, k0, a, size):
+    def window(ctx, strands, blocks, consts, k0, a, size):
         calls.append([k0, a, size])
-        events.append("W")
-        return log_window(ctx, strands, blocks, tables, k0, a, size)
+        events.append("W" if k0 else "F")
+        return log_window(ctx, strands, blocks, consts, k0, a, size)
 
-    monkeypatch.setattr(_kernels, "const_tables", tables)
-    monkeypatch.setattr(_kernels, "map_planes", mapped)
+    for name, event in zip(kernels, "TMGV"):
+        recorded(name, event)
     monkeypatch.setattr(pc, "_log_window", window)
     assert pc.is_permutation_exhaustive(tower.field, spec).is_permutation
     assert calls[0][:2] == [0, 0] and calls[0][2] == 1025
@@ -526,9 +593,13 @@ def test_verdict_collapses_to_one_multiply_per_window(monkeypatch):
     assert all(size <= 1 << 16 for _, _, size in calls[1:])
     windows = {k0 for k0, *_ in calls}
     assert len(windows) > 10 and len(calls) > len(windows) + 10
-    # past the first window (the geometric sums): per window one constant's
-    # tables, then per slice one map
-    later = "".join(events[events.index("W", 1) - 1 :])
+    # the first window, up to the constant's tables of the first later one
+    later = events.index("W") - 1
+    first = "".join(events[events.index("F") : later])
+    assert first.count("G") == first.count("V") == 1
+    # from the first later window: per window one constant's tables, then
+    # per slice one map
+    later = "".join(events[later:])
     assert re.fullmatch(r"(T(WM)+)+", later) and later.count("T") == len(windows) - 1
     # slices tile each window from its start
     starts = [k0 + a for k0, a, _ in calls]
@@ -1088,6 +1159,30 @@ def test_circle_tables_match_scalar_formula(m):
         assert cls == log_w[gf.power(ctx, h, q - 1)], h
 
 
+@pytest.mark.parametrize("m", range(1, 17))
+def test_trace_inverse_is_the_field_inverse(m):
+    # 1/(g + g^q) read from the subfield log equals the scalar inverse
+    tower = _tower(m)
+    ctx, g = tower.field, tower.field.generator
+    assert pc._trace_inverse(tower) == gf.inv(ctx, g ^ tw.conjugate(tower, g))
+
+
+@pytest.mark.parametrize("m", [4, 7, 10])
+def test_circle_tables_refuse_a_repeated_ratio(m):
+    # a subfield log that gives two codes one log: the q-1 ratios a/b of
+    # the points 1+w^j with a != 0 can no longer be distinct. The two codes
+    # are not the one of g + g^q, so the inverse read before stays exact
+    tower = tw.make_tower(m)  # a fresh tower: its cached logs are patched
+    q, g = tower.subfield_order, tower.field.generator
+    trace = tower.subfield_code(g ^ tw.conjugate(tower, g))
+    logs = tower.subfield_logs.copy()
+    x, y = [c for c in range(1, q) if c != trace][:2]
+    logs[x] = logs[y]
+    tower.__dict__["subfield_logs"] = logs
+    with pytest.raises(AssertionError, match="distinct ratios"):
+        pc._circle_tables(tower)
+
+
 def test_verify_pairs_builds_no_tables():
     tower = tw.make_tower(8)
     assert pc.unit_circle_check(tower, NihoPair(8, 2, -1)).is_permutation
@@ -1111,6 +1206,71 @@ def test_paper_predicted_pairs_above_table_max(m):
         rep = pc.unit_circle_check(tower, pair)
         assert rep.is_permutation, pair
         assert rep.evaluations == (1 << m) + 1
+
+
+#: (m, pair label) -> (counterexample or zero_at, evaluations) of
+#: unit_circle_check, captured before its first window grew with the pairs
+#: it holds: (3,5), (2,-1), (-1/7,8/7), the verify workload's pairs at
+#: m = 10 taken at m = 12..16, and (1,2), whose h vanishes on U at odd m.
+#: The scalar reference scan is too slow at these m
+_PINNED_CIRCLE_REPORTS = {
+    (12, "3,5"): ((11538042, 5205114), 32), (12, "2,-1"): (None, 4097),
+    (12, "-1/7,8/7"): (None, 4097), (12, "788,861"): ((12969499, 9017022), 100),
+    (12, "82,530"): ((882190, 16568338), 88), (12, "829,995"): ((16380195, 9319644), 112),
+    (12, "3,-1"): (None, 4097), (12, "1,2"): (None, 4097),
+    (13, "3,5"): ((25500596, 28121703), 142), (13, "2,-1"): (None, 8193),
+    (13, "-1/7,8/7"): (None, 8193), (13, "788,861"): ((37629675, 8058351), 285),
+    (13, "82,530"): ((48008629, 58344129), 60), (13, "829,995"): ((5479770, 20921921), 20),
+    (13, "3,-1"): ((49728360, 13758935), 102), (13, "1,2"): (35108145, 2732),
+    (14, "3,5"): ((237301885, 47041679), 342), (14, "2,-1"): (None, 16385),
+    (14, "-1/7,8/7"): (None, 16385), (14, "788,861"): ((237163278, 169003180), 380),
+    (14, "82,530"): ((32271020, 258631730), 83), (14, "829,995"): ((211483206, 97163111), 223),
+    (14, "3,-1"): (None, 16385), (14, "1,2"): (None, 16385),
+    (15, "3,5"): ((993885387, 678079367), 695), (15, "2,-1"): (None, 32769),
+    (15, "-1/7,8/7"): (None, 32769), (15, "788,861"): ((870040825, 663967744), 217),
+    (15, "82,530"): ((867187781, 306962605), 483), (15, "829,995"): ((2315535, 722591078), 115),
+    (15, "3,-1"): ((212622593, 1065161439), 161), (15, "1,2"): (559537994, 10924),
+    (16, "3,5"): ((1985438499, 454516869), 614), (16, "2,-1"): (None, 65537),
+    (16, "-1/7,8/7"): (None, 65537), (16, "788,861"): ((621065305, 2987522988), 61),
+    (16, "82,530"): ((1487579055, 2496719521), 84), (16, "829,995"): ((2227627071, 4087535038), 308),
+    (16, "3,-1"): (None, 65537), (16, "1,2"): (None, 65537),
+}
+
+
+@pytest.mark.parametrize("m", range(12, 17))
+def test_pinned_single_pair_unit_circle_reports(m):
+    tower = _tower(m)
+    for (pm, label), (failure, evaluations) in _PINNED_CIRCLE_REPORTS.items():
+        if pm != m:
+            continue
+        rep = pc.unit_circle_check(tower, niho.parse_pair(label, m))
+        got = rep.counterexample if rep.zero_at is None else rep.zero_at
+        assert (got, rep.evaluations) == (failure, evaluations), label
+        assert rep.is_permutation == (failure is None)
+
+
+@pytest.mark.parametrize("m, pairs, width", [
+    (11, 1, 2049), (12, 1, 4096), (9, 3, 1366), (9, 100, 41), (9, 256, 16), (9, 513, 16),
+])
+def test_first_unit_circle_window_holds_enough_elements(monkeypatch, m, pairs, width):
+    # the first window holds at least _WINDOW_ELEMS >> 6 = 4096 (pair,
+    # point) elements, or _FIRST_WINDOW points per pair if that is more: U
+    # in one window for one pair up to m = 11, 16 points from 256 pairs
+    widths, phi_window = [], pc._phi_window
+
+    def recorded(tower, tables, s, t, ks):
+        widths.append(ks.size)
+        return phi_window(tower, tables, s, t, ks)
+
+    monkeypatch.setattr(pc, "_phi_window", recorded)
+    tower = _tower(m)
+    size = tower.unit_circle_order
+    s = np.full(pairs, 2)
+    t = np.full(pairs, -1)  # (2,-1) permutes, so no pair leaves a window
+    assert pc.pair_verdicts(tower, s, t).all()
+    assert widths[0] == min(width, size)
+    assert sum(widths) == size and widths[1:] == [
+        min(width << i, size - sum(widths[:i])) for i in range(1, len(widths))]
 
 
 def _scalar_phis(tower, pair, count):
