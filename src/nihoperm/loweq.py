@@ -12,11 +12,14 @@ Covers, over GF(2^n) and its index-2 subfield:
   once (:func:`_no_root_cases`): with r_i the subfield
   roots of y^3 + a2*y + a1 and w_i = a0*r_i^2/a1^2, h has no subfield root
   if either exactly one r_1 exists with Tr(w_1) = 1 ("case 1") or three
-  exist with trace multiset {0, 1, 1} ("case 2");
+  exist with trace multiset {0, 1, 1} ("case 2"). It is given one r per
+  quartic and checks it by substitution, never scanning for r;
 * batch verification that the three quartic families attached to the pairs
   (3,-1), (-2/3,5/3) and (1/5,4/5) have no subfield roots for any
   unit-circle x != 1, both by brute evaluation and by certificate, as
-  whole-array passes over the unit circle.
+  whole-array passes over the unit circle; r is each family's closed form
+  in x + 1/x (:func:`family_coefficients`), whose cases equal those of all
+  scanned resolvent roots at every point for m = 2..16.
 
 Coefficients are handled by their subfield logs (:meth:`TowerCtx.subfield_log`).
 The blocks of the quadratic sweep and the windows of the root scans go in
@@ -139,12 +142,12 @@ def _zeros(tower: TowerCtx, terms) -> tuple[np.ndarray, np.ndarray]:
     logs of zero coefficients point into. So the term's values at every z
     are one row of a strided window view of that table, picked by log c.
     A term that is zero in every row is left out, and the terms that are
-    equal in every row are summed once, into one row that each window XORs
-    into its first gather by broadcast. Rows go in windows of at most
-    _WINDOW_ELEMS (row, z) elements, and the windows in one contiguous
-    share per core; the shares' roots are joined in share order, which is
-    the order of one share. z = 0 is a root exactly where the constant
-    coefficient vanishes.
+    equal in every row are summed once, into one row. Rows go in windows of
+    at most _WINDOW_ELEMS (row, z) elements, and the windows in one
+    contiguous share per core, which fills one value and one bool buffer,
+    allocated once, for each of its windows. The shares' roots are joined
+    in share order, which is the order of one share. z = 0 is a root
+    exactly where the constant coefficient vanishes.
     """
     q1 = tower.subfield_order - 1
     rows = terms[0][0].size
@@ -165,16 +168,16 @@ def _zeros(tower: TowerCtx, terms) -> tuple[np.ndarray, np.ndarray]:
     step = max(1, _WINDOW_ELEMS // q1)
 
     def share(windows):
+        value = np.empty((min(step, rows), q1), dtype=np.uint32)
+        is_zero = np.empty(value.shape, dtype=bool)
         found_rows, found_idx = [], []
         for r0 in windows:
-            value = None if varying else np.tile(fixed, (min(step, rows - r0), 1))
+            r = min(step, rows - r0)
+            value[:r] = fixed
             for c, view in varying:
-                part = view[c[r0 : r0 + step]]
-                if value is None:  # fixed broadcast over the rows (and z, for e = 0)
-                    value = part ^ fixed
-                else:
-                    value ^= part
-            hits = np.flatnonzero(value == 0)  # much cheaper than a 2-D np.nonzero
+                value[:r] ^= view[c[r0 : r0 + r]]
+            np.equal(value[:r], 0, out=is_zero[:r])
+            hits = np.flatnonzero(is_zero[:r])  # much cheaper than a 2-D np.nonzero
             found_rows.append(hits // q1 + r0)
             found_idx.append(hits % q1 + 1)
         return found_rows, found_idx
@@ -186,36 +189,31 @@ def _zeros(tower: TowerCtx, terms) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(found_rows), np.concatenate(found_idx)
 
 
-def _cases(count, trace_sum):
-    """Certificate case per polynomial from its resolvent root count and
-    trace sum: 1 for one root of trace 1, 2 for three roots with traces
-    {0, 1, 1}, else 0."""
-    return np.where((count == 1) & (trace_sum == 1), 1,
-                    np.where((count == 3) & (trace_sum == 2), 2, 0))
-
-
-def _no_root_cases(tower: TowerCtx, a2, a1, a0) -> tuple[np.ndarray, np.ndarray]:
+def _no_root_cases(tower: TowerCtx, l2, l1, l0, lr) -> tuple[np.ndarray, np.ndarray]:
     """(rooted, cases) for the quartics z^4 + a2*z^2 + a1*z + a0, one per
-    entry of the coefficient arrays: the sorted rows that have a subfield
-    root, by brute evaluation, and each row's certificate case (see the
-    module docstring; 0 where it does not apply).
+    row, given by the subfield logs of a2, a1 and a0 (-1 for 0) and of a
+    candidate root r of the resolvent cubic y^3 + a2*y + a1: the sorted rows
+    that have a subfield root, by brute evaluation, and each row's
+    certificate case (see the module docstring; 0 where it does not fire).
 
-    The case comes from the subfield roots r = b^k of the resolvent cubic
-    y^3 + a2*y + a1 and the traces of w = a0*r^2/a1^2. Coefficients must be
-    nonzero in a0 and a1 and lie in the subfield, else NihopermError.
+    r is checked by substitution, not trusted: a row whose r is not a root
+    (or is 0) gets case 0. Otherwise the case is 0 unless Tr(w) = 1 for
+    w = a0*r^2/a1^2; then it is 1 if the quotient y^2 + r*y + r^2 + a2 has
+    no subfield root, that is Tr(1 + a2/r^2) = 1, and 2 if it splits (the
+    three roots' w sum to a0*(sum r)^2/a1^2 = 0, so their traces are
+    {0, 1, 1}). a0 and a1 must be nonzero, else NihopermError.
     """
-    if not (np.all(a0) and np.all(a1)):
+    if (l0 < 0).any() or (l1 < 0).any():
         raise NihopermError("certificate requires a0 != 0 and a1 != 0")
-    l2, l1, l0 = (_logs(tower, name, v) for name, v in (("a2", a2), ("a1", a1), ("a0", a0)))
     one = np.zeros(l0.size, dtype=np.intp)  # log of 1
     rooted, _ = _zeros(tower, [(one, 4), (l2, 2), (l1, 1), (l0, 0)])
-    rows, idx = _zeros(tower, [(one, 3), (l2, 1), (l1, 0)])
-    # log w for r = subfield[idx] = b^(idx-1)
-    lw = (l0[rows] + 2 * (idx - 1 - l1[rows])) % (tower.subfield_order - 1)
-    traces = tower.subfield_trace_bits[lw]
-    cases = _cases(np.bincount(rows, minlength=l0.size),
-                   np.bincount(rows, weights=traces, minlength=l0.size))
-    return np.unique(rooted), cases
+    q1 = tower.subfield_order - 1
+    powers, trace = tower.subfield[1:], tower.subfield_trace_bits
+    a2r = np.where(l2 < 0, 0, powers[(l2 + lr) % q1])
+    is_root = (lr >= 0) & (powers[3 * lr % q1] ^ a2r == powers[l1])
+    trace_w = trace[(l0 + 2 * (lr - l1)) % q1]
+    no_split = (tower.m + np.where(l2 < 0, 0, trace[(l2 - 2 * lr) % q1])) % 2  # Tr(1 + a2/r^2)
+    return np.unique(rooted), np.where(is_root & (trace_w == 1), 2 - no_split, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,56 +236,44 @@ class QuarticFamilyReport:
     checked: int
 
 
-def _quotient_log(tower: TowerCtx, num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """log(num/den) per entry for subfield arrays (-1 where num is 0)."""
-    ln, ld = _logs(tower, "numerator", num), _logs(tower, "denominator", den)
-    if (ld < 0).any():
-        raise NihopermError("a family coefficient has a zero denominator")
-    return np.where(ln < 0, -1, (ln - ld) % (tower.subfield_order - 1))
-
-
-def _from_logs(tower: TowerCtx, lg: np.ndarray) -> np.ndarray:
-    return np.where(lg < 0, 0, tower.subfield[1:][lg])
-
-
 def family_coefficients(tower: TowerCtx, which: str):
-    """(ks, a2, a1, a0): the points x = unit_circle[ks] that a family's
-    check visits, and the family's quartic coefficients at each, as arrays:
+    """(ks, l2, l1, l0, lr): the points x = unit_circle[ks] that a family's
+    check visits, and at each the subfield logs (-1 for 0) of its quartic's
+    coefficients and of a root r of the resolvent cubic y^3 + a2*y + a1:
 
     eq4: a2 = (x^6+x^2)/(x^8+x^4+1), a1 = (x^8+1)/(x^8+x^4+1), a0 = 1
     eq6: a2 = (x^8+x^6+x^2+1)/x^4,   a1 = (x^8+1)/x^4,         a0 = 1
     eq8: a2 = 0, a1 = t^3 with t = (x^2+1)/(x^2+x+1),
          a0 = (x^8+x^6+x^4+x^2+1)/(x^8+x^4+1)
 
-    All of them lie in the subfield because they are invariant under
-    x -> 1/x, which is conjugation on the unit circle.
+    Divided by x^4 (t by x) these are rational functions of u = x + 1/x,
+    which lies in the subfield (conjugation on U is x -> 1/x) and is
+    neither 0 (x != 1) nor 1 (x^2+x+1 != 0). With t = u/(u+1):
+
+    eq4: a2 = t^2/(u+1)^2, a1 = t^4, r = t^2
+    eq6: a2 = u^2*(u+1)^2, a1 = u^4, r = u^2
+    eq8: a0 = (u^2+u+1)^2/(u+1)^4, r = t at odd m and t*omega at m = 0
+         mod 4, with omega = b^((q-1)/3)
+
     ks runs over U \\ {1} in order; eq8 skips the points with x^2+x+1 = 0.
-    Divided by x^4 (eq8's t by x), every numerator and denominator is a sum
-    of the subfield elements x^i + x^-i = U[ik] + U[-ik], so each quotient
-    is a difference of subfield logs.
     """
     size, circle = tower.unit_circle_order, tower.unit_circle
     q1 = tower.subfield_order - 1
     ks = np.arange(1, size)
-    if which == "eq8":  # x^2+x+1 = 0 iff x + 1/x = 1
-        ks = ks[circle[ks] ^ circle[size - ks] != 1]
-
-    def sym(i):  # x^i + x^-i at every point
-        return circle[i * ks % size] ^ circle[-i * ks % size]
-
-    s1, s2, s4 = sym(1), sym(2), sym(4)
-    ones = np.ones(ks.size, dtype=np.uint32)
-    if which == "eq4":
-        a2 = _from_logs(tower, _quotient_log(tower, s2, s4 ^ 1))
-        return ks, a2, _from_logs(tower, _quotient_log(tower, s4, s4 ^ 1)), ones
-    if which == "eq6":
-        return ks, s4 ^ s2, s4, ones
-    if which == "eq8":
-        lt = _quotient_log(tower, s1, s1 ^ 1)
-        a1 = _from_logs(tower, np.where(lt < 0, -1, 3 * lt % q1))
-        a0 = _from_logs(tower, _quotient_log(tower, s4 ^ s2 ^ 1, s4 ^ 1))
-        return ks, np.zeros_like(ones), a1, a0
-    raise NihopermError(f"unknown quartic family {which!r}")
+    u = circle[ks] ^ circle[size - ks]
+    if which == "eq8":  # x^2+x+1 = 0 iff u = 1
+        ks, u = ks[u != 1], u[u != 1]
+    lu, lv = _logs(tower, "x+1/x", u), _logs(tower, "x+1/x+1", u ^ 1)
+    assert (lu >= 0).all() and (lv >= 0).all(), "eq4/eq6 need even m, where u != 1 on U"
+    lt, zero = lu - lv, np.zeros_like(lu)
+    if which == "eq8":  # a2 = 0
+        lp = _logs(tower, "u^2+u+1", tower.subfield[1:][2 * lu % q1] ^ u ^ 1)
+        assert (lp >= 0).all(), "u is a primitive cube root of 1 on U only at m = 2 mod 4"
+        omega = 0 if tower.m % 2 else q1 // 3
+        return ks, zero - 1, 3 * lt % q1, (2 * lp - 4 * lv) % q1, (lt + omega) % q1
+    logs = {"eq4": (2 * lt - 2 * lv, 4 * lt, zero, 2 * lt),
+            "eq6": (2 * lu + 2 * lv, 4 * lu, zero, 2 * lu)}[which]
+    return (ks, *(lg % q1 for lg in logs))
 
 
 def verify_lemma_quartics(tower: TowerCtx, which: str) -> QuarticFamilyReport:
@@ -312,8 +298,8 @@ def verify_lemma_quartics(tower: TowerCtx, which: str) -> QuarticFamilyReport:
     reason = known_row_failure(QUARTIC_FAMILY_PAIRS[which], m, which)
     if reason:
         raise NihopermError(reason)
-    ks, a2, a1, a0 = family_coefficients(tower, which)
-    rooted, cases = _no_root_cases(tower, a2, a1, a0)
+    ks, *logs = family_coefficients(tower, which)
+    rooted, cases = _no_root_cases(tower, *logs)
     failures = tower.unit_circle[ks[rooted]].tolist()
     expected = 2 if which == "eq8" and m % 2 == 0 else 1
     return QuarticFamilyReport(

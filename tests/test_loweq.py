@@ -86,10 +86,42 @@ def _zero_scan(tower, polys):
     return [sorted(f) for f in found]
 
 
-def _certify(tower, quartics):
-    """loweq._no_root_cases over the (a2, a1, a0) rows, as lists."""
-    rooted, cases = loweq._no_root_cases(tower, *zip(*quartics))
-    return rooted.tolist(), cases.tolist()
+def _element(tower, lg):
+    """The subfield element of log lg (0 for -1)."""
+    return 0 if lg < 0 else int(tower.subfield[1 + lg])
+
+
+def _certify_with_each_root(tower, quartics):
+    """Certify each quartic (a2, a1, a0), a0*a1 != 0, once per r: each Horner
+    root of its resolvent cubic y^3 + a2*y + a1, then one nonzero r that is
+    not a root. Returns the indices of the quartics that loweq._no_root_cases
+    finds rooted, and per quartic its cases in that order of r.
+
+    Asserts what holds for any quartic: the rooted ones are those with a
+    Horner root, a non-root r never certifies, a certified case is the one
+    the resolvent's roots give (_expected_case) and means no Horner root,
+    and every root-free quartic is certified by one of its roots."""
+    ctx, subfield = tower.field, tower.subfield.tolist()
+    rows, owners = [], []
+    for i, (a2, a1, a0) in enumerate(quartics):
+        roots = _horner_roots(ctx, subfield, [a1, a2, 0, 1])
+        other = next(y for y in subfield[1:] if y not in roots)
+        rows += [(a2, a1, a0, r) for r in roots + [other]]
+        owners += [i] * (len(roots) + 1)
+    logs = (loweq._logs(tower, name, col) for name, col in zip(("a2", "a1", "a0", "r"), zip(*rows)))
+    rooted, cases = loweq._no_root_cases(tower, *logs)
+    per_quartic = [[] for _ in quartics]
+    for i, case in zip(owners, cases.tolist()):
+        per_quartic[i].append(case)
+    rooted = sorted({owners[row] for row in rooted.tolist()})
+    for i, ((a2, a1, a0), found) in enumerate(zip(quartics, per_quartic)):
+        has_root = bool(_horner_roots(ctx, subfield, [a0, a1, a2, 0, 1]))
+        expected = _expected_case(tower, a2, a1, a0)
+        assert (i in rooted) == has_root
+        assert found[-1] == 0
+        assert set(found) <= {0, expected}
+        assert any(found) == (not has_root)
+    return rooted, per_quartic
 
 
 def _random_quartics(tower, rng, count):
@@ -143,7 +175,7 @@ def test_cubic_inseparable_case(tower2):
 def test_cubic_rejects_non_subfield_coeff(tower2):
     gamma = tw.CANONICAL_GAMMA
     with pytest.raises(NihopermError, match=f"^a2={hex(gamma)} is not in the index-2 subfield$"):
-        loweq._no_root_cases(tower2, [gamma], [1], [1])
+        loweq._logs(tower2, "a2", [1, gamma])
 
 
 def test_cubic_resolvent_root_closed_form(tower4):
@@ -212,26 +244,17 @@ def test_root_scans_match_a_scalar_loop(m):
 # ---------------------------------------------------------------------------
 
 def test_quartic_family_case1(tower4):
-    quartics = _family_quartics(tower4, "eq4")
-    rooted, cases = _certify(tower4, quartics)
-    assert rooted == [] and cases == [1] * 16
-    subfield = tower4.subfield.tolist()
-    for a2, a1, a0 in quartics:
-        assert _expected_case(tower4, a2, a1, a0) == 1
-        assert _horner_roots(tower4.field, subfield, [a0, a1, a2, 0, 1]) == []
+    # the family of pair (3,-1): one resolvent root, which certifies case 1
+    rooted, cases = _certify_with_each_root(tower4, _family_quartics(tower4, "eq4"))
+    assert rooted == [] and cases == [[1, 0]] * 16
 
 
 def test_quartic_family_case2(tower4):
     # the family of pair (1/5,4/5) at m = 0 mod 4: three resolvent roots
-    # with trace multiset {0,1,1}
+    # with trace multiset {0,1,1}, two of which certify case 2
     # (x^2+x+1 has no root on U at even m, so every point is checked)
-    quartics = _family_quartics(tower4, "eq8")
-    rooted, cases = _certify(tower4, quartics)
-    assert rooted == [] and cases == [2] * 16
-    subfield = tower4.subfield.tolist()
-    for a2, a1, a0 in quartics:
-        assert _expected_case(tower4, a2, a1, a0) == 2
-        assert _horner_roots(tower4.field, subfield, [a0, a1, a2, 0, 1]) == []
+    rooted, cases = _certify_with_each_root(tower4, _family_quartics(tower4, "eq8"))
+    assert rooted == [] and [sorted(c[:-1]) for c in cases] == [[0, 2, 2]] * 16
 
 
 def _quartic_with_subfield_roots(tower):
@@ -260,41 +283,33 @@ def test_quartic_with_roots_is_silent():
     tower = tw.make_tower(3)
     (a2, a1, a0), roots = _quartic_with_subfield_roots(tower)
     assert _zero_scan(tower, [[a0, a1, a2, 0, 1]]) == [roots]
-    assert _certify(tower, [(a2, a1, a0)]) == ([0], [0])
+    rooted, [cases] = _certify_with_each_root(tower, [(a2, a1, a0)])
+    assert rooted == [0] and not any(cases)
 
 
 @pytest.mark.parametrize("m", [3, 4, 8])
 def test_certificate_never_contradicts_brute_force(m):
-    # random subfield quartics: a no-root case must mean no roots, and the
-    # case must be the one the Horner roots of the resolvent give
+    # random subfield quartics, certified with each resolvent root: a
+    # certified case must mean no roots, and a root-free quartic must be
+    # certified with the case its resolvent's Horner roots give
     tower = tw.make_tower(m)
     rng = random.Random(23 + m)
     subfield = tower.subfield.tolist()
     quartics = [(rng.choice(subfield), rng.choice(subfield[1:]), rng.choice(subfield[1:]))
                 for _ in range(300)]
-    _, cases = _certify(tower, quartics)
-    for (a2, a1, a0), case in zip(quartics, cases):
-        assert case == _expected_case(tower, a2, a1, a0)
-        if case:
-            assert _horner_roots(tower.field, subfield, [a0, a1, a2, 0, 1]) == []
-    assert 0 in cases and 1 in cases
+    rooted, cases = _certify_with_each_root(tower, quartics)
+    assert 0 < len(rooted) < len(quartics)
+    assert {max(c) for c in cases} == {0, 1, 2}
 
 
 def test_quartic_rejects_zero_coefficients(tower4):
+    # a zero a1 or a0 (log -1) is refused, whatever r is
     message = "^certificate requires a0 != 0 and a1 != 0$"
+    ones, lr = np.zeros(2, dtype=np.intp), np.array([0, 3])
     with pytest.raises(NihopermError, match=message):
-        loweq._no_root_cases(tower4, [1, 1], [1, 0], [1, 1])
+        loweq._no_root_cases(tower4, ones, np.array([0, -1]), ones, lr)
     with pytest.raises(NihopermError, match=message):
-        loweq._no_root_cases(tower4, [1, 1], [1, 1], [1, 0])
-
-
-def test_certificate_cases_from_counts_and_trace_sums():
-    # one root of trace 1 is case 1, three with traces {0,1,1} case 2;
-    # the trace sum 3 of three resolvent roots is impossible (their traces
-    # sum to Tr(a0*(r1+r2+r3)^2/a1^2) = 0) but must not certify either
-    counts = np.array([1, 1, 3, 3, 3, 3, 0, 2])
-    sums = np.array([1, 0, 2, 0, 1, 3, 0, 1])
-    assert loweq._cases(counts, sums).tolist() == [1, 0, 2, 0, 0, 0, 0, 0]
+        loweq._no_root_cases(tower4, ones, ones, np.array([0, -1]), lr)
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +451,8 @@ def test_one_row_kernels_match_horner(m):
         assert cubic == _horner_roots(ctx, subfield, [a1, a2, 0, 1])
         assert quartic == _horner_roots(ctx, subfield, [a0, a1, a2, 0, 1])
     certified = [q for q in quartics if q[1] and q[2]]
-    rooted, cases = _certify(tower, certified)
-    assert rooted == [row for row, (a2, a1, a0) in enumerate(certified)
-                      if _horner_roots(ctx, subfield, [a0, a1, a2, 0, 1])]
-    assert cases == [_expected_case(tower, *q) for q in certified]
-    assert 0 in cases and len(set(cases)) > 1
+    rooted, cases = _certify_with_each_root(tower, certified)
+    assert rooted and any(map(any, cases))
 
 
 @pytest.mark.parametrize("window", [1, 50, 200])
@@ -475,26 +487,98 @@ def _families_at(m):
 
 @pytest.mark.parametrize("which, m", [(w, m) for m in range(3, 9) for w in _families_at(m)])
 def test_family_coefficients_match_the_scalar_oracle(which, m):
+    # the coefficients against the formulas in x, and r by substitution into
+    # the resolvent cubic, in scalar field operations
     tower = tw.make_tower(m)
     ctx = tower.field
-    ks, a2, a1, a0 = loweq.family_coefficients(tower, which)
+    ks, *logs = loweq.family_coefficients(tower, which)
     points = tower.unit_circle[1:].tolist()
     if which == "eq8":
         points = [x for x in points if gf.square(ctx, x) ^ x ^ 1 != 0]
     assert tower.unit_circle[ks].tolist() == points
-    for x, c2, c1, c0 in zip(points, a2.tolist(), a1.tolist(), a0.tolist()):
-        assert lemma_quartic_coeffs(tower, which, x) == (c2, c1, c0)
+    for x, *row in zip(points, *(lg.tolist() for lg in logs)):
+        a2, a1, a0, r = (_element(tower, lg) for lg in row)
+        assert lemma_quartic_coeffs(tower, which, x) == (a2, a1, a0)
+        assert gf.mul(ctx, gf.square(ctx, r), r) ^ gf.mul(ctx, a2, r) ^ a1 == 0
+
+
+@pytest.mark.parametrize("which, m", [(w, m) for m in range(2, 13) for w in _families_at(m)])
+def test_closed_form_cases_match_the_resolvent_scan(which, m):
+    # the case from the family's closed-form r equals the case from every
+    # subfield root of the resolvent (one root of trace 1 is case 1, three
+    # with traces {0,1,1} case 2), point for point
+    tower = tw.make_tower(m)
+    q1 = tower.subfield_order - 1
+    _, l2, l1, l0, lr = loweq.family_coefficients(tower, which)
+    rows, idx = loweq._zeros(tower, [(np.zeros_like(l1), 3), (l2, 1), (l1, 0)])
+    assert (lr[rows] == idx - 1).sum() == lr.size  # r is one of the scanned roots
+    traces = tower.subfield_trace_bits[(l0[rows] + 2 * (idx - 1 - l1[rows])) % q1]
+    count = np.bincount(rows, minlength=lr.size)
+    trace_sum = np.bincount(rows, weights=traces, minlength=lr.size)
+    scanned = np.where((count == 1) & (trace_sum == 1), 1,
+                       np.where((count == 3) & (trace_sum == 2), 2, 0))
+    _, cases = loweq._no_root_cases(tower, l2, l1, l0, lr)
+    assert cases.tolist() == scanned.tolist()
+    assert set(cases.tolist()) == {2 if which == "eq8" and m % 2 == 0 else 1}
+
+
+@pytest.mark.parametrize("which, m", [(w, m) for m in range(4, 9) for w in _families_at(m)])
+def test_a_root_off_by_one_log_step_never_certifies(monkeypatch, which, m):
+    # r*b is no resolvent root at these m, and the certificate must notice
+    # by substitution: `certified` turns False while the brute check passes
+    tower = tw.make_tower(m)
+    q1 = tower.subfield_order - 1
+    ks, l2, l1, l0, lr = loweq.family_coefficients(tower, which)
+    _, cases = loweq._no_root_cases(tower, l2, l1, l0, (lr + 1) % q1)
+    assert not cases.any()
+    monkeypatch.setattr(loweq, "family_coefficients",
+                        lambda *args: (ks, l2, l1, l0, (lr + 1) % q1))
+    rep = loweq.verify_lemma_quartics(tower, which)
+    assert rep.all_pass and not rep.certified
+
+
+@pytest.mark.parametrize("which, m", [("eq4", 6), ("eq6", 8), ("eq8", 7), ("eq8", 8)])
+def test_verify_makes_one_root_scan(monkeypatch, which, m):
+    # the brute quartic scan is the only subfield scan: the certificate
+    # reads its resolvent root from the closed form
+    calls = []
+    zeros = loweq._zeros
+
+    def spy(tower, terms):
+        calls.append([e for _, e in terms])
+        return zeros(tower, terms)
+
+    monkeypatch.setattr(loweq, "_zeros", spy)
+    rep = loweq.verify_lemma_quartics(tw.make_tower(m), which)
+    assert rep.all_pass and rep.certified
+    assert calls == [[4, 2, 1, 0]]  # the quartic's terms
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_trace_facts_behind_the_closed_forms(m):
+    # Tr_m(1) = m mod 2; Tr_m(1/u) = 1 for u = x + 1/x at every x in
+    # U \ {1}; Tr_m(omega) = m/2 mod 2 for omega = b^((q-1)/3) at even m
+    tower = tw.make_tower(m)
+    q1, size = tower.subfield_order - 1, tower.unit_circle_order
+    trace, circle = tower.subfield_trace_bits, tower.unit_circle
+    assert trace[0] == m % 2
+    ks = np.arange(1, size)
+    lu = loweq._logs(tower, "u", circle[ks] ^ circle[size - ks])
+    assert (lu >= 0).all() and (trace[-lu % q1] == 1).all()
+    if m % 2 == 0:
+        assert trace[q1 // 3] == m // 2 % 2
 
 
 def test_non_subfield_coefficients_raise(tower4):
     gamma = tw.CANONICAL_GAMMA
     outside = f"={hex(gamma)} is not in the index-2 subfield$"
     with pytest.raises(NihopermError, match="^a0" + outside):
-        loweq._no_root_cases(tower4, [1], [1], [gamma])
+        loweq._logs(tower4, "a0", [gamma])
     with pytest.raises(NihopermError, match="^a2" + outside):
-        loweq._no_root_cases(tower4, [gamma], [1], [1])
+        loweq._logs(tower4, "a2", [gamma, 1])
     with pytest.raises(NihopermError, match="^a1" + outside):
-        loweq._no_root_cases(tower4, [1, 1], [1, gamma], [1, 1])
+        loweq._logs(tower4, "a1", [1, gamma])
+    assert loweq._logs(tower4, "a1", [0, 1]).tolist() == [-1, 0]
 
 
 @pytest.mark.parametrize("argv", ["--which lemma2 --n 8", "--which eq4 --m 8"])
